@@ -19,67 +19,41 @@ use std::process::ExitCode;
 use ins_bench::experiments::faults::{
     render, sweep_rates_incremental, sweep_rates_with, to_json, RATES_HOURS,
 };
+use ins_bench::runner::SweepArgs;
 
-struct Args {
-    seed: u64,
-    rates: Vec<Option<f64>>,
-    threads: usize,
-    json: bool,
-    incremental: bool,
-}
+const USAGE: &str = "usage: fault_sweep [--seed N] [--rates H1,H2,...] [--threads N] [--json] \
+                     [--incremental|--no-incremental]";
 
-fn usage() -> &'static str {
-    "usage: fault_sweep [--seed N] [--rates H1,H2,...] [--threads N] [--json] \
-     [--incremental|--no-incremental]"
-}
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        seed: 11,
-        rates: RATES_HOURS.to_vec(),
-        threads: 0,
-        json: false,
-        incremental: true,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
-            "--rates" => {
-                let v = it.next().ok_or("--rates needs a comma-separated list")?;
-                let mut rates = vec![None];
-                for part in v.split(',') {
-                    let h: f64 = part
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad rate '{part}'"))?;
-                    if !(h.is_finite() && h > 0.0) {
-                        return Err(format!("rate '{part}' must be a positive number of hours"));
-                    }
-                    rates.push(Some(h));
-                }
-                args.rates = rates;
-            }
-            "--json" => args.json = true,
-            "--incremental" => args.incremental = true,
-            "--no-incremental" => args.incremental = false,
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag '{other}'\n{}", usage())),
+/// Parses `--rates`: mean fault inter-arrival hours, after the fault-free
+/// reference row.
+fn parse_rates(list: &str) -> Result<Vec<Option<f64>>, String> {
+    let mut rates = vec![None];
+    for part in list.split(',') {
+        let h: f64 = part
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad rate '{part}'"))?;
+        if !(h.is_finite() && h > 0.0) {
+            return Err(format!("rate '{part}' must be a positive number of hours"));
         }
+        rates.push(Some(h));
     }
-    Ok(args)
+    Ok(rates)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
+    let mut rates = RATES_HOURS.to_vec();
+    let parsed = SweepArgs::parse(&argv, |flag, rest| match flag {
+        "--rates" => {
+            let v = rest.next().ok_or("--rates needs a comma-separated list")?;
+            rates = parse_rates(v)?;
+            Ok(())
+        }
+        "--help" | "-h" => Err(USAGE.to_string()),
+        other => Err(format!("unknown flag '{other}'\n{USAGE}")),
+    });
+    let args = match parsed {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -87,9 +61,9 @@ fn main() -> ExitCode {
         }
     };
     let rows = if args.incremental {
-        sweep_rates_incremental(args.seed, &args.rates, args.threads)
+        sweep_rates_incremental(args.seed, &rates, args.threads)
     } else {
-        sweep_rates_with(args.seed, &args.rates, args.threads)
+        sweep_rates_with(args.seed, &rates, args.threads)
     };
     if args.json {
         println!("{}", to_json(&rows));

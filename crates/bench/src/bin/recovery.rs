@@ -18,54 +18,28 @@ use ins_bench::experiments::recovery::{
     render, sweep_grid_incremental, sweep_grid_with, to_json, CHECKPOINT_INTERVALS_HOURS,
     FAULT_RATES_HOURS,
 };
+use ins_bench::runner::SweepArgs;
+
+const USAGE: &str = "usage: recovery [--seed N] [--threads N] [--json] \
+                     [--incremental|--no-incremental]";
 
 fn main() -> ExitCode {
-    let mut seed = 11u64;
-    let mut threads = 0usize;
-    let mut json = false;
-    let mut incremental = true;
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--seed" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--seed needs a value");
-                    return ExitCode::from(2);
-                };
-                match v.parse() {
-                    Ok(s) => seed = s,
-                    Err(_) => {
-                        eprintln!("bad seed '{v}'");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--threads" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--threads needs a value");
-                    return ExitCode::from(2);
-                };
-                match v.parse() {
-                    Ok(n) => threads = n,
-                    Err(_) => {
-                        eprintln!("bad thread count '{v}'");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--json" => json = true,
-            "--incremental" => incremental = true,
-            "--no-incremental" => incremental = false,
-            other => {
-                eprintln!(
-                    "unknown flag '{other}'\nusage: recovery [--seed N] [--threads N] [--json] \
-                     [--incremental|--no-incremental]"
-                );
-                return ExitCode::from(2);
-            }
+    let parsed = SweepArgs::parse(&argv, |flag, _| {
+        Err(format!("unknown flag '{flag}'\n{USAGE}"))
+    });
+    let SweepArgs {
+        seed,
+        threads,
+        json,
+        incremental,
+    } = match parsed {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
         }
-    }
+    };
     let rows = if incremental {
         sweep_grid_incremental(
             seed,

@@ -15,8 +15,10 @@
 //! * results are collected in input order, so serial (`--threads 1`) and
 //!   parallel runs produce byte-identical reports.
 //!
-//! The `--threads` flag shared by the sweep binaries is parsed with
-//! [`parse_threads`]; `0` (or the flag's absence) means "use available
+//! The flags the sweep binaries share (`--seed`, `--threads`, `--json`,
+//! `--incremental` / `--no-incremental`) are parsed by [`SweepArgs`];
+//! the other binaries take `--threads` through [`parse_threads`]. A
+//! thread count of `0` (or the flag's absence) means "use available
 //! parallelism".
 
 use ins_sim::pool;
@@ -142,6 +144,60 @@ where
 #[must_use]
 pub fn cell_seed(base: u64, index: usize) -> u64 {
     SimRng::seed(base).fork_seed(&format!("cell-{index}"))
+}
+
+/// The flags `fault_sweep`, `recovery` and `fleet_resilience` share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepArgs {
+    /// `--seed N` (default 11).
+    pub seed: u64,
+    /// `--threads N` (default 0 = available parallelism).
+    pub threads: usize,
+    /// `--json`: JSON rows instead of the text table.
+    pub json: bool,
+    /// `--incremental` (the default) or `--no-incremental`, the
+    /// from-scratch equivalence oracle; the last occurrence wins.
+    pub incremental: bool,
+}
+
+impl SweepArgs {
+    /// Parses `argv` in order. Any other flag is handed to `other` with
+    /// the remaining arguments, so a binary can take its own flags and
+    /// their values, and returns `Err` for a flag it does not know.
+    ///
+    /// # Errors
+    ///
+    /// A message for stderr (binaries print it and exit 2): a shared
+    /// flag missing or mangling its value, or whatever `other` returns.
+    pub fn parse<'a>(
+        argv: &'a [String],
+        mut other: impl FnMut(&'a str, &mut std::slice::Iter<'a, String>) -> Result<(), String>,
+    ) -> Result<Self, String> {
+        let mut args = Self {
+            seed: 11,
+            threads: 0,
+            json: false,
+            incremental: true,
+        };
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            match flag.as_str() {
+                "--seed" => {
+                    let v = it.next().ok_or("--seed needs a value")?;
+                    args.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
+                }
+                "--threads" => {
+                    let v = it.next().ok_or("--threads needs a value")?;
+                    args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
+                }
+                "--json" => args.json = true,
+                "--incremental" => args.incremental = true,
+                "--no-incremental" => args.incremental = false,
+                unknown => other(unknown, &mut it)?,
+            }
+        }
+        Ok(args)
+    }
 }
 
 /// Parses a `--threads N` value from a binary's argument list.
@@ -280,6 +336,48 @@ mod tests {
             "--no-incremental",
             "--incremental"
         ])));
+    }
+
+    #[test]
+    fn sweep_args_parse_shared_flags_and_hand_back_the_rest() {
+        let args = |s: &[&str]| s.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
+        let argv = args(&["--seed", "7", "--rates", "8,4", "--threads", "4", "--json"]);
+        let mut rates = None;
+        let parsed = SweepArgs::parse(&argv, |flag, rest| match flag {
+            "--rates" => {
+                rates = rest.next().cloned();
+                Ok(())
+            }
+            other => Err(format!("unknown flag '{other}'")),
+        });
+        let mut expected = SweepArgs {
+            seed: 7,
+            threads: 4,
+            json: true,
+            incremental: true,
+        };
+        assert_eq!(parsed, Ok(expected));
+        assert_eq!(rates.as_deref(), Some("8,4"));
+
+        let reject = |_: &str, _: &mut std::slice::Iter<'_, String>| Err(String::new());
+        expected = SweepArgs {
+            seed: 11,
+            threads: 0,
+            json: false,
+            incremental: false,
+        };
+        assert_eq!(
+            SweepArgs::parse(&args(&["--no-incremental"]), reject),
+            Ok(expected)
+        );
+        for bad in [
+            &["--seed"][..],
+            &["--seed", "x"],
+            &["--threads=2"],
+            &["--bogus"],
+        ] {
+            assert!(SweepArgs::parse(&args(bad), reject).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -94,9 +94,9 @@ pub trait PowerController {
     /// forking (see [`SnapshotController`]).
     ///
     /// The default declines: controllers wrapping non-clonable state
-    /// (service-mode engines, external processes) simply cannot be
-    /// forked, and [`crate::system::InSituSystem::snapshot`] reports that
-    /// as an error instead of guessing.
+    /// (the service's supervisor bridge, external processes) simply
+    /// cannot be forked, and [`crate::system::InSituSystem::snapshot`]
+    /// reports that as an error instead of guessing.
     fn fork_controller(&self) -> Option<Box<dyn SnapshotController>> {
         None
     }
@@ -693,9 +693,9 @@ impl PowerController for NoOptController {
 }
 
 // Every stock policy is plain data, so its snapshot copy is a derived
-// clone. Controllers that wrap external machinery (the service bridge,
-// the PolicyEngine adapter) deliberately do *not* appear here: they keep
-// the default `fork_controller() -> None`, which makes
+// clone. Controllers that wrap external machinery (the service's
+// supervisor bridge) deliberately do *not* appear here: they keep the
+// default `fork_controller() -> None`, which makes
 // `InSituSystem::snapshot()` fail loudly instead of forking a handle
 // whose far side cannot be duplicated.
 impl SnapshotController for InsureController {
@@ -714,23 +714,6 @@ impl SnapshotController for NoOptController {
     fn clone_snapshot(&self) -> Box<dyn SnapshotController> {
         Box::new(self.clone())
     }
-}
-
-/// Convenience alias used across experiments.
-pub type BoxedController = Box<dyn PowerController>;
-
-/// A named controller factory, as used by experiment sweeps.
-pub type ControllerFactory = (&'static str, fn() -> BoxedController);
-
-/// The evaluation's controller line-up, for experiments that sweep all
-/// three policies.
-#[must_use]
-pub fn lineup() -> Vec<ControllerFactory> {
-    vec![
-        ("insure", || Box::new(InsureController::default())),
-        ("baseline", || Box::new(BaselineController::new())),
-        ("noopt", || Box::new(NoOptController::new())),
-    ]
 }
 
 /// Minimum duration between controller invocations used by experiments.
@@ -1042,15 +1025,5 @@ mod tests {
         assert_eq!(c.control(&o).target_vms, Some(8));
         o.now = SimTime::from_hms(19, 0, 0);
         assert_eq!(c.control(&o).target_vms, Some(0));
-    }
-
-    #[test]
-    fn lineup_builds_all_three() {
-        let l = lineup();
-        assert_eq!(l.len(), 3);
-        for (name, make) in l {
-            let c = make();
-            assert!(!c.name().is_empty(), "{name}");
-        }
     }
 }

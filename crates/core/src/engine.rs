@@ -1,32 +1,31 @@
-//! Policy engines: the controller abstraction behind service mode.
+//! Service-mode policy plumbing: state classification and the engine
+//! registry.
 //!
-//! [`crate::controller::PowerController`] is the simulator's view of a
-//! policy: one opaque `control()` call per period. Live-service mode
-//! (`ins-service`) needs more structure — a supervisor has to know *why*
-//! a decision was made to judge whether a replacement policy is safe, and
-//! telemetry wants the classified system state on the wire. This module
-//! splits the pipeline into the classic three stages (raw signals →
-//! state classification → policy decision):
+//! Every policy is a [`PowerController`]; this module adds what
+//! live-service mode (`ins-service`) needs around that one trait. The
+//! pipeline is the classic three stages (raw signals → state
+//! classification → policy decision), with classification a shared step
+//! in front of the policy rather than a second trait:
 //!
 //! * [`StateClass`] — severity-ordered classification of one observation,
-//! * [`classify`] — the shared, pure classifier every engine defaults to,
-//! * [`PolicyDecision`] — the classified state plus the resulting
-//!   [`ControlAction`],
-//! * [`PolicyEngine`] — the trait; the three evaluation controllers
-//!   ([`InsureController`], [`BaselineController`], [`NoOptController`])
-//!   implement it directly,
-//! * [`EngineController`] — adapts any engine back into a
-//!   [`PowerController`] so `InSituSystem` hosts engines unchanged,
-//! * [`engine_lineup`] / [`try_engine`] — fallible factories (the
-//!   service path never goes through a panicking constructor).
+//! * [`classify`] — the shared, pure classifier the supervisor runs once
+//!   per control period,
+//! * [`PolicyDecision`] — the classified state plus the policy's
+//!   [`ControlAction`], as the supervisor records it for telemetry,
+//! * [`engine_lineup`] / [`try_engine`] — the fallible registry of the
+//!   three evaluation controllers ([`InsureController`],
+//!   [`BaselineController`], [`NoOptController`]), each handed out as a
+//!   forkable [`SnapshotController`] (the service path never goes through
+//!   a panicking constructor).
 //!
 //! # Examples
 //!
 //! ```
-//! use ins_core::engine::{try_engine, PolicyEngine, StateClass};
+//! use ins_core::engine::try_engine;
 //!
-//! let mut engine = try_engine("insure").unwrap();
+//! let engine = try_engine("insure").unwrap();
 //! assert_eq!(engine.name(), "InSURE (spatio-temporal)");
+//! assert!(engine.fork_controller().is_some());
 //! assert!(try_engine("no-such-policy").is_err());
 //! ```
 
@@ -34,7 +33,7 @@ use std::fmt;
 
 use crate::config::{ConfigError, InsureConfig};
 use crate::controller::{
-    BaselineController, ControlAction, InsureController, NoOptController, PowerController,
+    BaselineController, ControlAction, InsureController, NoOptController, SnapshotController,
     SystemObservation,
 };
 
@@ -81,7 +80,8 @@ impl fmt::Display for StateClass {
 /// Classifies one observation into a [`StateClass`].
 ///
 /// Pure and deterministic: the same observation always classifies the
-/// same way, so engine and watchdog can classify independently and agree.
+/// same way, so the supervisor and its safe-mode fallback can classify
+/// independently and agree.
 /// Thresholds are conservative prototype constants (a unit below 25 %
 /// SoC counts as nearly flat; ±25 W is the balance noise floor).
 #[must_use]
@@ -109,149 +109,21 @@ pub fn classify(obs: &SystemObservation) -> StateClass {
     }
 }
 
-/// One engine decision: the classified state and the resulting orders.
+/// One control period's decision: the classified state and the policy's
+/// orders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyDecision {
-    /// The state the engine classified this period as.
+    /// The state this period was classified as.
     pub state: StateClass,
     /// The orders for the coming period.
     pub action: ControlAction,
 }
 
-/// A swappable power-management policy: signals in, classified decision
-/// out.
-///
-/// `Send` is required so service mode can move an engine onto its
-/// crash-isolated worker thread; engines are plain data and stay
-/// deterministic — the same observation sequence produces the same
-/// decision sequence.
-pub trait PolicyEngine: Send {
-    /// Short display name used in telemetry and experiment output.
-    fn name(&self) -> &'static str;
-
-    /// Classifies one observation. The default defers to the shared
-    /// [`classify`] so every engine and the watchdog agree on state.
-    fn classify(&self, obs: &SystemObservation) -> StateClass {
-        classify(obs)
-    }
-
-    /// Produces the decision for the next control period.
-    fn decide(&mut self, obs: &SystemObservation) -> PolicyDecision;
-}
-
-impl PolicyEngine for InsureController {
-    fn name(&self) -> &'static str {
-        PowerController::name(self)
-    }
-
-    fn decide(&mut self, obs: &SystemObservation) -> PolicyDecision {
-        PolicyDecision {
-            state: classify(obs),
-            action: self.control(obs),
-        }
-    }
-}
-
-impl PolicyEngine for BaselineController {
-    fn name(&self) -> &'static str {
-        PowerController::name(self)
-    }
-
-    fn decide(&mut self, obs: &SystemObservation) -> PolicyDecision {
-        PolicyDecision {
-            state: classify(obs),
-            action: self.control(obs),
-        }
-    }
-}
-
-impl PolicyEngine for NoOptController {
-    fn name(&self) -> &'static str {
-        PowerController::name(self)
-    }
-
-    fn decide(&mut self, obs: &SystemObservation) -> PolicyDecision {
-        PolicyDecision {
-            state: classify(obs),
-            action: self.control(obs),
-        }
-    }
-}
-
-/// Adapts a [`PolicyEngine`] back into a [`PowerController`] so
-/// [`crate::system::InSituSystem`] hosts engines without modification.
-///
-/// Remembers the last classified state so hosts can surface it in
-/// telemetry after the fact.
-pub struct EngineController {
-    engine: Box<dyn PolicyEngine>,
-    last_state: Option<StateClass>,
-}
-
-impl EngineController {
-    /// Wraps an engine.
-    #[must_use]
-    pub fn new(engine: Box<dyn PolicyEngine>) -> Self {
-        Self {
-            engine,
-            last_state: None,
-        }
-    }
-
-    /// The state the engine classified the most recent period as.
-    #[must_use]
-    pub fn last_state(&self) -> Option<StateClass> {
-        self.last_state
-    }
-
-    /// The wrapped engine.
-    #[must_use]
-    pub fn engine(&self) -> &dyn PolicyEngine {
-        self.engine.as_ref()
-    }
-}
-
-impl fmt::Debug for EngineController {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineController")
-            .field("engine", &self.engine.name())
-            .field("last_state", &self.last_state)
-            .finish()
-    }
-}
-
-impl PowerController for EngineController {
-    fn name(&self) -> &'static str {
-        self.engine.name()
-    }
-
-    fn control(&mut self, obs: &SystemObservation) -> ControlAction {
-        let decision = self.engine.decide(obs);
-        self.last_state = Some(decision.state);
-        decision.action
-    }
-}
-
-/// A boxed engine, as moved onto service-mode worker threads.
-pub type BoxedEngine = Box<dyn PolicyEngine>;
-
-/// A named fallible engine factory: construction goes through `try_new`
-/// validation, never a panicking constructor.
-pub type EngineFactory = (&'static str, fn() -> Result<BoxedEngine, ConfigError>);
-
-/// The engine line-up mirroring [`crate::controller::lineup`], with
-/// fallible construction for service paths.
+/// Registry keys of the engines the service can host, in line-up order;
+/// [`try_engine`] builds each.
 #[must_use]
-pub fn engine_lineup() -> Vec<EngineFactory> {
-    vec![
-        ("insure", || {
-            Ok(Box::new(InsureController::try_new(
-                InsureConfig::prototype(),
-            )?))
-        }),
-        ("baseline", || Ok(Box::new(BaselineController::new()))),
-        ("noopt", || Ok(Box::new(NoOptController::new()))),
-    ]
+pub fn engine_lineup() -> [&'static str; 3] {
+    ["insure", "baseline", "noopt"]
 }
 
 /// Failure to construct a named engine.
@@ -267,10 +139,11 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Unknown(name) => {
-                let known: Vec<&str> = engine_lineup().iter().map(|(n, _)| *n).collect();
-                write!(f, "unknown engine {name:?} (known: {})", known.join(", "))
-            }
+            Self::Unknown(name) => write!(
+                f,
+                "unknown engine {name:?} (known: {})",
+                engine_lineup().join(", ")
+            ),
             Self::Config(e) => write!(f, "engine configuration invalid: {e}"),
         }
     }
@@ -290,13 +163,13 @@ impl From<ConfigError> for EngineError {
 ///
 /// [`EngineError::Unknown`] for an unregistered name;
 /// [`EngineError::Config`] when validation rejects the configuration.
-pub fn try_engine(name: &str) -> Result<BoxedEngine, EngineError> {
-    for (n, make) in engine_lineup() {
-        if n == name {
-            return make().map_err(EngineError::from);
-        }
-    }
-    Err(EngineError::Unknown(name.to_string()))
+pub fn try_engine(name: &str) -> Result<Box<dyn SnapshotController>, EngineError> {
+    Ok(match name {
+        "insure" => Box::new(InsureController::try_new(InsureConfig::prototype())?),
+        "baseline" => Box::new(BaselineController::new()),
+        "noopt" => Box::new(NoOptController::new()),
+        _ => return Err(EngineError::Unknown(name.to_string())),
+    })
 }
 
 #[cfg(test)]
@@ -368,23 +241,20 @@ mod tests {
 
     #[test]
     fn engines_decide_with_shared_classification() {
-        for (name, make) in engine_lineup() {
-            let mut engine = make().unwrap_or_else(|e| panic!("{name}: {e}"));
-            let o = obs(1200.0, 900.0);
-            let decision = engine.decide(&o);
+        let o = obs(1200.0, 900.0);
+        for name in engine_lineup() {
+            let mut engine = try_engine(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let Some(mut fork) = engine.fork_controller() else {
+                panic!("{name} must fork")
+            };
+            let decide = |c: &mut dyn SnapshotController| PolicyDecision {
+                state: classify(&o),
+                action: c.control(&o),
+            };
+            let decision = decide(engine.as_mut());
             assert_eq!(decision.state, StateClass::Surplus, "{name}");
-            assert_eq!(decision.state, engine.classify(&o), "{name}");
+            assert_eq!(decision, decide(fork.as_mut()), "{name}");
         }
-    }
-
-    #[test]
-    fn engine_controller_adapts_and_remembers_state() {
-        let mut c = EngineController::new(try_engine("insure").unwrap());
-        assert_eq!(c.last_state(), None);
-        let action = c.control(&obs(1200.0, 900.0));
-        assert_eq!(c.last_state(), Some(StateClass::Surplus));
-        assert!(!action.emergency_shutdown);
-        assert_eq!(PowerController::name(&c), "InSURE (spatio-temporal)");
     }
 
     #[test]
@@ -394,16 +264,5 @@ mod tests {
         };
         let msg = err.to_string();
         assert!(msg.contains("insure") && msg.contains("baseline") && msg.contains("noopt"));
-    }
-
-    #[test]
-    fn decisions_match_the_direct_controller_byte_for_byte() {
-        let mut direct = InsureController::default();
-        let mut wrapped = EngineController::new(try_engine("insure").unwrap());
-        for minute in 0u64..30 {
-            let mut o = obs(if minute % 2 == 0 { 1200.0 } else { 300.0 }, 900.0);
-            o.now = SimTime::from_hms(12, minute, 0);
-            assert_eq!(direct.control(&o), wrapped.control(&o), "minute {minute}");
-        }
     }
 }

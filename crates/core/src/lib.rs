@@ -14,9 +14,10 @@
 //! * [`controller`] — the [`controller::InsureController`] plus the two
 //!   evaluation comparisons (grid-green-style baseline, non-optimized
 //!   fixed schedule),
-//! * [`engine`] — the service-mode policy abstraction: signals → state
-//!   classification → [`engine::PolicyDecision`], with the three
-//!   controllers adapted as swappable [`engine::PolicyEngine`]s,
+//! * [`engine`] — service-mode plumbing around the one policy trait,
+//!   [`controller::PowerController`]: the shared state classifier in
+//!   front of it, [`engine::PolicyDecision`], and the fallible registry
+//!   of hostable engines,
 //! * [`health`] — health monitoring from observable signals (voltage
 //!   divergence, stale telemetry) and quarantine of failed e-Buffer
 //!   units, feeding SPM re-selection and degraded-mode operation,
@@ -68,7 +69,7 @@ pub use controller::{
     BaselineController, ControlAction, InsureController, NoOptController, PowerController,
     SystemObservation,
 };
-pub use engine::{EngineController, EngineError, PolicyDecision, PolicyEngine, StateClass};
+pub use engine::{EngineError, PolicyDecision, StateClass};
 pub use health::{HealthConfig, HealthMonitor, UnitCondition};
 pub use metrics::RunMetrics;
 pub use mode::{BufferMode, TransitionCause};

@@ -1615,7 +1615,6 @@ impl SystemBuilder {
 mod tests {
     use super::*;
     use crate::controller::{BaselineController, InsureController, NoOptController};
-    use crate::engine::{EngineController, PolicyEngine};
     use crate::metrics::RunMetrics;
     use ins_solar::trace::high_generation_day;
 
@@ -1697,12 +1696,30 @@ mod tests {
         assert_eq!(injected, 1, "only the post-fork event may fire");
     }
 
+    /// A controller that keeps the default `fork_controller() -> None`,
+    /// like the service's supervisor bridge.
+    struct Unforkable(InsureController);
+
+    impl PowerController for Unforkable {
+        fn name(&self) -> &'static str {
+            "unforkable"
+        }
+
+        fn control(&mut self, obs: &SystemObservation) -> ControlAction {
+            self.0.control(obs)
+        }
+    }
+
     #[test]
-    fn engine_wrapped_controllers_decline_snapshotting() {
-        let engine: Box<dyn PolicyEngine> = Box::new(InsureController::default());
-        let sys = day_system(Box::new(EngineController::new(engine)));
-        let err = sys.snapshot().expect_err("engine adapters cannot fork");
-        assert!(matches!(err, SnapshotError::ControllerNotForkable(_)));
+    fn unforkable_controllers_decline_snapshotting() {
+        let sys = day_system(Box::new(Unforkable(InsureController::default())));
+        let err = sys
+            .snapshot()
+            .expect_err("unforkable controllers cannot fork");
+        assert!(matches!(
+            err,
+            SnapshotError::ControllerNotForkable("unforkable")
+        ));
         assert!(err.to_string().contains("snapshot forking"));
     }
 

@@ -23,8 +23,8 @@ use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
-use ins_core::controller::SystemObservation;
-use ins_core::engine::{try_engine, PolicyDecision};
+use ins_core::controller::{ControlAction, SystemObservation};
+use ins_core::engine::try_engine;
 
 use crate::harness::{DrainReport, ServiceCore, ServiceError, ServiceSpec};
 use crate::protocol;
@@ -41,19 +41,19 @@ pub const DEFAULT_MAX_TICKS: u64 = 1440;
 /// The channel pair a live engine worker listens on.
 struct EngineWorker {
     obs_tx: SyncSender<SystemObservation>,
-    res_rx: Receiver<std::thread::Result<PolicyDecision>>,
+    res_rx: Receiver<std::thread::Result<ControlAction>>,
 }
 
 fn spawn_worker(key: &str) -> Result<(EngineWorker, &'static str), ServiceError> {
     let mut engine = try_engine(key)?;
     let display = engine.name();
     let (obs_tx, obs_rx) = std::sync::mpsc::sync_channel::<SystemObservation>(1);
-    let (res_tx, res_rx) = std::sync::mpsc::sync_channel::<std::thread::Result<PolicyDecision>>(1);
+    let (res_tx, res_rx) = std::sync::mpsc::sync_channel::<std::thread::Result<ControlAction>>(1);
     let spawned = std::thread::Builder::new()
         .name(format!("engine-{key}"))
         .spawn(move || {
             while let Ok(obs) = obs_rx.recv() {
-                let result = catch_unwind(AssertUnwindSafe(|| engine.decide(&obs)));
+                let result = catch_unwind(AssertUnwindSafe(|| engine.control(&obs)));
                 let poisoned = result.is_err();
                 if res_tx.send(result).is_err() || poisoned {
                     // Receiver gone (stall-abandoned) or engine state
@@ -77,7 +77,6 @@ pub struct ThreadedExecutor {
     display: &'static str,
     deadline: Duration,
     worker: Option<EngineWorker>,
-    pending: Vec<EngineFault>,
 }
 
 impl core::fmt::Debug for ThreadedExecutor {
@@ -103,7 +102,6 @@ impl ThreadedExecutor {
             display,
             deadline,
             worker: Some(worker),
-            pending: Vec::new(),
         })
     }
 }
@@ -113,12 +111,7 @@ impl EngineExecutor for ThreadedExecutor {
         self.display
     }
 
-    fn decide(&mut self, obs: &SystemObservation) -> Result<PolicyDecision, EngineFault> {
-        if !self.pending.is_empty() {
-            // Socket-driven chaos: surface the injected fault exactly as
-            // a real one would surface, worker untouched.
-            return Err(self.pending.remove(0));
-        }
+    fn control(&mut self, obs: &SystemObservation) -> Result<ControlAction, EngineFault> {
         let Some(worker) = &self.worker else {
             return Err(EngineFault::Panicked);
         };
@@ -127,7 +120,7 @@ impl EngineExecutor for ThreadedExecutor {
             return Err(EngineFault::Panicked);
         }
         match worker.res_rx.recv_timeout(self.deadline) {
-            Ok(Ok(decision)) => Ok(decision),
+            Ok(Ok(action)) => Ok(action),
             Ok(Err(_)) => {
                 self.worker = None;
                 Err(EngineFault::Panicked)
@@ -153,10 +146,6 @@ impl EngineExecutor for ThreadedExecutor {
             }
             Err(_) => false,
         }
-    }
-
-    fn inject(&mut self, fault: EngineFault) {
-        self.pending.push(fault);
     }
 }
 

@@ -8,8 +8,8 @@
 //! first sign of deficit. It is deliberately simple enough to audit —
 //! the whole point is that it cannot itself misbehave.
 
-use ins_core::controller::{ControlAction, SystemObservation};
-use ins_core::engine::{classify, PolicyDecision, PolicyEngine, StateClass};
+use ins_core::controller::{ControlAction, PowerController, SnapshotController, SystemObservation};
+use ins_core::engine::{classify, StateClass};
 use ins_core::mode::{transition, BufferMode, TransitionCause};
 use ins_core::tpm::LoadKnob;
 use ins_powernet::matrix::Attachment;
@@ -24,8 +24,9 @@ const CHARGE_TARGET_SOC: f64 = 0.9;
 /// Solar power above which the charging bus is considered energized.
 const SOLAR_UP_W: f64 = 1.0;
 
-/// The conservative fallback engine. Deterministic and allocation-light;
-/// safe to construct infallibly (no configuration to validate).
+/// The conservative fallback policy. Deterministic and allocation-light;
+/// safe to construct infallibly (no configuration to validate), and
+/// plain data, so it forks like any stock controller.
 #[derive(Debug, Clone, Default)]
 pub struct SafeModePolicy {
     /// Tracked operating mode per unit, advanced only along Fig. 8
@@ -127,12 +128,16 @@ impl SafeModePolicy {
     }
 }
 
-impl PolicyEngine for SafeModePolicy {
+impl PowerController for SafeModePolicy {
     fn name(&self) -> &'static str {
         "safe-mode"
     }
 
-    fn decide(&mut self, obs: &SystemObservation) -> PolicyDecision {
+    fn fork_controller(&self) -> Option<Box<dyn SnapshotController>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn control(&mut self, obs: &SystemObservation) -> ControlAction {
         let state = classify(obs);
         let solar_up = obs.solar_power.value() > SOLAR_UP_W;
         self.sync(obs);
@@ -174,15 +179,18 @@ impl PolicyEngine for SafeModePolicy {
             }
         };
 
-        PolicyDecision {
-            state,
-            action: ControlAction {
-                attachments,
-                target_vms: if emergency { None } else { target_vms },
-                duty,
-                emergency_shutdown: emergency,
-            },
+        ControlAction {
+            attachments,
+            target_vms: if emergency { None } else { target_vms },
+            duty,
+            emergency_shutdown: emergency,
         }
+    }
+}
+
+impl SnapshotController for SafeModePolicy {
+    fn clone_snapshot(&self) -> Box<dyn SnapshotController> {
+        Box::new(self.clone())
     }
 }
 
@@ -233,37 +241,39 @@ mod tests {
     #[test]
     fn deficit_discharges_only_comfortable_units_and_sheds_load() {
         let mut p = SafeModePolicy::new();
-        let d = p.decide(&obs(100.0, 900.0, &[0.8, 0.4, 0.2]));
-        assert_eq!(d.state, StateClass::Deficit);
+        let o = obs(100.0, 900.0, &[0.8, 0.4, 0.2]);
+        assert_eq!(classify(&o), StateClass::Deficit);
+        let a = p.control(&o);
         // Unit 0 (0.8) discharges, unit 1 (0.4) is below the tightened
         // floor, unit 2 (0.2) charges (solar is up).
-        assert_eq!(d.action.attachments[0].1, Attachment::DischargeBus);
-        assert_ne!(d.action.attachments[1].1, Attachment::DischargeBus);
-        assert_eq!(d.action.attachments[2].1, Attachment::ChargeBus);
-        assert_eq!(d.action.target_vms, Some(2), "halved from 4");
-        assert!(!d.action.emergency_shutdown);
+        assert_eq!(a.attachments[0].1, Attachment::DischargeBus);
+        assert_ne!(a.attachments[1].1, Attachment::DischargeBus);
+        assert_eq!(a.attachments[2].1, Attachment::ChargeBus);
+        assert_eq!(a.target_vms, Some(2), "halved from 4");
+        assert!(!a.emergency_shutdown);
     }
 
     #[test]
     fn surplus_charges_depleted_units_floats_the_rest_and_never_scales_up() {
         let mut p = SafeModePolicy::new();
-        let d = p.decide(&obs(1500.0, 400.0, &[0.3, 0.6, 0.95]));
-        assert_eq!(d.state, StateClass::Surplus);
+        let o = obs(1500.0, 400.0, &[0.3, 0.6, 0.95]);
+        assert_eq!(classify(&o), StateClass::Surplus);
+        let a = p.control(&o);
         // The depleted unit reaches the charge bus through the
         // Offline → Charging edge; the charged-and-ready units stay on
         // standby float charge (Fig. 8 has no Standby → Charging edge).
-        assert_eq!(d.action.attachments[0].1, Attachment::ChargeBus);
+        assert_eq!(a.attachments[0].1, Attachment::ChargeBus);
         assert_eq!(
-            d.action.attachments[1].1,
+            a.attachments[1].1,
             Attachment::Isolated,
             "floats on standby"
         );
         assert_eq!(
-            d.action.attachments[2].1,
+            a.attachments[2].1,
             Attachment::Isolated,
             "charged unit floats"
         );
-        assert_eq!(d.action.target_vms, Some(4), "hold, never raise");
+        assert_eq!(a.target_vms, Some(4), "hold, never raise");
     }
 
     #[test]
@@ -271,9 +281,8 @@ mod tests {
         let mut p = SafeModePolicy::new();
         let mut o = obs(50.0, 900.0, &[0.2]);
         o.discharge_current = Amps::new(10.0);
-        let d = p.decide(&o);
-        assert_eq!(d.state, StateClass::Critical);
-        assert!(d.action.emergency_shutdown);
+        assert_eq!(classify(&o), StateClass::Critical);
+        assert!(p.control(&o).emergency_shutdown);
     }
 
     #[test]
@@ -282,16 +291,16 @@ mod tests {
         // Start everything isolated; a deficit pulls a full unit through
         // Standby → Discharging in one legal step.
         let o = obs(100.0, 900.0, &[0.9]);
-        let d = p.decide(&o);
+        let a = p.control(&o);
         assert_eq!(p.modes()[0], BufferMode::Discharging);
-        assert_eq!(d.action.attachments[0].1, Attachment::DischargeBus);
+        assert_eq!(a.attachments[0].1, Attachment::DischargeBus);
         // A later surplus returns it Discharging → Charging (edge 7).
         let o2 = obs(1500.0, 300.0, &[0.6]);
         let mut o2 = o2;
         o2.attachments = vec![Attachment::DischargeBus];
-        let d2 = p.decide(&o2);
+        let a2 = p.control(&o2);
         assert_eq!(p.modes()[0], BufferMode::Charging);
-        assert_eq!(d2.action.attachments[0].1, Attachment::ChargeBus);
+        assert_eq!(a2.attachments[0].1, Attachment::ChargeBus);
     }
 
     #[test]
@@ -299,11 +308,22 @@ mod tests {
         let mut p = SafeModePolicy::new();
         let mut o = obs(100.0, 900.0, &[0.8]);
         o.knob = LoadKnob::DutyCycle;
-        let d = p.decide(&o);
-        assert_eq!(d.action.duty, Some(DutyCycle::FULL.lowered()));
-        assert_eq!(d.action.target_vms, None);
+        let a = p.control(&o);
+        assert_eq!(a.duty, Some(DutyCycle::FULL.lowered()));
+        assert_eq!(a.target_vms, None);
         let mut o = obs(900.0, 900.0, &[0.8]);
         o.knob = LoadKnob::DutyCycle;
-        assert_eq!(p.decide(&o).action.duty, None);
+        assert_eq!(p.control(&o).duty, None);
+    }
+
+    #[test]
+    fn forks_decide_like_the_original() {
+        let mut p = SafeModePolicy::new();
+        let o = obs(100.0, 900.0, &[0.9, 0.3]);
+        let _ = p.control(&o);
+        let Some(mut fork) = p.fork_controller() else {
+            panic!("safe mode must fork")
+        };
+        assert_eq!(fork.control(&o), p.control(&o));
     }
 }

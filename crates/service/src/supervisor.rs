@@ -1,10 +1,11 @@
 //! The engine supervisor: crash/stall detection, safe-mode takeover,
 //! backoff-paced restarts and poison-engine quarantine.
 //!
-//! The supervisor sits between the plant and the primary
-//! [`PolicyEngine`]. Each control period it asks an
-//! [`EngineExecutor`] for the primary's decision; a fault ([`EngineFault`])
-//! is answered by the built-in [`SafeModePolicy`] *in the same control
+//! The supervisor sits between the plant and the primary engine, a
+//! [`PowerController`] hosted by an [`EngineExecutor`]. Each control
+//! period it classifies the observation once ([`classify`]) and asks the
+//! executor for the primary's orders; a fault ([`EngineFault`]) is
+//! answered by the built-in [`SafeModePolicy`] *in the same control
 //! period* — the plant never waits a period without orders. Failures
 //! feed the shared [`Backoff`] state machine: each one schedules a
 //! restart further out, and exhausting the retry budget quarantines the
@@ -13,17 +14,20 @@
 //! crash-loop cannot launder its history through single good ticks.
 //!
 //! The executor abstraction keeps the state machine testable: the
-//! deterministic [`InlineExecutor`] hosts the engine in-process and
-//! converts *injected* faults, while the daemon's threaded executor
-//! (see [`crate::daemon`]) converts real panics and wall-clock stalls.
+//! deterministic [`InlineExecutor`] hosts the engine in-process, while
+//! the daemon's threaded executor (see [`crate::daemon`]) converts real
+//! panics and wall-clock stalls. Chaos harnesses inject faults into the
+//! supervisor itself ([`Supervisor::inject_fault`]), whichever executor
+//! it drives.
 
-use ins_core::controller::SystemObservation;
-use ins_core::engine::{try_engine, BoxedEngine, EngineError, PolicyDecision};
+use std::collections::VecDeque;
+
+use ins_core::controller::{ControlAction, PowerController, SnapshotController, SystemObservation};
+use ins_core::engine::{classify, try_engine, EngineError, PolicyDecision};
 use ins_sim::backoff::{Backoff, BackoffOutcome};
 use ins_sim::time::{SimDuration, SimTime};
 
 use crate::safe_mode::SafeModePolicy;
-use ins_core::engine::PolicyEngine;
 
 /// Why the primary engine failed to produce a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,37 +55,29 @@ pub trait EngineExecutor {
     /// The hosted engine's display name.
     fn engine_name(&self) -> &'static str;
 
-    /// Produces the primary decision, or reports the fault that
-    /// prevented one.
-    fn decide(&mut self, obs: &SystemObservation) -> Result<PolicyDecision, EngineFault>;
+    /// Produces the primary engine's orders, or reports the fault that
+    /// prevented them.
+    fn control(&mut self, obs: &SystemObservation) -> Result<ControlAction, EngineFault>;
 
     /// Replaces the (possibly poisoned) engine with a fresh instance.
     /// Returns `false` when a replacement could not be built — the
     /// supervisor quarantines in response.
     fn restart(&mut self) -> bool;
-
-    /// Queues a fault to be reported instead of an upcoming decision.
-    /// Chaos harnesses drive the deterministic executor through this;
-    /// executors hosting a real engine thread may ignore it (their
-    /// faults are the real ones).
-    fn inject(&mut self, fault: EngineFault) {
-        let _ = fault;
-    }
 }
 
-/// Deterministic in-process executor: the engine runs inline and faults
-/// are *injected* by tests/chaos harnesses rather than caught.
+/// Deterministic in-process executor: the engine runs inline and never
+/// faults on its own (chaos harnesses inject faults through
+/// [`Supervisor::inject_fault`]).
 pub struct InlineExecutor {
     key: String,
-    engine: BoxedEngine,
-    pending: Vec<EngineFault>,
+    engine: Box<dyn SnapshotController>,
 }
 
 impl core::fmt::Debug for InlineExecutor {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("InlineExecutor")
             .field("key", &self.key)
-            .field("pending", &self.pending)
+            .field("engine", &self.engine.name())
             .finish()
     }
 }
@@ -98,7 +94,6 @@ impl InlineExecutor {
         Ok(Self {
             key: key.to_string(),
             engine: try_engine(key)?,
-            pending: Vec::new(),
         })
     }
 }
@@ -108,12 +103,8 @@ impl EngineExecutor for InlineExecutor {
         self.engine.name()
     }
 
-    fn decide(&mut self, obs: &SystemObservation) -> Result<PolicyDecision, EngineFault> {
-        if self.pending.is_empty() {
-            Ok(self.engine.decide(obs))
-        } else {
-            Err(self.pending.remove(0))
-        }
+    fn control(&mut self, obs: &SystemObservation) -> Result<ControlAction, EngineFault> {
+        Ok(self.engine.control(obs))
     }
 
     fn restart(&mut self) -> bool {
@@ -124,10 +115,6 @@ impl EngineExecutor for InlineExecutor {
             }
             Err(_) => false,
         }
-    }
-
-    fn inject(&mut self, fault: EngineFault) {
-        self.pending.push(fault);
     }
 }
 
@@ -251,6 +238,9 @@ pub struct SupervisedDecision {
 pub struct Supervisor {
     exec: Box<dyn EngineExecutor>,
     safe: SafeModePolicy,
+    /// Injected faults, each surfacing in the next period that asks the
+    /// primary for orders.
+    pending: VecDeque<EngineFault>,
     config: SupervisorConfig,
     status: EngineStatus,
     backoff: Backoff,
@@ -280,6 +270,7 @@ impl Supervisor {
         Self {
             exec,
             safe: SafeModePolicy::new(),
+            pending: VecDeque::new(),
             config,
             status: EngineStatus::Running,
             backoff,
@@ -306,42 +297,36 @@ impl Supervisor {
         self.counters
     }
 
-    /// Mutable access to the executor (chaos harnesses inject faults
-    /// through here).
-    pub fn executor_mut(&mut self) -> &mut dyn EngineExecutor {
-        self.exec.as_mut()
-    }
-
-    /// Queues a fault on the executor (see [`EngineExecutor::inject`]).
+    /// Queues a fault to be reported instead of the primary's next
+    /// orders. The executor is not asked in that period, exactly as if
+    /// the engine had failed there.
     pub fn inject_fault(&mut self, fault: EngineFault) {
-        self.exec.inject(fault);
+        self.pending.push_back(fault);
     }
 
-    fn safe_decision(
+    fn safe_mode(
         &mut self,
         obs: &SystemObservation,
         source: DecisionSource,
-    ) -> SupervisedDecision {
+    ) -> (ControlAction, DecisionSource) {
         self.counters.safe_periods += 1;
-        SupervisedDecision {
-            decision: self.safe.decide(obs),
-            source,
-        }
+        (self.safe.control(obs), source)
     }
 
-    fn primary_or_takeover(&mut self, obs: &SystemObservation) -> SupervisedDecision {
-        match self.exec.decide(obs) {
-            Ok(decision) => {
+    fn primary_or_takeover(&mut self, obs: &SystemObservation) -> (ControlAction, DecisionSource) {
+        let orders = match self.pending.pop_front() {
+            Some(fault) => Err(fault),
+            None => self.exec.control(obs),
+        };
+        match orders {
+            Ok(action) => {
                 self.clean_streak = self.clean_streak.saturating_add(1);
                 if self.clean_streak == self.config.stable_periods {
                     // A sustained clean run forgives the failure streak;
                     // a lone good period between crashes does not.
                     self.backoff.record_success();
                 }
-                SupervisedDecision {
-                    decision,
-                    source: DecisionSource::Primary,
-                }
+                (action, DecisionSource::Primary)
             }
             Err(fault) => {
                 match fault {
@@ -356,7 +341,7 @@ impl Supervisor {
                     BackoffOutcome::Exhausted => EngineStatus::Quarantined,
                 };
                 // Safe mode answers within this same control period.
-                self.safe_decision(obs, DecisionSource::SafeMode(fault))
+                self.safe_mode(obs, DecisionSource::SafeMode(fault))
             }
         }
     }
@@ -364,22 +349,27 @@ impl Supervisor {
     /// Produces the decision for this control period, supervising the
     /// primary engine.
     pub fn decide(&mut self, obs: &SystemObservation) -> SupervisedDecision {
-        match self.status {
-            EngineStatus::Quarantined => self.safe_decision(obs, DecisionSource::Quarantined),
+        let state = classify(obs);
+        let (action, source) = match self.status {
+            EngineStatus::Quarantined => self.safe_mode(obs, DecisionSource::Quarantined),
             EngineStatus::Running => self.primary_or_takeover(obs),
-            EngineStatus::Restarting { until } => {
-                if obs.now < until {
-                    return self.safe_decision(obs, DecisionSource::Restarting);
-                }
+            EngineStatus::Restarting { until } if obs.now < until => {
+                self.safe_mode(obs, DecisionSource::Restarting)
+            }
+            EngineStatus::Restarting { .. } => {
                 if self.exec.restart() {
                     self.status = EngineStatus::Running;
                     self.counters.restarts += 1;
                     self.primary_or_takeover(obs)
                 } else {
                     self.status = EngineStatus::Quarantined;
-                    self.safe_decision(obs, DecisionSource::Quarantined)
+                    self.safe_mode(obs, DecisionSource::Quarantined)
                 }
             }
+        };
+        SupervisedDecision {
+            decision: PolicyDecision { state, action },
+            source,
         }
     }
 }
@@ -429,16 +419,12 @@ mod tests {
         Supervisor::new(Box::new(exec), SupervisorConfig::prototype())
     }
 
-    fn inject(s: &mut Supervisor, fault: EngineFault) {
-        s.inject_fault(fault);
-    }
-
     #[test]
     fn takeover_happens_in_the_same_period_as_the_fault() {
         let mut s = supervisor();
         let t0 = SimTime::ZERO;
         assert_eq!(s.decide(&obs_at(t0)).source, DecisionSource::Primary);
-        inject(&mut s, EngineFault::Stalled);
+        s.inject_fault(EngineFault::Stalled);
         let d = s.decide(&obs_at(SimTime::from_secs(60)));
         assert_eq!(d.source, DecisionSource::SafeMode(EngineFault::Stalled));
         assert!(matches!(s.status(), EngineStatus::Restarting { .. }));
@@ -448,7 +434,7 @@ mod tests {
     #[test]
     fn restart_returns_to_primary_after_the_backoff() {
         let mut s = supervisor();
-        inject(&mut s, EngineFault::Panicked);
+        s.inject_fault(EngineFault::Panicked);
         let d = s.decide(&obs_at(SimTime::ZERO));
         assert_eq!(d.source, DecisionSource::SafeMode(EngineFault::Panicked));
         let EngineStatus::Restarting { until } = s.status() else {
@@ -470,7 +456,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
             // Fail immediately at every restart opportunity.
-            inject(&mut s, EngineFault::Panicked);
+            s.inject_fault(EngineFault::Panicked);
             loop {
                 let d = s.decide(&obs_at(now));
                 now += SimDuration::from_secs(60);
@@ -505,9 +491,9 @@ mod tests {
         };
         // One failure, restart, then a single clean period: the streak
         // must NOT be forgiven yet.
-        inject(&mut s, EngineFault::Panicked);
+        s.inject_fault(EngineFault::Panicked);
         while step(&mut s, &mut now) != DecisionSource::Primary {}
-        inject(&mut s, EngineFault::Panicked);
+        s.inject_fault(EngineFault::Panicked);
         let _ = step(&mut s, &mut now);
         let EngineStatus::Restarting { until } = s.status() else {
             panic!("expected restarting");
