@@ -99,8 +99,8 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| BatteryUnit::with_soc(BatteryId(i), BatteryParams::cabinet_24v(), Soc::new(s)))
             .collect();
-        let refs: Vec<&BatteryUnit> = units.iter().collect();
-        let shares = split_discharge_current(&refs, Amps::new(total));
+        let split = split_discharge_current(&units, Amps::new(total));
+        let shares: Vec<Amps> = units.iter().map(|u| split.share(u)).collect();
         prop_assert_eq!(shares.len(), units.len());
         prop_assert!(shares.iter().all(|s| s.value() >= -1e-12));
         if total > 0.0 {

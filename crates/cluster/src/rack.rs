@@ -245,8 +245,8 @@ impl Rack {
             .iter_mut()
             .map(|s| s.step(dt, utilization, duty))
             .sum();
-        let on: Vec<bool> = self.servers.iter().map(Server::is_on).collect();
-        self.vm_pool.reconcile(self.target_vms, &on);
+        self.vm_pool
+            .reconcile(self.target_vms, &self.servers, Server::is_on);
         draw
     }
 

@@ -72,17 +72,22 @@ impl Vm {
 /// use ins_cluster::vm::VmPool;
 ///
 /// let mut pool = VmPool::new(8, 2);
+/// let is_on = |on: &bool| *on;
 /// // Four machines up, target six VMs: fills machines 0–2.
-/// pool.reconcile(6, &[true, true, true, true]);
+/// pool.reconcile(6, &[true, true, true, true], is_on);
 /// assert_eq!(pool.running(), 6);
 /// // Machine 0 lost: its two VMs checkpoint, then repack onto machine 3.
-/// pool.reconcile(6, &[false, true, true, true]);
+/// pool.reconcile(6, &[false, true, true, true], is_on);
 /// assert_eq!(pool.running(), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmPool {
     vms: Vec<Vm>,
     slots_per_machine: u32,
+    /// Running VMs per machine, as `vms` places them. Recounted at the
+    /// start of every reconcile and kept in step by it, so reconciling
+    /// never allocates once the machine count is known.
+    load: Vec<u32>,
 }
 
 impl VmPool {
@@ -98,6 +103,7 @@ impl VmPool {
         Self {
             vms: (0..total).map(|_| Vm::new()).collect(),
             slots_per_machine,
+            load: vec![0; total.div_ceil(slots_per_machine) as usize],
         }
     }
 
@@ -134,19 +140,20 @@ impl VmPool {
         self.vms.iter().map(|v| v.migrations).sum()
     }
 
-    /// Reconciles the pool against a VM target and the set of machines
-    /// currently serving: VMs on dead machines checkpoint; surplus VMs
-    /// checkpoint; deficit restores onto free slots; stranded VMs migrate
-    /// toward the lowest-index machines (stable packing).
+    /// Reconciles the pool against a VM target and the machines, of
+    /// which those passing `is_on` are currently serving: VMs on dead
+    /// machines checkpoint; surplus VMs checkpoint; deficit restores onto
+    /// free slots; stranded VMs migrate toward the lowest-index machines
+    /// (stable packing).
     ///
     /// Returns the number of control operations performed.
-    pub fn reconcile(&mut self, target: u32, machines_on: &[bool]) -> u64 {
+    pub fn reconcile<M>(&mut self, target: u32, machines: &[M], is_on: impl Fn(&M) -> bool) -> u64 {
         let mut ops = 0;
 
         // 1. Checkpoint VMs whose machine went away.
         for vm in &mut self.vms {
             if let VmState::Running { machine } = vm.state {
-                if machine >= machines_on.len() || !machines_on[machine] {
+                if machines.get(machine).is_none_or(|m| !is_on(m)) {
                     vm.state = VmState::Checkpointed;
                     vm.checkpoints += 1;
                     ops += 1;
@@ -170,7 +177,9 @@ impl VmPool {
         }
 
         // 3. Compute per-machine occupancy.
-        let mut load = vec![0u32; machines_on.len()];
+        let mut load = std::mem::take(&mut self.load);
+        load.clear();
+        load.resize(machines.len(), 0);
         for vm in &self.vms {
             if let VmState::Running { machine } = vm.state {
                 load[machine] += 1;
@@ -182,7 +191,8 @@ impl VmPool {
         for vm in &mut self.vms {
             if let VmState::Running { machine } = vm.state {
                 if load[machine] > self.slots_per_machine {
-                    if let Some(dest) = Self::free_slot(&load, machines_on, self.slots_per_machine)
+                    if let Some(dest) =
+                        Self::free_slot(&load, machines, &is_on, self.slots_per_machine)
                     {
                         load[machine] -= 1;
                         load[dest] += 1;
@@ -201,7 +211,8 @@ impl VmPool {
                 break;
             }
             if vm.state == VmState::Checkpointed {
-                if let Some(dest) = Self::free_slot(&load, machines_on, self.slots_per_machine) {
+                if let Some(dest) = Self::free_slot(&load, machines, &is_on, self.slots_per_machine)
+                {
                     load[dest] += 1;
                     vm.state = VmState::Running { machine: dest };
                     vm.restores += 1;
@@ -212,11 +223,17 @@ impl VmPool {
                 }
             }
         }
+        self.load = load;
         ops
     }
 
-    fn free_slot(load: &[u32], machines_on: &[bool], slots: u32) -> Option<usize> {
-        (0..machines_on.len()).find(|&m| machines_on[m] && load[m] < slots)
+    fn free_slot<M>(
+        load: &[u32],
+        machines: &[M],
+        is_on: impl Fn(&M) -> bool,
+        slots: u32,
+    ) -> Option<usize> {
+        (0..machines.len()).find(|&m| is_on(&machines[m]) && load[m] < slots)
     }
 }
 
@@ -224,10 +241,14 @@ impl VmPool {
 mod tests {
     use super::*;
 
+    fn is_on(on: &bool) -> bool {
+        *on
+    }
+
     #[test]
     fn fills_machines_in_order() {
         let mut pool = VmPool::new(8, 2);
-        let ops = pool.reconcile(5, &[true, true, true, true]);
+        let ops = pool.reconcile(5, &[true, true, true, true], is_on);
         assert_eq!(pool.running(), 5);
         assert_eq!(ops, 5, "five restores");
         // Machines 0 and 1 full, machine 2 has one.
@@ -246,8 +267,8 @@ mod tests {
     #[test]
     fn machine_loss_checkpoints_then_repacks() {
         let mut pool = VmPool::new(8, 2);
-        pool.reconcile(6, &[true, true, true, true]);
-        let ops = pool.reconcile(6, &[false, true, true, true]);
+        pool.reconcile(6, &[true, true, true, true], is_on);
+        let ops = pool.reconcile(6, &[false, true, true, true], is_on);
         // Two checkpoints + two restores onto machine 3.
         assert_eq!(pool.running(), 6);
         assert!(ops >= 4);
@@ -262,8 +283,8 @@ mod tests {
     #[test]
     fn scale_down_checkpoints_highest_instances() {
         let mut pool = VmPool::new(8, 2);
-        pool.reconcile(8, &[true, true, true, true]);
-        pool.reconcile(4, &[true, true, true, true]);
+        pool.reconcile(8, &[true, true, true, true], is_on);
+        pool.reconcile(4, &[true, true, true, true], is_on);
         assert_eq!(pool.running(), 4);
         // The first four instances keep running (stable long-runners).
         for vm in &pool.vms()[..4] {
@@ -278,15 +299,15 @@ mod tests {
     fn capacity_limits_respected() {
         let mut pool = VmPool::new(8, 2);
         // Only one machine up: at most 2 VMs run no matter the target.
-        pool.reconcile(8, &[true, false, false, false]);
+        pool.reconcile(8, &[true, false, false, false], is_on);
         assert_eq!(pool.running(), 2);
     }
 
     #[test]
     fn total_loss_checkpoints_everything() {
         let mut pool = VmPool::new(8, 2);
-        pool.reconcile(8, &[true, true, true, true]);
-        pool.reconcile(8, &[false, false, false, false]);
+        pool.reconcile(8, &[true, true, true, true], is_on);
+        pool.reconcile(8, &[false, false, false, false], is_on);
         assert_eq!(pool.running(), 0);
         assert_eq!(pool.total_checkpoints(), 8);
     }
@@ -294,9 +315,9 @@ mod tests {
     #[test]
     fn reconcile_is_idempotent() {
         let mut pool = VmPool::new(8, 2);
-        pool.reconcile(6, &[true, true, true, true]);
+        pool.reconcile(6, &[true, true, true, true], is_on);
         let before = pool.clone();
-        let ops = pool.reconcile(6, &[true, true, true, true]);
+        let ops = pool.reconcile(6, &[true, true, true, true], is_on);
         assert_eq!(ops, 0, "steady state must need no operations");
         assert_eq!(pool, before);
     }

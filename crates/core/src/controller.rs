@@ -141,6 +141,11 @@ pub struct InsureController {
     /// Sequences the staged black-start after an emergency shutdown or
     /// brownout; its admission cap only ever lowers the VM target.
     recovery: RecoveryCoordinator,
+    /// Per-period working lists, refilled on every control call: the
+    /// eligible units out of quarantine, and those of them left for
+    /// charging once the dischargers are chosen.
+    survivors: Vec<BatteryId>,
+    charge_eligible: Vec<BatteryId>,
 }
 
 impl InsureController {
@@ -172,6 +177,8 @@ impl InsureController {
             smoothed_surplus: 0.0,
             health: HealthMonitor::prototype(),
             recovery: RecoveryCoordinator::default(),
+            survivors: Vec::new(),
+            charge_eligible: Vec::new(),
         })
     }
 
@@ -246,12 +253,15 @@ impl PowerController for InsureController {
         // Recovery lifecycle: notice brownouts we did not order and
         // advance the black-start ramp; its cap is applied at the end.
         self.recovery.observe(obs);
-        let survivors: Vec<BatteryId> = self
-            .eligible
-            .iter()
-            .copied()
-            .filter(|id| !self.health.is_quarantined(*id))
-            .collect();
+        let health = &self.health;
+        let survivors = &mut self.survivors;
+        survivors.clear();
+        survivors.extend(
+            self.eligible
+                .iter()
+                .copied()
+                .filter(|id| !health.is_quarantined(*id)),
+        );
         let total_units = obs.units.len();
         let usable_units = self.health.usable_count(total_units);
         let degraded = usable_units < total_units;
@@ -266,30 +276,28 @@ impl PowerController for InsureController {
         let mut action = ControlAction::default();
 
         // --- Temporal decision first: it may force a shutdown. ---------
-        let discharging_now: Vec<&UnitView> = obs
+        let (n_discharging, min_discharging_soc, min_discharging_available) = obs
             .units
             .iter()
             .zip(&obs.attachments)
             .filter(|(_, a)| **a == Attachment::DischargeBus)
-            .map(|(u, _)| u)
-            .collect();
-        let n_discharging = discharging_now.len().max(1);
+            .fold((0usize, Soc::FULL, 1.0), |(n, soc, available), (u, _)| {
+                (
+                    n + 1,
+                    soc.min(u.soc),
+                    f64::min(available, u.available_fraction),
+                )
+            });
         let tpm_input = TpmInput {
             discharge_current: obs.discharge_current,
-            current_threshold: discharge_cap * n_discharging as f64,
-            min_discharging_soc: discharging_now
-                .iter()
-                .map(|u| u.soc)
-                .fold(Soc::FULL, Soc::min),
-            min_discharging_available: discharging_now
-                .iter()
-                .map(|u| u.available_fraction)
-                .fold(1.0, f64::min),
+            current_threshold: discharge_cap * n_discharging.max(1) as f64,
+            min_discharging_soc,
+            min_discharging_available,
             soc_threshold: cfg.soc_low_threshold,
             available_threshold: 0.15,
             knob: obs.knob,
             raise_headroom: cfg.raise_headroom,
-            discharging: !discharging_now.is_empty() && obs.discharge_current.value() > 0.0,
+            discharging: n_discharging > 0 && obs.discharge_current.value() > 0.0,
         };
         let mut allow_raise = false;
         match decide(&tpm_input) {
@@ -343,7 +351,7 @@ impl PowerController for InsureController {
         let needed_current = Amps::new(deficit.value() / obs.pack_voltage.value().max(1.0));
         let dischargers = select_for_discharge(
             &obs.units,
-            &survivors,
+            survivors,
             needed_current,
             discharge_cap,
             cfg.soc_low_threshold,
@@ -352,13 +360,16 @@ impl PowerController for InsureController {
             assigned.push((*id, Attachment::DischargeBus));
         }
         // Charge selection from the remaining eligible survivors.
-        let charge_eligible: Vec<BatteryId> = survivors
-            .iter()
-            .copied()
-            .filter(|id| !dischargers.contains(id))
-            .collect();
+        let charge_eligible = &mut self.charge_eligible;
+        charge_eligible.clear();
+        charge_eligible.extend(
+            survivors
+                .iter()
+                .copied()
+                .filter(|id| !dischargers.contains(id)),
+        );
         let n = charge_batch_size(surplus, cfg.peak_charge_power);
-        let chargers = select_for_charging(&obs.units, &charge_eligible, n, cfg.charge_target_soc);
+        let chargers = select_for_charging(&obs.units, charge_eligible, n, cfg.charge_target_soc);
         for id in &chargers {
             assigned.push((*id, Attachment::ChargeBus));
         }

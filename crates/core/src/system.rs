@@ -10,7 +10,7 @@
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_cluster::rack::Rack;
 use ins_powernet::bus::LoadBus;
-use ins_powernet::charger::ChargeController;
+use ins_powernet::charger::{ChargeController, ChargeStep};
 use ins_powernet::matrix::{Attachment, SwitchMatrix};
 use ins_powernet::relay::RelayFault;
 use ins_sim::fault::{FaultClass, FaultEvent, FaultKind, FaultSchedule};
@@ -227,11 +227,8 @@ pub struct InSituSystem {
     /// instant.
     restart_storm_until: Option<SimTime>,
 
-    // Step-loop fast path: bus memberships recomputed only when the
-    // switch matrix reports a relay-state change (`None` = dirty).
-    matrix_cache_generation: Option<u64>,
-    cached_discharging: Vec<BatteryId>,
-    cached_charging: Vec<BatteryId>,
+    /// The step loop's reused buffers (not simulation state).
+    scratch: StepScratch,
 
     // Checkpoint/recovery state (None = checkpointing disabled).
     checkpointer: Option<JobCheckpointer>,
@@ -256,7 +253,6 @@ pub struct InSituSystem {
     trace_load: Trace,
     trace_stored: Trace,
     trace_pack_voltage: Trace,
-    voltage_stats: RunningStats,
     events: EventLog<SystemEvent>,
     solar_harvested: WattHours,
     solar_used_load: WattHours,
@@ -327,9 +323,6 @@ struct SnapshotState {
     stale_windows: Vec<Option<StaleWindow>>,
     checkpoint_faults: Vec<(usize, SimTime)>,
     restart_storm_until: Option<SimTime>,
-    matrix_cache_generation: Option<u64>,
-    cached_discharging: Vec<BatteryId>,
-    cached_charging: Vec<BatteryId>,
     checkpointer: Option<JobCheckpointer>,
     last_checkpoint_attempt: Option<SimTime>,
     needs_recovery: bool,
@@ -342,7 +335,6 @@ struct SnapshotState {
     trace_load: Trace,
     trace_stored: Trace,
     trace_pack_voltage: Trace,
-    voltage_stats: RunningStats,
     events: EventLog<SystemEvent>,
     solar_harvested: WattHours,
     solar_used_load: WattHours,
@@ -442,9 +434,7 @@ impl InSituSystem {
             stale_windows,
             checkpoint_faults,
             restart_storm_until,
-            matrix_cache_generation,
-            cached_discharging,
-            cached_charging,
+            scratch: _,
             checkpointer,
             last_checkpoint_attempt,
             needs_recovery,
@@ -457,7 +447,6 @@ impl InSituSystem {
             trace_load,
             trace_stored,
             trace_pack_voltage,
-            voltage_stats,
             events,
             solar_harvested,
             solar_used_load,
@@ -491,9 +480,6 @@ impl InSituSystem {
                 stale_windows: stale_windows.clone(),
                 checkpoint_faults: checkpoint_faults.clone(),
                 restart_storm_until: *restart_storm_until,
-                matrix_cache_generation: *matrix_cache_generation,
-                cached_discharging: cached_discharging.clone(),
-                cached_charging: cached_charging.clone(),
                 checkpointer: checkpointer.clone(),
                 last_checkpoint_attempt: *last_checkpoint_attempt,
                 needs_recovery: *needs_recovery,
@@ -506,7 +492,6 @@ impl InSituSystem {
                 trace_load: trace_load.clone(),
                 trace_stored: trace_stored.clone(),
                 trace_pack_voltage: trace_pack_voltage.clone(),
-                voltage_stats: *voltage_stats,
                 events: events.clone(),
                 solar_harvested: *solar_harvested,
                 solar_used_load: *solar_used_load,
@@ -562,9 +547,6 @@ impl InSituSystem {
             stale_windows,
             checkpoint_faults,
             restart_storm_until,
-            matrix_cache_generation,
-            cached_discharging,
-            cached_charging,
             checkpointer,
             last_checkpoint_attempt,
             needs_recovery,
@@ -577,7 +559,6 @@ impl InSituSystem {
             trace_load,
             trace_stored,
             trace_pack_voltage,
-            voltage_stats,
             events,
             solar_harvested,
             solar_used_load,
@@ -615,9 +596,7 @@ impl InSituSystem {
             stale_windows: stale_windows.clone(),
             checkpoint_faults: checkpoint_faults.clone(),
             restart_storm_until: *restart_storm_until,
-            matrix_cache_generation: *matrix_cache_generation,
-            cached_discharging: cached_discharging.clone(),
-            cached_charging: cached_charging.clone(),
+            scratch: StepScratch::default(),
             checkpointer: checkpointer.clone(),
             last_checkpoint_attempt: *last_checkpoint_attempt,
             needs_recovery: *needs_recovery,
@@ -630,7 +609,6 @@ impl InSituSystem {
             trace_load: trace_load.clone(),
             trace_stored: trace_stored.clone(),
             trace_pack_voltage: trace_pack_voltage.clone(),
-            voltage_stats: *voltage_stats,
             events: events.clone(),
             solar_harvested: *solar_harvested,
             solar_used_load: *solar_used_load,
@@ -710,7 +688,7 @@ impl InSituSystem {
     /// Pooled statistics of the pack-voltage trace (Table 6's σ source).
     #[must_use]
     pub fn voltage_stats(&self) -> &RunningStats {
-        &self.voltage_stats
+        self.trace_pack_voltage.stats()
     }
 
     /// Total solar energy harvested so far.
@@ -816,32 +794,45 @@ impl InSituSystem {
         }
     }
 
-    /// Builds the controller-visible observation. Units under an active
-    /// stale-telemetry window report their frozen snapshot with a growing
-    /// age instead of live data.
-    fn observe(&self, solar: Watts) -> SystemObservation {
+    /// Re-reads every unit's attachment from the switch matrix when a
+    /// relay contact may have moved since the last read. Between
+    /// reconfigurations this is one comparison.
+    fn refresh_attachments(&mut self) {
+        let generation = self.matrix.generation();
+        let scratch = &mut self.scratch;
+        if scratch.generation == Some(generation) {
+            return;
+        }
+        let matrix = &self.matrix;
+        scratch.attachments.clear();
+        scratch.attachments.extend(self.units.iter().map(|u| {
+            // Best effort: an untracked unit (impossible today, cheap to
+            // tolerate) reads as isolated rather than panicking.
+            matrix.attachment(u.id()).unwrap_or(Attachment::Isolated)
+        }));
+        scratch.generation = Some(generation);
+    }
+
+    /// Builds the controller-visible observation in the reused per-unit
+    /// buffers, which the caller puts back after the control call. Units
+    /// under an active stale-telemetry window report their frozen
+    /// snapshot with a growing age instead of live data.
+    fn observe(&mut self, solar: Watts) -> SystemObservation {
+        self.refresh_attachments();
         let now = self.clock.now();
-        let views: Vec<UnitView> = (0..self.units.len())
-            .map(|i| match self.stale_windows[i] {
-                Some(w) if now < w.until => {
-                    let mut frozen = w.frozen;
-                    frozen.telemetry_age = now.since(w.since);
-                    frozen
-                }
-                _ => self.fresh_view(i),
-            })
-            .collect();
-        let attachments: Vec<Attachment> = self
-            .units
-            .iter()
-            .map(|u| {
-                // Best effort: an untracked unit (impossible today, cheap
-                // to tolerate) reads as isolated rather than panicking.
-                self.matrix
-                    .attachment(u.id())
-                    .unwrap_or(Attachment::Isolated)
-            })
-            .collect();
+        let mut views = std::mem::take(&mut self.scratch.views);
+        views.clear();
+        views.extend((0..self.units.len()).map(|i| match self.stale_windows[i] {
+            Some(w) if now < w.until => {
+                let mut frozen = w.frozen;
+                frozen.telemetry_age = now.since(w.since);
+                frozen
+            }
+            _ => self.fresh_view(i),
+        }));
+        let mut attachments = std::mem::take(&mut self.scratch.view_attachments);
+        attachments.clear();
+        attachments.extend_from_slice(&self.scratch.attachments);
         let util = self.workload.utilization();
         SystemObservation {
             now: self.clock.now(),
@@ -1214,19 +1205,16 @@ impl InSituSystem {
             let observed = self.observed_solar(solar, now);
             let obs = self.observe(observed);
             let action = self.controller.control(&obs);
+            // Keep the observation's buffers for the next one.
+            self.scratch.views = obs.units;
+            self.scratch.view_attachments = obs.attachments;
             self.apply(action);
         }
 
-        // Bus memberships change only when a relay moves (controller
-        // reconfiguration or relay fault); on the matrix's word that
-        // nothing moved since last step, reuse the cached lists instead
-        // of rescanning the relay network twice per step.
-        if self.matrix_cache_generation != Some(self.matrix.generation()) {
-            self.cached_discharging = self.matrix.discharging_units();
-            self.cached_charging = self.matrix.charging_units();
-            self.matrix_cache_generation = Some(self.matrix.generation());
-        }
-        let discharging_ids = &self.cached_discharging;
+        // Bus memberships change only when a relay contact moves (a
+        // controller reconfiguration or a relay fault); otherwise the
+        // attachment array is already current.
+        self.refresh_attachments();
 
         // Power settlement: load first (solar then discharging units).
         // An in-flight checkpoint write draws its storage-path power from
@@ -1237,14 +1225,15 @@ impl InSituSystem {
             _ => Watts::ZERO,
         };
         let demand = self.rack.power_demand(util) + checkpoint_power;
-        let settlement = {
-            let mut refs: Vec<&mut BatteryUnit> = self
-                .units
-                .iter_mut()
-                .filter(|u| discharging_ids.contains(&u.id()))
-                .collect();
-            self.bus.settle(demand, solar, &mut refs, dt_h)
-        };
+        let scratch = &mut self.scratch;
+        let settlement = scratch.members.lend(
+            on_bus(
+                &mut self.units,
+                &scratch.attachments,
+                Attachment::DischargeBus,
+            ),
+            |members| self.bus.settle(demand, solar, members, dt_h),
+        );
         let pack_v = self
             .units
             .first()
@@ -1279,10 +1268,9 @@ impl InSituSystem {
             }
         }
         // Cutoff trips while discharging.
-        for id in discharging_ids {
-            let unit = &self.units[id.0];
-            if unit.at_cutoff(Amps::new(10.0)) {
-                self.events.push(now, SystemEvent::CutoffTrip(*id));
+        for (unit, attachment) in self.units.iter().zip(&self.scratch.attachments) {
+            if *attachment == Attachment::DischargeBus && unit.at_cutoff(Amps::new(10.0)) {
+                self.events.push(now, SystemEvent::CutoffTrip(unit.id()));
             }
         }
 
@@ -1291,23 +1279,23 @@ impl InSituSystem {
         // units simply rest through it.
         let solar_left = (solar - settlement.solar_used).max(Watts::ZERO);
         let charger_down = self.charger_dropout_until.is_some_and(|t| now < t);
-        let charging_ids: &[BatteryId] = if charger_down {
-            &[]
+        let charge_step = if charger_down {
+            ChargeStep::idle()
         } else {
-            &self.cached_charging
-        };
-        let charge_step = {
-            let mut refs: Vec<&mut BatteryUnit> = self
-                .units
-                .iter_mut()
-                .filter(|u| charging_ids.contains(&u.id()))
-                .collect();
-            self.charger.charge(&mut refs, solar_left, dt_h)
+            let scratch = &mut self.scratch;
+            scratch.members.lend(
+                on_bus(&mut self.units, &scratch.attachments, Attachment::ChargeBus),
+                |members| self.charger.charge(members, solar_left, dt_h),
+            )
         };
 
         // Isolated units rest (recovery effect continues).
-        for u in self.units.iter_mut() {
-            let attached = discharging_ids.contains(&u.id()) || charging_ids.contains(&u.id());
+        for (u, attachment) in self.units.iter_mut().zip(&self.scratch.attachments) {
+            let attached = match attachment {
+                Attachment::DischargeBus => true,
+                Attachment::ChargeBus => !charger_down,
+                Attachment::Isolated => false,
+            };
             if !attached {
                 u.rest(dt_h);
             }
@@ -1356,7 +1344,6 @@ impl InSituSystem {
             .sum::<f64>()
             / self.units.len().max(1) as f64;
         self.trace_pack_voltage.record(now, mean_v);
-        self.voltage_stats.push(mean_v);
 
         self.clock.tick();
     }
@@ -1414,6 +1401,61 @@ impl InSituSystem {
             }
             None => false,
         }
+    }
+}
+
+/// The step loop's working set: buffers it refills instead of
+/// allocating. None of it is simulation state, so
+/// [`InSituSystem::snapshot`] leaves it behind and a fork starts with an
+/// empty one, which its first step refills exactly as the source would.
+#[derive(Default)]
+struct StepScratch {
+    /// Each unit's bus attachment, indexed like the units, as of switch
+    /// matrix generation `generation` (`None` = never read).
+    attachments: Vec<Attachment>,
+    generation: Option<u64>,
+    /// The controller observation's per-unit buffers, lent out for each
+    /// control call and taken back afterwards.
+    views: Vec<UnitView>,
+    view_attachments: Vec<Attachment>,
+    /// The load-bus and charger member lists, one after the other.
+    members: MemberList,
+}
+
+/// The units attached to `bus`, in index order.
+fn on_bus<'a>(
+    units: &'a mut [BatteryUnit],
+    attachments: &'a [Attachment],
+    bus: Attachment,
+) -> impl Iterator<Item = &'a mut BatteryUnit> {
+    units
+        .iter_mut()
+        .zip(attachments)
+        .filter(move |(_, a)| **a == bus)
+        .map(|(u, _)| u)
+}
+
+/// One reusable allocation for the per-step member lists that
+/// [`LoadBus::settle`] and [`ChargeController::charge`] take. Between
+/// uses it holds no references, only capacity.
+#[derive(Default)]
+struct MemberList(Vec<&'static mut BatteryUnit>);
+
+impl MemberList {
+    /// Fills the list with `members`, lends it to `f`, and keeps the
+    /// allocation for the next call.
+    fn lend<'a, R>(
+        &mut self,
+        members: impl Iterator<Item = &'a mut BatteryUnit>,
+        f: impl FnOnce(&mut [&'a mut BatteryUnit]) -> R,
+    ) -> R {
+        let mut list: Vec<&'a mut BatteryUnit> = std::mem::take(&mut self.0);
+        list.extend(members);
+        let out = f(&mut list);
+        // Collecting a `Vec`'s own emptied iterator reuses its buffer,
+        // which retypes the allocation to outlive this borrow.
+        self.0 = list.into_iter().map_while(|_| None).collect();
+        out
     }
 }
 
@@ -1584,9 +1626,7 @@ impl SystemBuilder {
             charger_dropout_until: None,
             checkpoint_faults: Vec::new(),
             restart_storm_until: None,
-            matrix_cache_generation: None,
-            cached_discharging: Vec::new(),
-            cached_charging: Vec::new(),
+            scratch: StepScratch::default(),
             checkpointer: self.checkpoint.map(JobCheckpointer::new),
             last_checkpoint_attempt: None,
             needs_recovery: false,
@@ -1599,7 +1639,6 @@ impl SystemBuilder {
             trace_load: Trace::new("load W"),
             trace_stored: Trace::new("stored Wh"),
             trace_pack_voltage: Trace::new("pack V"),
-            voltage_stats: RunningStats::new(),
             events: EventLog::new(),
             solar_harvested: WattHours::ZERO,
             solar_used_load: WattHours::ZERO,

@@ -131,12 +131,11 @@ impl LoadBus {
             let i0 = battery_needed.value() / mean_v.max(1.0);
             let v_sag = (mean_v - i0 * r_parallel).max(1.0);
             let total_current = ins_sim::units::Amps::new(battery_needed.value() / v_sag * 1.02);
-            let shares = {
-                let views: Vec<&BatteryUnit> = units.iter().map(|u| &**u).collect();
-                split_discharge_current(&views, total_current)
-            };
-            for (unit, share) in units.iter_mut().zip(shares) {
-                let out = unit.discharge(share, dt);
+            // Each unit reads its share just before it discharges, while
+            // its state is still the one the split was computed over.
+            let split = split_discharge_current(units.iter().map(|u| &**u), total_current);
+            for unit in units.iter_mut() {
+                let out = unit.discharge(split.share(unit), dt);
                 let delivered_w = if dt.value() > 0.0 {
                     // Typed all the way: Ah / h = A, then A × V = W.
                     out.delivered / dt * out.voltage

@@ -6,21 +6,18 @@
 //! charged units directly affects how much of the budget reaches cells —
 //! the efficiency the spatial power manager optimizes.
 
-use ins_battery::unit::ChargeOutcome;
 use ins_battery::BatteryUnit;
 use ins_sim::units::{Hours, Watts};
 
 use crate::converter::Converter;
 
 /// Result of one charging step across the charge bus.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChargeStep {
     /// Power drawn from the solar bus (inputs of all active channels).
     pub drawn: Watts,
     /// Power that actually landed in battery cells.
     pub stored: Watts,
-    /// Per-unit outcomes, in the order the units were given.
-    pub outcomes: Vec<ChargeOutcome>,
 }
 
 impl ChargeStep {
@@ -30,7 +27,6 @@ impl ChargeStep {
         Self {
             drawn: Watts::ZERO,
             stored: Watts::ZERO,
-            outcomes: Vec::new(),
         }
     }
 
@@ -98,7 +94,6 @@ impl ChargeController {
         let per_channel_input = budget / units.len() as f64;
         let mut drawn = Watts::ZERO;
         let mut stored = Watts::ZERO;
-        let mut outcomes = Vec::with_capacity(units.len());
         for unit in units.iter_mut() {
             let channel_out = self.channel.output(per_channel_input);
             // Convert channel power to current at the unit's charging
@@ -111,13 +106,8 @@ impl ChargeController {
                 outcome.accepted.max(ins_sim::units::Amps::ZERO) * v + outcome.gassed * v;
             drawn += self.channel.input_for(used_output).min(per_channel_input);
             stored += outcome.accepted * v;
-            outcomes.push(outcome);
         }
-        ChargeStep {
-            drawn,
-            stored,
-            outcomes,
-        }
+        ChargeStep { drawn, stored }
     }
 }
 

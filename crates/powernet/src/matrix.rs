@@ -67,11 +67,16 @@ impl RelayPair {
     /// bus: the load path electrically dominates, and the unit is also
     /// reported by [`SwitchMatrix::cross_tied_units`].
     fn attachment(&self) -> Attachment {
-        match (self.charge.is_closed(), self.discharge.is_closed()) {
+        match self.contacts() {
             (false, false) => Attachment::Isolated,
             (true, false) => Attachment::ChargeBus,
             (_, true) => Attachment::DischargeBus,
         }
+    }
+
+    /// The `(charge, discharge)` contact positions.
+    fn contacts(&self) -> (bool, bool) {
+        (self.charge.is_closed(), self.discharge.is_closed())
     }
 
     fn relay_mut(&mut self, role: RelayRole) -> &mut Relay {
@@ -108,9 +113,9 @@ impl RelayPair {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchMatrix {
     pairs: Vec<RelayPair>,
-    /// Bumped on every operation that may move a relay contact, so
-    /// callers polling the bus membership every simulation step can skip
-    /// recomputing it while the relay state is provably unchanged.
+    /// Bumped whenever a relay contact may have moved, so callers
+    /// polling the bus membership every simulation step recompute it
+    /// only after a real reconfiguration.
     generation: u64,
 }
 
@@ -124,9 +129,11 @@ impl SwitchMatrix {
         }
     }
 
-    /// A counter that changes whenever relay state *may* have changed
-    /// (any [`SwitchMatrix::attach`], fault injection or fault repair).
-    /// Two reads returning the same value guarantee the bus memberships
+    /// A counter that changes whenever a relay contact may have moved:
+    /// an [`SwitchMatrix::attach`] that actually switches a contact, a
+    /// fault injection or a fault repair. An `attach` that re-requests
+    /// the present attachment leaves it alone. Two reads returning the
+    /// same value guarantee the bus memberships
     /// ([`SwitchMatrix::charging_units`] etc.) are unchanged between
     /// them, so per-step callers can cache those lists.
     #[must_use]
@@ -171,7 +178,7 @@ impl SwitchMatrix {
         to: Attachment,
     ) -> Result<Attachment, UnknownUnitError> {
         let pair = self.pairs.get_mut(id.0).ok_or(UnknownUnitError(id))?;
-        self.generation += 1;
+        let before = pair.contacts();
         match to {
             Attachment::Isolated => {
                 pair.charge.open();
@@ -195,6 +202,9 @@ impl SwitchMatrix {
             !(pair.charge.is_closed() && pair.discharge.is_closed())
                 || (pair.charge.is_faulted() && pair.discharge.is_faulted())
         );
+        if pair.contacts() != before {
+            self.generation += 1;
+        }
         Ok(pair.attachment())
     }
 
@@ -512,6 +522,29 @@ mod tests {
         let g3 = m.generation();
         assert!(m.attach(BatteryId(9), Attachment::ChargeBus).is_err());
         assert_eq!(m.generation(), g3);
+        Ok(())
+    }
+
+    #[test]
+    fn generation_moves_only_when_a_contact_moves() -> Result<(), UnknownUnitError> {
+        let mut m = SwitchMatrix::new(2);
+        m.attach(BatteryId(0), Attachment::DischargeBus)?;
+        let g = m.generation();
+        // Re-requesting present attachments switches nothing.
+        m.attach(BatteryId(0), Attachment::DischargeBus)?;
+        m.attach(BatteryId(1), Attachment::Isolated)?;
+        assert_eq!(m.generation(), g);
+        // A request the hardware cannot honour moves nothing either.
+        m.inject_relay_fault(BatteryId(1), RelayRole::Charge, RelayFault::StuckOpen)?;
+        let g = m.generation();
+        assert_eq!(
+            m.attach(BatteryId(1), Attachment::ChargeBus)?,
+            Attachment::Isolated
+        );
+        assert_eq!(m.generation(), g);
+        // A real reconfiguration does.
+        m.attach(BatteryId(0), Attachment::ChargeBus)?;
+        assert_ne!(m.generation(), g);
         Ok(())
     }
 

@@ -189,10 +189,19 @@ impl ReplayFeed {
     #[must_use]
     pub fn work_between(&self, from: SimTime, to: SimTime) -> f64 {
         // `from == to == first row's time` (the first tick) must still
-        // deliver that row: treat a degenerate window as inclusive.
+        // deliver that row: treat a degenerate window as inclusive. The
+        // rows are time-ordered, so the window is one contiguous run,
+        // bounded by two binary searches.
+        let start = if from == to {
+            self.rows.partition_point(|r| r.time < from)
+        } else {
+            self.rows.partition_point(|r| r.time <= from)
+        };
+        let end = self.rows.partition_point(|r| r.time <= to);
         self.rows
+            .get(start..end)
+            .unwrap_or_default()
             .iter()
-            .filter(|r| (r.time > from || (from == to && r.time == from)) && r.time <= to)
             .map(|r| r.work_gb)
             .sum()
     }

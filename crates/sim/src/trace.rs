@@ -117,7 +117,9 @@ impl Trace {
     /// Linearly interpolated value at `time`.
     ///
     /// Clamps to the first/last sample outside the recorded range. Returns
-    /// `None` for an empty trace.
+    /// `None` for an empty trace. On an evenly spaced trace (every
+    /// generated one) the lookup is O(1); otherwise it is a binary
+    /// search. Both find the same bracketing samples.
     #[must_use]
     pub fn value_at(&self, time: SimTime) -> Option<f64> {
         let samples = &self.samples;
@@ -132,8 +134,24 @@ impl Trace {
             return Some(last.value);
         }
         // Find the first sample at or after `time`. The two clamp
-        // returns above guarantee `0 < idx < samples.len()`.
-        let idx = samples.partition_point(|s| s.time < time);
+        // returns above guarantee `0 < idx < samples.len()`. Try the
+        // index an evenly spaced trace predicts first; it stands only if
+        // both neighbours confirm it, which pins it to the same index the
+        // binary search would find.
+        let brackets = |idx: usize| {
+            idx.checked_sub(1)
+                .and_then(|i| samples.get(i))
+                .is_some_and(|a| a.time < time)
+                && samples.get(idx).is_some_and(|b| b.time >= time)
+        };
+        let span = (last.time - first.time).as_secs();
+        let predicted = (time - first.time)
+            .as_secs()
+            .checked_mul(samples.len() as u64 - 1)
+            .map(|scaled| scaled.div_ceil(span))
+            .and_then(|idx| usize::try_from(idx).ok())
+            .filter(|&idx| brackets(idx));
+        let idx = predicted.unwrap_or_else(|| samples.partition_point(|s| s.time < time));
         // ins-lint: allow(L009) -- idx >= 1: time > first.time was handled above
         let (a, b) = (samples[idx - 1], samples[idx]);
         if a.time == b.time {

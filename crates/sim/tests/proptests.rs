@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use ins_sim::backoff::{Backoff, BackoffOutcome};
+use ins_sim::replay::ReplayFeed;
 use ins_sim::stats::RunningStats;
 use ins_sim::time::{SimDuration, SimTime};
 use ins_sim::trace::Trace;
@@ -76,6 +77,65 @@ proptest! {
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
+    }
+
+    /// The indexed lookup finds exactly the bracketing samples a binary
+    /// search finds, bit for bit, on evenly spaced traces, irregular ones
+    /// and ones with repeated timestamps.
+    #[test]
+    fn trace_lookup_matches_binary_search(
+        gaps in proptest::collection::vec(0u64..40, 1..80),
+        spacing in 1u64..30,
+        even in 0u8..2,
+        queries in proptest::collection::vec(0u64..4_000, 1..60)
+    ) {
+        let mut t = Trace::new("lookup");
+        let mut at = 500;
+        for (i, gap) in gaps.iter().enumerate() {
+            t.record(SimTime::from_secs(at), (i as f64 * 0.37).sin() * 100.0);
+            at += if even == 1 { spacing } else { *gap };
+        }
+        // Random instants, plus every sample's own instant and its
+        // neighbours, where repeated timestamps make the index ambiguous.
+        let at_samples = t
+            .iter()
+            .flat_map(|s| [s.time.as_secs() - 1, s.time.as_secs(), s.time.as_secs() + 1]);
+        for q in queries.into_iter().chain(at_samples) {
+            let time = SimTime::from_secs(q);
+            let expected = reference_value_at(&t, time).map(f64::to_bits);
+            prop_assert_eq!(t.value_at(time).map(f64::to_bits), expected);
+        }
+    }
+
+    /// A replay window sums exactly the rows the linear filter selects,
+    /// in the same order, including repeated timestamps, empty and
+    /// reversed windows and the degenerate first window.
+    #[test]
+    fn replay_windows_match_linear_filter(
+        gaps in proptest::collection::vec(0u64..3, 0..60),
+        work in proptest::collection::vec(0.0f64..5.0, 60..61),
+        windows in proptest::collection::vec((0u64..140, 0u64..8), 1..40)
+    ) {
+        let mut csv = String::new();
+        let mut at = 0;
+        for (gap, gb) in gaps.iter().zip(&work) {
+            at += gap;
+            csv.push_str(&format!("{at}, 0.0, {gb}\n"));
+        }
+        let feed = ReplayFeed::parse(&csv).expect("generated feed parses");
+        let first = feed.rows().first().map_or(SimTime::ZERO, |r| r.time);
+        let mut cases = vec![(first, first)];
+        for (from, width) in windows {
+            let from = SimTime::from_secs(from);
+            cases.push((from, from + SimDuration::from_secs(width)));
+            cases.push((from + SimDuration::from_secs(width), from));
+        }
+        for (from, to) in cases {
+            prop_assert_eq!(
+                feed.work_between(from, to).to_bits(),
+                linear_work_between(&feed, from, to).to_bits()
+            );
+        }
     }
 
     /// Downsampling never invents samples and keeps chronological order.
@@ -186,4 +246,34 @@ proptest! {
             }
         }
     }
+}
+
+/// `Trace::value_at` as a plain binary search: the reference the indexed
+/// lookup must agree with.
+fn reference_value_at(trace: &Trace, time: SimTime) -> Option<f64> {
+    let samples = trace.samples();
+    let (first, last) = (*samples.first()?, *samples.last()?);
+    if time <= first.time {
+        return Some(first.value);
+    }
+    if time >= last.time {
+        return Some(last.value);
+    }
+    let idx = samples.partition_point(|s| s.time < time);
+    let (a, b) = (samples[idx - 1], samples[idx]);
+    if a.time == b.time {
+        return Some(b.value);
+    }
+    let frac = (time - a.time).as_secs() as f64 / (b.time - a.time).as_secs() as f64;
+    Some(a.value + (b.value - a.value) * frac)
+}
+
+/// `ReplayFeed::work_between` as a filter over every row: the reference
+/// the binary-searched window must agree with.
+fn linear_work_between(feed: &ReplayFeed, from: SimTime, to: SimTime) -> f64 {
+    feed.rows()
+        .iter()
+        .filter(|r| (r.time > from || (from == to && r.time == from)) && r.time <= to)
+        .map(|r| r.work_gb)
+        .sum()
 }

@@ -1,0 +1,151 @@
+//! Allocation budget of the steady-state step loop.
+//!
+//! Every experiment, sweep cell, fleet site and the live daemon spends its
+//! time in `InSituSystem::step`, so the loop reuses its buffers instead of
+//! allocating per step. This test pins that: it drives the prototype
+//! plant (InSURE controller, seismic workload) for three simulated days
+//! after a half-day warm-up, counting heap allocations per step with a
+//! counting global allocator, and splits the steps by whether the
+//! controller ran in them.
+//!
+//! * Steps without a control call must average below 0.01 allocations
+//!   (what remains is trace growth, amortized).
+//! * Control steps must average at most 3: the controller's returned
+//!   attachment list and the SPM selection lists it builds.
+//!
+//! The test harness runs tests on parallel threads, so the counter is
+//! thread-local: each test counts only its own allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use insure::core::controller::{
+    ControlAction, InsureController, PowerController, SystemObservation,
+};
+use insure::core::system::InSituSystem;
+use insure::sim::time::{SimDuration, SimTime};
+use insure::solar::trace::SolarTraceBuilder;
+use insure::solar::weather::DayWeather;
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every method forwards to the system allocator unchanged; the
+// only addition is a thread-local counter bump, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The stock InSURE controller, counting its `control` calls.
+struct Counted {
+    inner: InsureController,
+    calls: Rc<Cell<u64>>,
+}
+
+impl PowerController for Counted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn control(&mut self, obs: &SystemObservation) -> ControlAction {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.control(obs)
+    }
+}
+
+/// Mean allocations per step, split into steps without and with a
+/// control call: `((steps, mean), (steps, mean))`.
+type Budget = ((u64, f64), (u64, f64));
+
+fn measure(dt_s: u64) -> Budget {
+    let solar = SolarTraceBuilder::new().seed(11).build_days(&[
+        DayWeather::Sunny,
+        DayWeather::Cloudy,
+        DayWeather::Rainy,
+        DayWeather::Sunny,
+    ]);
+    let calls = Rc::new(Cell::new(0));
+    let controller = Counted {
+        inner: InsureController::default(),
+        calls: Rc::clone(&calls),
+    };
+    let mut sys = InSituSystem::builder(solar, Box::new(controller))
+        .time_step(SimDuration::from_secs(dt_s))
+        .build();
+    sys.run_until(SimTime::from_hms(12, 0, 0));
+    let end = sys.now() + SimDuration::from_hours(72);
+    let (mut quiet, mut control) = ((0u64, 0u64), (0u64, 0u64));
+    while sys.now() < end {
+        let (before, calls_before) = (allocations(), calls.get());
+        sys.step();
+        let allocated = allocations() - before;
+        let bucket = if calls.get() == calls_before {
+            &mut quiet
+        } else {
+            &mut control
+        };
+        bucket.0 += 1;
+        bucket.1 += allocated;
+    }
+    let mean = |(steps, allocs): (u64, u64)| (steps, allocs as f64 / steps.max(1) as f64);
+    (mean(quiet), mean(control))
+}
+
+fn assert_budget(dt_s: u64) {
+    let ((quiet_steps, quiet), (control_steps, control)) = measure(dt_s);
+    eprintln!(
+        "dt={dt_s}s: {quiet:.4} allocations over {quiet_steps} steps without control, \
+         {control:.3} over {control_steps} control steps"
+    );
+    assert!(control_steps > 0, "the controller never ran");
+    assert!(
+        quiet < 0.01,
+        "dt={dt_s}s: steps without a control call allocate {quiet:.4} times on average"
+    );
+    assert!(
+        control <= 3.0,
+        "dt={dt_s}s: control steps allocate {control:.3} times on average"
+    );
+}
+
+#[test]
+fn step_loop_allocation_budget_at_10s() {
+    assert_budget(10);
+}
+
+#[test]
+fn step_loop_allocation_budget_at_60s() {
+    assert_budget(60);
+}
