@@ -1376,8 +1376,12 @@ impl InSituSystem {
     }
 
     /// Offers `gb` of externally ingested work to the workload (service
-    /// mode's admission path). Batch work joins the job queue; stream
-    /// work adds backlog. Offering is unconditional — admission control
+    /// mode's admission path). Batch work goes through
+    /// [`WorkloadModel::requeue_gb`], which puts it at the *front* of the
+    /// job queue as one job: the newest offer is served first and every
+    /// older offer waits behind the ones that came after it, so a plant
+    /// that falls behind keeps a growing queue of old offers. Stream work
+    /// adds backlog. Offering is unconditional — admission control
     /// (shedding, backpressure) happens *before* this call.
     pub fn offer_work(&mut self, gb: f64) {
         if gb > 0.0 {

@@ -15,8 +15,7 @@
 //! UPDATE_GOLDEN=1 cargo test -p ins-service --test golden_telemetry
 //! ```
 
-use std::fs;
-use std::path::{Path, PathBuf};
+mod golden;
 
 use ins_service::harness::{ServiceCore, ServiceSpec};
 use ins_service::supervisor::EngineFault;
@@ -25,23 +24,6 @@ const SEED: u64 = 42;
 const TICKS: u64 = 1440;
 const STALL_AT: u64 = 540;
 const PANIC_AT: u64 = 780;
-
-fn fixture_path(engine: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(format!("telemetry_{engine}.txt"))
-}
-
-fn fnv1a(lines: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for byte in line.bytes().chain(std::iter::once(b'\n')) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
 
 /// Runs the supervised day and renders the fixture text.
 fn render(engine: &str) -> String {
@@ -67,27 +49,12 @@ fn render(engine: &str) -> String {
     }
     out.push_str(&drain.line);
     out.push('\n');
-    out.push_str(&format!("digest={:016x}\n", fnv1a(&lines)));
+    out.push_str(&format!("digest={:016x}\n", golden::fnv1a(&lines)));
     out
 }
 
 fn check(engine: &str) {
-    let actual = render(engine);
-    let path = fixture_path(engine);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        if let Some(dir) = path.parent() {
-            fs::create_dir_all(dir).expect("create fixtures dir");
-        }
-        fs::write(&path, &actual).expect("write fixture");
-        return;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (run with UPDATE_GOLDEN=1)", path.display()));
-    assert!(
-        actual == expected,
-        "{engine}: telemetry differs from {}\n--- expected\n{expected}--- actual\n{actual}",
-        path.display()
-    );
+    golden::check(&format!("telemetry_{engine}.txt"), &render(engine));
 }
 
 #[test]

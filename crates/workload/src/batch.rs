@@ -10,6 +10,11 @@ use ins_sim::time::{SimDuration, SimTime};
 
 use std::collections::VecDeque;
 
+/// [`BatchWorkload::pending_gb`] of an empty queue: the value
+/// `Iterator::sum` gives an empty `f64` iterator, so an idle queue reads
+/// the same whether its total is folded or maintained.
+const EMPTY_GB: f64 = -0.0;
+
 /// Arrival schedule and size of a recurring batch job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSpec {
@@ -104,6 +109,9 @@ impl CompletedJob {
 pub struct BatchWorkload {
     spec: BatchSpec,
     queue: VecDeque<Job>,
+    /// The sum of `queue`'s remaining data, GB, updated by every queue
+    /// change so that reading it never walks the queue.
+    pending_gb: f64,
     completed: Vec<CompletedJob>,
     processed_gb: f64,
     last_arrival_day_slot: Option<(u64, usize)>,
@@ -116,6 +124,7 @@ impl BatchWorkload {
         Self {
             spec,
             queue: VecDeque::new(),
+            pending_gb: EMPTY_GB,
             completed: Vec::new(),
             processed_gb: 0.0,
             last_arrival_day_slot: None,
@@ -141,12 +150,17 @@ impl BatchWorkload {
             if job.remaining_gb > budget_gb {
                 job.remaining_gb -= budget_gb;
                 self.processed_gb += budget_gb;
+                self.served(budget_gb);
                 break;
             }
-            self.processed_gb += job.remaining_gb;
-            budget_gb -= job.remaining_gb;
-            let arrived = job.arrived;
+            let Job {
+                arrived,
+                remaining_gb,
+            } = *job;
+            self.processed_gb += remaining_gb;
+            budget_gb -= remaining_gb;
             self.queue.pop_front();
+            self.served(remaining_gb);
             self.completed.push(CompletedJob {
                 arrived,
                 finished: end,
@@ -170,6 +184,7 @@ impl BatchWorkload {
                             arrived: arrival,
                             remaining_gb: self.spec.job_gb,
                         });
+                        self.pending_gb += self.spec.job_gb;
                         self.last_arrival_day_slot = Some((day, slot));
                     }
                 }
@@ -191,6 +206,19 @@ impl BatchWorkload {
             arrived: now,
             remaining_gb: gb,
         });
+        self.pending_gb += gb;
+    }
+
+    /// Takes `gb` of processed work off the pending total. Rounding can
+    /// leave the total a hair below zero while a sliver of work is still
+    /// queued, so it is floored at `+0.0` there; an empty queue reads
+    /// exactly [`EMPTY_GB`].
+    fn served(&mut self, gb: f64) {
+        self.pending_gb = if self.queue.is_empty() {
+            EMPTY_GB
+        } else {
+            (self.pending_gb - gb).max(0.0)
+        };
     }
 
     /// Data processed so far, GB.
@@ -199,10 +227,12 @@ impl BatchWorkload {
         self.processed_gb
     }
 
-    /// Data still queued, GB.
+    /// Data still queued, GB: `-0.0` when the queue is empty, otherwise
+    /// the maintained total, which can differ from re-summing the queue
+    /// in the last bits because it adds and subtracts in event order.
     #[must_use]
     pub fn pending_gb(&self) -> f64 {
-        self.queue.iter().map(|j| j.remaining_gb).sum()
+        self.pending_gb
     }
 
     /// Jobs waiting or in progress.
@@ -349,5 +379,85 @@ mod tests {
         let mut w = BatchWorkload::new(BatchSpec::seismic());
         run(&mut w, SimTime::ZERO, 3 * 24 * 60, 0.0);
         assert_eq!(w.queued_jobs(), 6, "two jobs per day for three days");
+    }
+
+    mod maintained_total {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The reference pending total: the queue's remaining data
+        /// re-summed front to back.
+        fn resummed(w: &BatchWorkload) -> f64 {
+            w.queue.iter().map(|j| j.remaining_gb).sum()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Through any interleaving of service and requeues, the
+            /// maintained total stays within the recursive-summation
+            /// error bound of the re-summed queue, carries a sign bit
+            /// exactly when the queue is empty, and with the processed
+            /// total accounts for everything admitted.
+            #[test]
+            fn pending_total_tracks_the_queue(
+                ops in collection::vec((0u8..3, -20.0f64..200.0, 0.0f64..1.0), 1..300)
+            ) {
+                let spec = BatchSpec::seismic();
+                let mut w = BatchWorkload::new(spec.clone());
+                let mut now = SimTime::ZERO;
+                let mut admitted = 0.0;
+                let mut events = 0;
+                for (kind, x, y) in ops {
+                    if kind < 2 {
+                        // `x` GB/h (negative serves nothing) for 1-180 min.
+                        let dt = SimDuration::from_minutes(1 + (y * 180.0) as u64);
+                        let (jobs, done) = (w.queued_jobs(), w.completed().len());
+                        w.step(now, dt, x);
+                        now += dt;
+                        let completions = w.completed().len() - done;
+                        let arrivals = w.queued_jobs() + completions - jobs;
+                        for _ in 0..arrivals {
+                            admitted += spec.job_gb;
+                        }
+                        events += arrivals + completions + 1;
+                    } else {
+                        // Zero and negative requeues must be ignored.
+                        let gb = if y < 0.2 { 0.0 } else { x };
+                        w.requeue_gb(now, gb);
+                        if gb > 0.0 {
+                            admitted += gb;
+                            events += 1;
+                        }
+                    }
+                    // Every queue event (arrival, requeue, partial service,
+                    // completion) rounds at most four quantities bounded by
+                    // `admitted` (pending and processed totals, the job's
+                    // remainder, this test's `admitted`) once each, by at
+                    // most unit roundoff u = EPSILON / 2 relative; the fold
+                    // adds len - 1 roundings and the checks two more.
+                    let len = w.queued_jobs();
+                    let bound = f64::EPSILON / 2.0 * admitted * (4 * events + len + 2) as f64;
+                    let pending = w.pending_gb();
+                    let reference = resummed(&w);
+                    prop_assert!(
+                        (pending - reference).abs() <= bound,
+                        "pending {pending} vs re-summed {reference} (bound {bound})"
+                    );
+                    prop_assert_eq!(
+                        pending.is_sign_negative(),
+                        w.queue.is_empty(),
+                        "pending {} with {} jobs queued",
+                        pending,
+                        len
+                    );
+                    let balance = w.processed_gb() + pending - admitted;
+                    prop_assert!(
+                        balance.abs() <= bound,
+                        "processed + pending - admitted = {balance} (bound {bound})"
+                    );
+                }
+            }
+        }
     }
 }
