@@ -426,49 +426,6 @@ impl CallGraph {
         }
         out
     }
-
-    /// Per-file reachable-file sets (including the file itself): the
-    /// transitive closure of "a fn in A calls a fn in B". This keys the
-    /// incremental cache — a file's graph findings are only valid while
-    /// every file its analysis looked at is unchanged.
-    #[must_use]
-    pub fn file_closure(&self, file_count: usize) -> Vec<Vec<usize>> {
-        let mut direct: Vec<Vec<usize>> = vec![Vec::new(); file_count];
-        for (id, adj) in self.edges.iter().enumerate() {
-            let from_file = self.fns[id].file;
-            for e in adj {
-                let to_file = self.fns[e.to].file;
-                if to_file != from_file && from_file < file_count {
-                    direct[from_file].push(to_file);
-                }
-            }
-        }
-        for d in &mut direct {
-            d.sort_unstable();
-            d.dedup();
-        }
-        let mut closure: Vec<Vec<usize>> = Vec::with_capacity(file_count);
-        for start in 0..file_count {
-            let mut seen = vec![false; file_count];
-            let mut stack = vec![start];
-            seen[start] = true;
-            while let Some(f) = stack.pop() {
-                for &n in &direct[f] {
-                    if !seen[n] {
-                        seen[n] = true;
-                        stack.push(n);
-                    }
-                }
-            }
-            closure.push(
-                seen.iter()
-                    .enumerate()
-                    .filter_map(|(i, &s)| s.then_some(i))
-                    .collect(),
-            );
-        }
-        closure
-    }
 }
 
 /// Whether `full` ends with the segments of `suffix`.
@@ -732,29 +689,6 @@ mod tests {
         assert_eq!(fwd, rev);
         assert_eq!(fwd, mid);
         assert!(!fwd.is_empty());
-    }
-
-    #[test]
-    fn file_closure_is_transitive() {
-        let g = files(&[
-            ("crates/core/src/a.rs", "pub fn leaf() {}\n"),
-            (
-                "crates/sim/src/b.rs",
-                "use ins_core::a::leaf;\npub fn mid() { leaf(); }\n",
-            ),
-            (
-                "crates/fleet/src/c.rs",
-                "use ins_sim::b::mid;\npub fn top() { mid(); }\n",
-            ),
-        ])
-        .graph();
-        let closure = g.file_closure(3);
-        // Files are path-sorted: battery/core < fleet < sim here the
-        // sort is core(0)? paths: crates/core.. < crates/fleet.. < crates/sim..
-        let top_file = g.fns.iter().find(|f| f.name == "top").unwrap().file;
-        assert_eq!(closure[top_file].len(), 3, "top reaches mid and leaf");
-        let leaf_file = g.fns.iter().find(|f| f.name == "leaf").unwrap().file;
-        assert_eq!(closure[leaf_file].len(), 1, "leaf reaches only itself");
     }
 
     #[test]

@@ -1,29 +1,21 @@
 //! The analysis engine: file collection, the token- and graph-pass
-//! pipeline, the suppression/L010 protocol, and the incremental cache
-//! integration.
+//! pipeline, and the suppression/L010 protocol.
 //!
-//! Every run follows the same shape regardless of caching:
+//! Every run reads, parses and analyzes the whole linted set:
 //!
-//! 1. read + digest all files, lex/parse everything (parsing is cheap
-//!    and the call graph needs the whole workspace);
-//! 2. per file, run the token passes — or reuse the cached raw
-//!    findings when the content digest matches;
-//! 3. build the call graph, compute per-file closure digests, and run
-//!    the graph passes for roots in *dirty* files only — clean files
-//!    reuse their cached raw graph findings;
-//! 4. merge raw findings per file, apply the suppression protocol
-//!    (markers that excuse nothing become L010 findings — including
-//!    markers for cached findings, since the cache stores raw,
-//!    pre-suppression results), filter to the enabled rules, sort.
-//!
-//! Because suppression and filtering always run after the cache layer,
-//! a warm run is byte-identical to a cold run by construction.
+//! 1. read all files, lex/parse everything (parsing is cheap and the
+//!    call graph needs the whole workspace), and fold every file into
+//!    the symbol index — the token rules read its workspace unit
+//!    catalog, so a file's findings can change when another file does;
+//! 2. build the call graph and run the graph passes;
+//! 3. per file, run the token passes, merge in the file's graph
+//!    findings, apply the suppression protocol (markers that excuse
+//!    nothing become L010 findings), filter to the enabled rules, sort.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{closure_digest, fnv1a_bytes, Cache, CacheEntry};
 use crate::callgraph::CallGraph;
 use crate::context::FileContext;
 use crate::index::SymbolIndex;
@@ -102,23 +94,15 @@ fn run_token_passes(file: &FileContext<'_>, index: &SymbolIndex, config: &Config
     findings
 }
 
-/// The full pipeline over in-memory sources. `cache` carries state in
-/// and out when provided; pass `None` for a from-scratch run.
+/// The full pipeline over in-memory sources: every file is read,
+/// parsed and analyzed on every call.
 ///
 /// This is the engine's real entry point; [`analyze_paths`] and
 /// [`analyze_source`] are thin adapters over it. Public so harnesses
 /// (golden fixtures, fuzzers) can drive multi-file analyses without
 /// touching the filesystem.
-pub fn analyze_sources(
-    mut sources: Vec<(String, String)>,
-    config: &Config,
-    cache: Option<&mut Cache>,
-) -> Vec<Finding> {
+pub fn analyze_sources(mut sources: Vec<(String, String)>, config: &Config) -> Vec<Finding> {
     sources.sort_by(|a, b| a.0.cmp(&b.0));
-    let digests: Vec<u64> = sources
-        .iter()
-        .map(|(_, src)| fnv1a_bytes(src.as_bytes()))
-        .collect();
     let contexts: Vec<FileContext<'_>> = sources
         .iter()
         .map(|(path, src)| FileContext::new(path, src))
@@ -132,91 +116,32 @@ pub fn analyze_sources(
         index.add_parsed(p);
     }
     let inputs: Vec<(&FileContext<'_>, &ParsedFile)> = contexts.iter().zip(parsed.iter()).collect();
-    let n = inputs.len();
-    let cached_entry =
-        |path: &str| -> Option<&CacheEntry> { cache.as_ref().and_then(|c| c.files.get(path)) };
 
-    // Token passes, content-digest keyed.
-    let token_findings: Vec<Vec<Finding>> = (0..n)
-        .map(|i| {
-            if let Some(entry) = cached_entry(&contexts[i].path) {
-                if entry.digest == digests[i] {
-                    return entry.token_findings.clone();
-                }
-            }
-            run_token_passes(&contexts[i], &index, config)
-        })
-        .collect();
-
-    // Graph passes, closure-digest keyed.
     let graph = CallGraph::build(&inputs, &index);
-    let closures = graph.file_closure(n);
-    let closure_digests: Vec<u64> = closures
-        .iter()
-        .map(|files| {
-            // File indices are path-sorted already, so the pair list is
-            // sorted by path as `closure_digest` requires.
-            let pairs: Vec<(&str, u64)> = files
-                .iter()
-                .map(|&f| (contexts[f].path.as_str(), digests[f]))
-                .collect();
-            closure_digest(&pairs)
-        })
-        .collect();
-    let dirty: Vec<bool> = (0..n)
-        .map(|i| {
-            cached_entry(&contexts[i].path).is_none_or(|entry| entry.closure != closure_digests[i])
-        })
-        .collect();
-    let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); n];
-    if dirty.iter().any(|&d| d) {
-        let gctx = GraphCtx {
-            graph: &graph,
-            files: &inputs,
-            config,
-            dirty: Some(&dirty),
-        };
-        let mut fresh = Vec::new();
-        for pass in graph_passes() {
-            pass.run(&gctx, &mut fresh);
-        }
-        // Graph findings are always anchored in the file that owns the
-        // root (L011/L012) or the call site (L013).
-        for f in fresh {
-            if let Ok(i) = contexts.binary_search_by(|c| c.path.as_str().cmp(&f.path)) {
-                graph_findings[i].push(f);
-            }
-        }
+    let gctx = GraphCtx {
+        graph: &graph,
+        files: &inputs,
+        config,
+    };
+    let mut fresh = Vec::new();
+    for pass in graph_passes() {
+        pass.run(&gctx, &mut fresh);
     }
-    for i in 0..n {
-        if !dirty[i] {
-            if let Some(entry) = cached_entry(&contexts[i].path) {
-                graph_findings[i] = entry.graph_findings.clone();
-            }
+    // Graph findings are always anchored in the file that owns the
+    // root (L011/L012) or the call site (L013).
+    let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); contexts.len()];
+    for f in fresh {
+        if let Ok(i) = contexts.binary_search_by(|c| c.path.as_str().cmp(&f.path)) {
+            graph_findings[i].push(f);
         }
     }
 
-    // Write the cache back: exactly the current file set.
-    if let Some(cache) = cache {
-        cache.files.clear();
-        for i in 0..n {
-            cache.files.insert(
-                contexts[i].path.clone(),
-                CacheEntry {
-                    digest: digests[i],
-                    closure: closure_digests[i],
-                    token_findings: token_findings[i].clone(),
-                    graph_findings: graph_findings[i].clone(),
-                },
-            );
-        }
-    }
-
-    // Suppression protocol and final ordering.
+    // Token findings first, then graph findings: both sorts below are
+    // stable, so ties on (path, line, rule) keep this order.
     let mut out = Vec::new();
-    for (i, ctx) in contexts.iter().enumerate() {
-        let mut merged = token_findings[i].clone();
-        merged.extend(graph_findings[i].iter().cloned());
+    for (ctx, graph_found) in contexts.iter().zip(graph_findings) {
+        let mut merged = run_token_passes(ctx, &index, config);
+        merged.extend(graph_found);
         out.extend(apply_suppressions(ctx, merged, config));
     }
     out.sort_by(|a, b| (&a.path, a.line, a.rule.id()).cmp(&(&b.path, b.line, b.rule.id())));
@@ -232,7 +157,7 @@ pub fn analyze_sources(
 /// before folding in the file itself.
 #[must_use]
 pub fn analyze_source(path: &str, src: &str, config: &Config) -> Vec<Finding> {
-    analyze_sources(vec![(path.to_string(), src.to_string())], config, None)
+    analyze_sources(vec![(path.to_string(), src.to_string())], config)
 }
 
 /// Recursively collects `.rs` files under each path (files pass through).
@@ -291,104 +216,38 @@ fn read_sources(roots: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
 ///
 /// Propagates filesystem errors (unreadable file or directory).
 pub fn analyze_paths(roots: &[PathBuf], config: &Config) -> io::Result<Vec<Finding>> {
-    Ok(analyze_sources(read_sources(roots)?, config, None))
-}
-
-/// [`analyze_paths`] with the incremental cache at `cache_file`: loads
-/// it (discarding on version/config mismatch), reuses per-file results
-/// whose digests still match, and writes the updated cache back.
-/// Produces byte-identical findings to the uncached run.
-///
-/// # Errors
-///
-/// Propagates filesystem errors reading sources or writing the cache.
-/// A missing or corrupt cache file is not an error.
-pub fn analyze_paths_cached(
-    roots: &[PathBuf],
-    config: &Config,
-    cache_file: &Path,
-) -> io::Result<Vec<Finding>> {
-    let fingerprint = crate::cache::config_fingerprint(config);
-    let mut cache = Cache::load(cache_file, fingerprint);
-    let findings = analyze_sources(read_sources(roots)?, config, Some(&mut cache));
-    cache.save(cache_file)?;
-    Ok(findings)
+    Ok(analyze_sources(read_sources(roots)?, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn source_set() -> Vec<(String, String)> {
-        vec![
-            (
-                "crates/battery/src/pack.rs".to_string(),
-                "fn helper() { panic!(\"boom\"); }\npub fn entry() { helper(); }\n".to_string(),
-            ),
-            (
-                "crates/sim/src/run.rs".to_string(),
-                "use ins_battery::pack::entry;\npub fn tick() { entry(); }\n".to_string(),
-            ),
-        ]
-    }
+    const ROOT_CALLS_PANIC: &str = "fn helper() { panic!(\"boom\"); }\n\
+                                    pub fn entry() { helper(); }\n";
 
     #[test]
-    fn cold_and_warm_runs_are_identical() {
+    fn inline_allow_suppresses_a_graph_finding() {
         let config = Config::default_workspace();
-        let fp = crate::cache::config_fingerprint(&config);
-        let mut cache = Cache::new(fp);
-        let cold = analyze_sources(source_set(), &config, Some(&mut cache));
-        assert!(!cache.files.is_empty(), "cache populated after a cold run");
-        let warm = analyze_sources(source_set(), &config, Some(&mut cache));
-        assert_eq!(cold, warm);
+        let path = "crates/battery/src/pack.rs";
+        let bare = analyze_source(path, ROOT_CALLS_PANIC, &config);
         assert!(
-            cold.iter().any(|f| f.rule == Rule::TransitivePanic),
-            "the fixture has a real L011: {cold:?}"
+            bare.iter()
+                .any(|f| f.rule == Rule::TransitivePanic && f.line == 2),
+            "without a marker the root's L011 is reported: {bare:?}"
         );
-    }
-
-    #[test]
-    fn editing_a_dependency_invalidates_the_dependent_closure() {
-        let config = Config::default_workspace();
-        let fp = crate::cache::config_fingerprint(&config);
-        let mut cache = Cache::new(fp);
-        let before = analyze_sources(source_set(), &config, Some(&mut cache));
-        assert!(before
-            .iter()
-            .any(|f| { f.rule == Rule::TransitivePanic && f.path == "crates/sim/src/run.rs" }));
-        // Fix the panic in battery; sim's cached L011 must disappear
-        // even though sim's own content is unchanged.
-        let mut edited = source_set();
-        edited[0].1 = "fn helper() {}\npub fn entry() { helper(); }\n".to_string();
-        let after = analyze_sources(edited, &config, Some(&mut cache));
-        assert!(
-            !after.iter().any(|f| f.rule == Rule::TransitivePanic),
-            "stale graph finding survived a dependency edit: {after:?}"
+        let allowed = ROOT_CALLS_PANIC.replace(
+            "pub fn entry",
+            "// ins-lint: allow(L011) -- known, tracked in #42\npub fn entry",
         );
-    }
-
-    #[test]
-    fn suppression_applies_to_cached_findings_too() {
-        let config = Config::default_workspace();
-        let fp = crate::cache::config_fingerprint(&config);
-        let mut cache = Cache::new(fp);
-        let src = vec![(
-            "crates/battery/src/pack.rs".to_string(),
-            "fn helper() { panic!(\"boom\"); }\n\
-             // ins-lint: allow(L011) -- known, tracked in #42\n\
-             pub fn entry() { helper(); }\n"
-                .to_string(),
-        )];
-        let first = analyze_sources(src.clone(), &config, Some(&mut cache));
-        let second = analyze_sources(src, &config, Some(&mut cache));
-        assert_eq!(first, second);
+        let findings = analyze_source(path, &allowed, &config);
         assert!(
-            !second.iter().any(|f| f.rule == Rule::TransitivePanic),
-            "suppression must hold on warm runs: {second:?}"
+            !findings.iter().any(|f| f.rule == Rule::TransitivePanic),
+            "the marker suppresses the graph-pass finding: {findings:?}"
         );
         assert!(
-            !second.iter().any(|f| f.rule == Rule::StaleSuppression),
-            "the marker is used, not stale: {second:?}"
+            !findings.iter().any(|f| f.rule == Rule::StaleSuppression),
+            "the marker is used, not stale: {findings:?}"
         );
     }
 }

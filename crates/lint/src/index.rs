@@ -1,21 +1,20 @@
 //! A lightweight cross-file symbol index of the workspace.
 //!
 //! The index is deliberately shallow — no name resolution, no types —
-//! but it gives rule passes the two pieces of global knowledge the
+//! but it gives the passes the two pieces of global knowledge the
 //! token stream of a single file cannot provide:
 //!
 //! * the set of `ins-units` quantity newtypes (discovered from the
 //!   `quantity!(...)` invocations and transparent structs in the units
 //!   crate, so the linter tracks the real catalog instead of a
 //!   hard-coded list), each tagged dimensioned or dimensionless;
-//! * every `pub fn` name in the workspace and the files defining it
-//!   (used to cross-check signatures and available for future passes).
+//! * every file's `use` imports, which the call-graph resolver reads.
 //!
 //! When the linted path set does not include the units crate (single
 //! files, unit-test fixtures), a built-in seed of the workspace's known
 //! quantity types keeps the unit-flow rules meaningful.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::context::FileContext;
 use crate::parser::ParsedFile;
@@ -36,8 +35,6 @@ pub enum Dimension {
 #[derive(Debug, Clone, Default)]
 pub struct SymbolIndex {
     unit_types: BTreeMap<String, Dimension>,
-    /// `pub fn` name → set of files (normalized paths) defining it.
-    pub pub_fns: BTreeMap<String, BTreeSet<String>>,
     /// Per file: `use` imports as `(alias, full path segments)`, with
     /// `ins_*` lib names canonicalized to workspace crate names. The
     /// call-graph resolver consults this table.
@@ -80,18 +77,12 @@ impl SymbolIndex {
         self.unit_types.get(name).copied()
     }
 
-    /// All known quantity newtypes, in name order.
-    #[must_use]
-    pub fn unit_types(&self) -> Vec<&str> {
-        self.unit_types.keys().map(String::as_str).collect()
-    }
-
-    /// Folds one file's symbols into the index.
+    /// Folds one file's quantity newtypes into the index; only files
+    /// of the units crate define any.
     pub fn add_file(&mut self, ctx: &FileContext<'_>) {
         if ctx.path.contains("crates/units") {
             self.scan_unit_types(ctx);
         }
-        self.scan_pub_fns(ctx);
     }
 
     /// Folds one file's parse — currently its `use` imports — into the
@@ -163,31 +154,6 @@ impl SymbolIndex {
                     };
                     self.unit_types.insert(name.to_string(), dim);
                 }
-            }
-        }
-    }
-
-    /// Records `pub fn name` signatures (skipping `pub(crate)` and other
-    /// restricted visibility, which is not public API).
-    fn scan_pub_fns(&mut self, ctx: &FileContext<'_>) {
-        let n = ctx.sig.len();
-        for i in 0..n {
-            if ctx.sig_text(i) != "pub" || ctx.sig_text(i + 1) == "(" {
-                continue;
-            }
-            let mut j = i + 1;
-            while matches!(ctx.sig_text(j), "const" | "unsafe" | "async" | "extern") {
-                j += 1;
-            }
-            if ctx.sig_text(j) != "fn" {
-                continue;
-            }
-            let name = ctx.sig_text(j + 1);
-            if !name.is_empty() && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_') {
-                self.pub_fns
-                    .entry(name.to_string())
-                    .or_default()
-                    .insert(ctx.path.clone());
             }
         }
     }
@@ -273,18 +239,5 @@ mod tests {
             !other.is_unit_type("Frac"),
             "only the units crate defines quantities"
         );
-    }
-
-    #[test]
-    fn pub_fns_are_indexed_with_their_files() {
-        let src =
-            "pub fn alpha() {}\npub(crate) fn hidden() {}\npub const fn beta() {}\nfn gamma() {}\n";
-        let mut idx = SymbolIndex::default();
-        idx.add_file(&FileContext::new("crates/core/src/x.rs", src));
-        assert!(idx.pub_fns.contains_key("alpha"));
-        assert!(idx.pub_fns.contains_key("beta"));
-        assert!(!idx.pub_fns.contains_key("hidden"));
-        assert!(!idx.pub_fns.contains_key("gamma"));
-        assert!(idx.pub_fns["alpha"].contains("crates/core/src/x.rs"));
     }
 }

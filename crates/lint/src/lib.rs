@@ -59,13 +59,10 @@
 //! that exits non-zero when unsuppressed findings remain. Reports come
 //! in plain text, JSON ([`report_json`]) and SARIF 2.1.0
 //! ([`sarif::report_sarif`], with call paths as `codeFlows`) for CI
-//! annotations; [`baseline`] supports incremental adoption and
-//! [`cache`] makes warm re-runs incremental (per-file findings keyed by
-//! content digest, graph passes re-run only on the dirty transitive
-//! closure).
+//! annotations; [`baseline`] supports incremental adoption. Every run
+//! analyzes the whole linted set ([`engine`]).
 
 pub mod baseline;
-pub mod cache;
 pub mod callgraph;
 pub mod context;
 pub mod engine;
@@ -78,9 +75,7 @@ pub mod sarif;
 
 use std::fmt;
 
-pub use engine::{
-    analyze_paths, analyze_paths_cached, analyze_source, analyze_sources, collect_rust_files,
-};
+pub use engine::{analyze_paths, analyze_source, analyze_sources, collect_rust_files};
 pub(crate) use report::escape_json;
 pub use report::report_json;
 

@@ -2,27 +2,24 @@
 //!
 //! ```text
 //! cargo run -p ins-lint -- [--json|--sarif] [--rules L001,L004]
-//!     [--baseline FILE] [--write-baseline FILE]
-//!     [--cache FILE | --no-cache] [--explain Lxxx] <path>...
+//!     [--baseline FILE] [--write-baseline FILE] [--explain Lxxx] <path>...
 //! ```
 //!
+//! Every run reads and analyzes every `.rs` file under the given paths.
 //! Exit codes: `0` clean, `1` unsuppressed findings, `2` usage or I/O
-//! error.
+//! error (an unknown option or rule id, or a path that does not exist).
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ins_lint::{
-    analyze_paths, analyze_paths_cached, baseline, report_json, sarif, Config, Finding, Rule,
-    TraceHop,
-};
+use ins_lint::{analyze_paths, baseline, report_json, sarif, Config, Finding, Rule, TraceHop};
 
 fn usage() -> &'static str {
     "usage: ins-lint [--json|--sarif] [--rules L001,L002,...]\n\
      \x20               [--baseline FILE] [--write-baseline FILE]\n\
-     \x20               [--cache FILE | --no-cache] [--explain Lxxx] <path>...\n\
+     \x20               [--explain Lxxx] <path>...\n\
      \n\
      Scans .rs files under each path for InSURE convention violations.\n\
      Rules:\n\
@@ -43,9 +40,7 @@ fn usage() -> &'static str {
      above the line. `--explain Lxxx` prints a rule's full semantics.\n\
      --baseline subtracts findings listed in FILE (see lint-baseline.txt);\n\
      stale entries are reported as L010. --write-baseline regenerates\n\
-     FILE from the current findings.\n\
-     The incremental cache defaults to target/ins-lint-cache.tsv; use\n\
-     --cache to relocate it or --no-cache for a from-scratch run."
+     FILE from the current findings."
 }
 
 /// Prints the long-form explanation for one rule, including a rendered
@@ -69,7 +64,7 @@ fn explain(rule: Rule) {
                 12,
                 Rule::TransitivePanic,
                 "`router::route` can reach a panic: `.unwrap(…)` in \
-                 `breaker::trip` (2 call(s) away)"
+                 `breaker::trip` (2 calls away)"
                     .to_string(),
             );
             f.trace = vec![
@@ -157,7 +152,6 @@ fn main() -> ExitCode {
     let mut sarif_out = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
-    let mut cache_file: Option<PathBuf> = Some(PathBuf::from("target/ins-lint-cache.tsv"));
     let mut roots: Vec<PathBuf> = Vec::new();
     let mut config = Config::default_workspace();
     let mut args = std::env::args().skip(1);
@@ -165,14 +159,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--sarif" => sarif_out = true,
-            "--no-cache" => cache_file = None,
-            "--cache" => {
-                let Some(file) = args.next() else {
-                    eprintln!("--cache needs a file path\n\n{}", usage());
-                    return ExitCode::from(2);
-                };
-                cache_file = Some(PathBuf::from(file));
-            }
             "--explain" => {
                 let Some(id) = args.next() else {
                     eprintln!("--explain needs a rule id\n\n{}", usage());
@@ -190,11 +176,10 @@ fn main() -> ExitCode {
                     eprintln!("--rules needs a comma-separated id list\n\n{}", usage());
                     return ExitCode::from(2);
                 };
-                let rules: Vec<Rule> = list.split(',').filter_map(Rule::from_id).collect();
-                if rules.is_empty() {
-                    eprintln!("no valid rule ids in {list:?}\n\n{}", usage());
+                let Some(rules) = list.split(',').map(Rule::from_id).collect() else {
+                    eprintln!("unknown rule id in {list:?}\n\n{}", usage());
                     return ExitCode::from(2);
-                }
+                };
                 config.rules = rules;
             }
             "--baseline" | "--write-baseline" => {
@@ -212,6 +197,10 @@ fn main() -> ExitCode {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
             }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown option {flag:?}\n\n{}", usage());
+                return ExitCode::from(2);
+            }
             _ => roots.push(PathBuf::from(arg)),
         }
     }
@@ -219,17 +208,11 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::from(2);
     }
-    let analyzed = match &cache_file {
-        Some(path) => {
-            if let Some(dir) = path.parent() {
-                // Best-effort: a missing target/ dir must not fail the run.
-                let _ = fs::create_dir_all(dir);
-            }
-            analyze_paths_cached(&roots, &config, path)
-        }
-        None => analyze_paths(&roots, &config),
-    };
-    let mut findings = match analyzed {
+    if let Some(missing) = roots.iter().find(|root| !root.exists()) {
+        eprintln!("no such path {}\n\n{}", missing.display(), usage());
+        return ExitCode::from(2);
+    }
+    let mut findings = match analyze_paths(&roots, &config) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("ins-lint: {e}");

@@ -26,19 +26,6 @@ pub struct GraphCtx<'a> {
     pub files: &'a [(&'a FileContext<'a>, &'a ParsedFile)],
     /// The analyzer configuration.
     pub config: &'a Config,
-    /// When set, passes only evaluate roots/calls owned by files
-    /// flagged `true` — the incremental engine's dirty set. `None`
-    /// means analyze everything.
-    pub dirty: Option<&'a [bool]>,
-}
-
-impl GraphCtx<'_> {
-    /// Whether findings owned by `file` should be (re)computed.
-    #[must_use]
-    pub fn wants(&self, file: usize) -> bool {
-        self.dirty
-            .is_none_or(|d| d.get(file).copied().unwrap_or(true))
-    }
 }
 
 /// One interprocedural rule pass.
@@ -135,7 +122,7 @@ impl GraphPass for TransitivePanic {
 
     fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
         for (id, node) in ctx.graph.fns.iter().enumerate() {
-            if !ctx.wants(node.file) || !is_panic_root(ctx.config, node) {
+            if !is_panic_root(ctx.config, node) {
                 continue;
             }
             let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.panic_sites.is_empty()) else {
@@ -198,7 +185,7 @@ impl GraphPass for DeterminismTaint {
 
     fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
         for (id, node) in ctx.graph.fns.iter().enumerate() {
-            if !ctx.wants(node.file) || node.is_test || !node.is_pub {
+            if node.is_test || !node.is_pub {
                 continue;
             }
             let lname = node.name.to_ascii_lowercase();
@@ -256,9 +243,6 @@ impl GraphPass for CrossUnitFlow {
             callee_of.insert((rc.file, rc.call), rc.to);
         }
         for rc in &ctx.graph.resolved {
-            if !ctx.wants(rc.file) {
-                continue;
-            }
             let (file_ctx, parsed) = ctx.files[rc.file];
             let call = &parsed.calls[rc.call];
             if call.in_test {
@@ -363,7 +347,6 @@ mod tests {
             graph: &graph,
             files: &inputs,
             config: &config,
-            dirty: None,
         };
         let mut out = Vec::new();
         for pass in graph_passes() {

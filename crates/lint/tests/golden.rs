@@ -113,7 +113,7 @@ fn fixtures_match_expected_findings() {
         let files = split_fixture(virtual_path, &src);
         let multi = files.len() > 1;
         let findings = if multi {
-            analyze_sources(files, &config, None)
+            analyze_sources(files, &config)
         } else {
             analyze_source(virtual_path, &src, &config)
         };

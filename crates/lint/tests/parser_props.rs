@@ -1,7 +1,7 @@
-//! Property tests for the interprocedural layer: the item parser, the
-//! call graph, and the incremental cache.
+//! Property tests for the interprocedural layer: the item parser and
+//! the call graph.
 //!
-//! Three contracts hold over generated inputs:
+//! Two contracts hold over generated inputs:
 //!
 //! 1. **Item tiling** — top-level item spans and the gaps between them
 //!    partition `0..len` byte-exactly ([`ParsedFile::segments`]), and
@@ -11,9 +11,6 @@
 //!    is byte-identical no matter what order files arrive in, so a
 //!    parallel or platform-dependent directory walk can never change
 //!    findings.
-//! 3. **Cache transparency** — a warm (fully cached) run produces
-//!    byte-identical `--json` output to the cold run that populated the
-//!    cache.
 //!
 //! The shim's strategies cannot generate strings directly, so inputs are
 //! built from integer draws into an alphabet of item-level constructs.
@@ -22,10 +19,7 @@ use ins_lint::callgraph::CallGraph;
 use ins_lint::context::FileContext;
 use ins_lint::index::SymbolIndex;
 use ins_lint::parser::{parse, ParsedFile};
-use ins_lint::{analyze_paths_cached, report_json, Config};
 use proptest::prelude::*;
-// ins-lint: allow(L006) -- test scaffolding: a counter naming scratch dirs, not shared sim state
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Item-level constructs, including attributed, nested, unterminated
 /// and unbalanced ones that stress the parser's recovery paths.
@@ -138,15 +132,6 @@ fn render_graph(selection: &[usize]) -> String {
     CallGraph::build(&inputs, &index).render()
 }
 
-/// Unique scratch directory per proptest case (no wall clock allowed
-/// in deterministic tests, so a process-wide counter disambiguates).
-fn scratch_dir() -> std::path::PathBuf {
-    // ins-lint: allow(L006) -- test scaffolding: a counter naming scratch dirs, not shared sim state
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("ins-lint-props-{}-{n}", std::process::id()))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -170,31 +155,6 @@ proptest! {
         shuffled.sort_by_key(|&i| (seed[i], i));
         let sorted: Vec<usize> = (0..WORKSPACE.len()).collect();
         prop_assert_eq!(render_graph(&shuffled), render_graph(&sorted));
-    }
-}
-
-proptest! {
-    // Each case does real file I/O; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn cache_warm_run_matches_cold_json(indices in collection::vec(0usize..ITEMS.len(), 1..12)) {
-        let dir = scratch_dir();
-        let src_dir = dir.join("crates/battery/src");
-        std::fs::create_dir_all(&src_dir).unwrap();
-        // Split the draws across two files so the call graph spans them.
-        let mid = indices.len() / 2;
-        let a: String = indices[..mid].iter().map(|&i| ITEMS[i]).collect();
-        let b: String = indices[mid..].iter().map(|&i| ITEMS[i]).collect();
-        std::fs::write(src_dir.join("a.rs"), &a).unwrap();
-        std::fs::write(src_dir.join("b.rs"), &b).unwrap();
-        let config = Config::default_workspace();
-        let cache = dir.join("cache.tsv");
-        let roots = vec![dir.clone()];
-        let cold = report_json(&analyze_paths_cached(&roots, &config, &cache).unwrap());
-        let warm = report_json(&analyze_paths_cached(&roots, &config, &cache).unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(cold, warm);
     }
 }
 
