@@ -13,7 +13,6 @@
 //! * [`charge`] — CC–CV acceptance envelope and SoC-dependent gassing
 //!   losses, the basis for spatial (concentrated) charging,
 //! * [`wear`] — ampere-hour throughput lifetime accounting (Fig. 19),
-//! * [`soh`] — opt-in capacity-fade (state-of-health) extension,
 //! * [`mod@unit`] / [`pack`] — the switchable [`BatteryUnit`] façade and
 //!   pack-level aggregation.
 //!
@@ -38,7 +37,6 @@ pub mod charge;
 pub mod kibam;
 pub mod pack;
 pub mod params;
-pub mod soh;
 pub mod unit;
 pub mod voltage;
 pub mod wear;

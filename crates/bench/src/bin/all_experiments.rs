@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use ins_bench::experiments::{
     buffer, costs, endurance, faults, fleet, fullsys, hetero, logs, micro, recovery, sizing, traces,
 };
-use ins_bench::runner::{parse_threads, run_cells};
+use ins_bench::runner::{run_cells, Flag, SweepArgs};
 use ins_bench::table::{dollars, TextTable};
 use ins_sim::units::WattHours;
 
@@ -302,14 +302,12 @@ fn heading(s: &str) {
     println!("{}", "=".repeat(72));
 }
 
+const USAGE: &str = "usage: all_experiments [--threads N]";
+
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let threads = match parse_threads(&argv) {
-        Ok(t) => t.unwrap_or(0),
-        Err(e) => {
-            eprintln!("{e}\nusage: all_experiments [--threads N]");
-            return ExitCode::from(2);
-        }
+    let threads = match SweepArgs::from_env(USAGE, &[Flag::Threads], |_, _| Ok(false)) {
+        Ok(args) => args.threads,
+        Err(code) => return code,
     };
 
     // Every section runs — a panic is caught and reported as that

@@ -22,7 +22,7 @@ use std::time::Instant;
 use criterion::{black_box, Criterion};
 use ins_bench::experiments::{faults, recovery};
 use ins_bench::export::json_number;
-use ins_bench::runner::parse_threads;
+use ins_bench::runner::{Flag, SweepArgs};
 use ins_core::controller::InsureController;
 use ins_core::system::InSituSystem;
 use ins_sim::pool::available_threads;
@@ -210,35 +210,22 @@ fn sweep_report(threads: usize) -> String {
     bench_json(&results, &fields)
 }
 
+const USAGE: &str = "usage: bench_report [--threads N] [--out DIR]";
+
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let threads = match parse_threads(&argv) {
-        Ok(t) => {
-            let t = t.unwrap_or(0);
-            if t == 0 {
-                available_threads()
-            } else {
-                t
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}\nusage: bench_report [--threads N] [--out DIR]");
-            return ExitCode::from(2);
-        }
-    };
     let mut out_dir = String::from(".");
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--out" {
-            match it.next() {
-                Some(d) => out_dir = d.clone(),
-                None => {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::from(2);
-                }
-            }
+    let parsed = SweepArgs::from_env(USAGE, &[Flag::Threads], |flag, rest| match flag {
+        "--out" => {
+            out_dir = rest.next().ok_or("--out needs a directory")?.clone();
+            Ok(true)
         }
-    }
+        _ => Ok(false),
+    });
+    let threads = match parsed {
+        Ok(args) if args.threads == 0 => available_threads(),
+        Ok(args) => args.threads,
+        Err(code) => return code,
+    };
 
     println!("== step hot path ==");
     let step = step_report();

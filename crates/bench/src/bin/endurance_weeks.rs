@@ -17,30 +17,21 @@ use std::process::ExitCode;
 use ins_bench::experiments::endurance::{
     endurance, sunshine_sweep_incremental, sunshine_sweep_with,
 };
-use ins_bench::runner::{parse_incremental, parse_threads};
+use ins_bench::runner::{Flag, SweepArgs};
 use ins_bench::table::TextTable;
 
+const USAGE: &str = "usage: endurance_weeks [--threads N] [--incremental|--no-incremental]";
+
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: endurance_weeks [--threads N] [--incremental|--no-incremental]";
-    let threads = match parse_threads(&argv) {
-        Ok(t) => t.unwrap_or(0),
-        Err(e) => {
-            eprintln!("{e}\n{usage}");
-            return ExitCode::from(2);
-        }
+    let flags = [Flag::Threads, Flag::Incremental];
+    let SweepArgs {
+        threads,
+        incremental,
+        ..
+    } = match SweepArgs::from_env(USAGE, &flags, |_, _| Ok(false)) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-    let incremental = parse_incremental(&argv);
-    if let Some(bad) = argv.iter().find(|a| {
-        *a != "--threads"
-            && !a.starts_with("--threads=")
-            && *a != "--incremental"
-            && *a != "--no-incremental"
-            && a.parse::<usize>().is_err()
-    }) {
-        eprintln!("unknown flag '{bad}'\n{usage}");
-        return ExitCode::from(2);
-    }
 
     println!("Endurance — two weeks of mixed weather under InSURE");
     let run = endurance(14, 9);

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use ins_bench::experiments::faults::{
     render, sweep_rates_incremental, sweep_rates_with, to_json, RATES_HOURS,
 };
-use ins_bench::runner::SweepArgs;
+use ins_bench::runner::{SweepArgs, SWEEP_FLAGS};
 
 const USAGE: &str = "usage: fault_sweep [--seed N] [--rates H1,H2,...] [--threads N] [--json] \
                      [--incremental|--no-incremental]";
@@ -42,23 +42,18 @@ fn parse_rates(list: &str) -> Result<Vec<Option<f64>>, String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut rates = RATES_HOURS.to_vec();
-    let parsed = SweepArgs::parse(&argv, |flag, rest| match flag {
+    let parsed = SweepArgs::from_env(USAGE, SWEEP_FLAGS, |flag, rest| match flag {
         "--rates" => {
             let v = rest.next().ok_or("--rates needs a comma-separated list")?;
             rates = parse_rates(v)?;
-            Ok(())
+            Ok(true)
         }
-        "--help" | "-h" => Err(USAGE.to_string()),
-        other => Err(format!("unknown flag '{other}'\n{USAGE}")),
+        _ => Ok(false),
     });
     let args = match parsed {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+        Ok(args) => args,
+        Err(code) => return code,
     };
     let rows = if args.incremental {
         sweep_rates_incremental(args.seed, &rates, args.threads)

@@ -10,16 +10,14 @@
 use std::process::ExitCode;
 
 use ins_bench::experiments::costs::{fig25_with, render_fig25};
-use ins_bench::runner::parse_threads;
+use ins_bench::runner::{Flag, SweepArgs};
+
+const USAGE: &str = "usage: fig25_scenarios [--threads N]";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let threads = match parse_threads(&argv) {
-        Ok(t) => t.unwrap_or(0),
-        Err(e) => {
-            eprintln!("{e}\nusage: fig25_scenarios [--threads N]");
-            return ExitCode::from(2);
-        }
+    let threads = match SweepArgs::from_env(USAGE, &[Flag::Threads], |_, _| Ok(false)) {
+        Ok(args) => args.threads,
+        Err(code) => return code,
     };
     println!("Fig. 25 — per-application cost savings of InSURE over the cloud");
     println!("{}", render_fig25(&fig25_with(threads)));

@@ -21,27 +21,20 @@ use ins_bench::experiments::fleet::{
     render, sweep_grid_incremental, sweep_grid_with, to_json, BREAKER_POLICIES, FAULT_RATES_HOURS,
     FLEET_SIZES,
 };
-use ins_bench::runner::SweepArgs;
+use ins_bench::runner::{SweepArgs, SWEEP_FLAGS};
 
 const USAGE: &str = "usage: fleet_resilience [--seed N] [--threads N] [--json] \
                      [--incremental|--no-incremental]";
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = SweepArgs::parse(&argv, |flag, _| {
-        Err(format!("unknown flag '{flag}'\n{USAGE}"))
-    });
     let SweepArgs {
         seed,
         threads,
         json,
         incremental,
-    } = match parsed {
+    } = match SweepArgs::from_env(USAGE, SWEEP_FLAGS, |_, _| Ok(false)) {
         Ok(args) => args,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let rows = if incremental {
         sweep_grid_incremental(

@@ -28,7 +28,22 @@
 //! | `endurance_weeks` | multi-day Eq. 1 screening + sunshine sweep |
 //! | `fault_sweep` | fault-rate sweep: degradation under injected faults |
 //! | `recovery` | checkpoint interval × fault rate: goodput, lost work, MTTR |
+//! | `fleet_resilience` | sites × fault rate × breaker policy |
 //! | `all_experiments` | everything above, in order |
+//!
+//! The binaries that take flags share one parser,
+//! [`runner::SweepArgs`]. Each accepts exactly the flags its usage line
+//! lists and exits 2 with that line on anything else:
+//!
+//! | binary | usage |
+//! |---|---|
+//! | `fault_sweep` | `[--seed N] [--rates H1,H2,...] [--threads N] [--json] [--incremental\|--no-incremental]` |
+//! | `recovery`, `fleet_resilience` | `[--seed N] [--threads N] [--json] [--incremental\|--no-incremental]` |
+//! | `endurance_weeks` | `[--threads N] [--incremental\|--no-incremental]` |
+//! | `all_experiments`, `fig25_scenarios` | `[--threads N]` |
+//! | `bench_report` | `[--threads N] [--out DIR]` |
+//!
+//! `--threads N` may also be written `--threads=N`.
 //!
 //! `cargo bench -p ins-bench` additionally measures the simulator's hot
 //! paths and runs scaled-down versions of the heavier experiments.

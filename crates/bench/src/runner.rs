@@ -15,11 +15,14 @@
 //! * results are collected in input order, so serial (`--threads 1`) and
 //!   parallel runs produce byte-identical reports.
 //!
-//! The flags the sweep binaries share (`--seed`, `--threads`, `--json`,
-//! `--incremental` / `--no-incremental`) are parsed by [`SweepArgs`];
-//! the other binaries take `--threads` through [`parse_threads`]. A
+//! Every bench binary that takes flags parses them with [`SweepArgs`]:
+//! the shared ones (`--seed`, `--threads`, `--json`,
+//! `--incremental` / `--no-incremental`) it lists as [`Flag`]s, and its
+//! own through a closure. Anything else exits 2 with the usage line. A
 //! thread count of `0` (or the flag's absence) means "use available
 //! parallelism".
+
+use std::process::ExitCode;
 
 use ins_sim::pool;
 use ins_sim::rng::SimRng;
@@ -146,7 +149,25 @@ pub fn cell_seed(base: u64, index: usize) -> u64 {
     SimRng::seed(base).fork_seed(&format!("cell-{index}"))
 }
 
+/// A flag several bench binaries take. Each binary passes the ones its
+/// usage line lists to [`SweepArgs::parse`], which rejects the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--seed N`.
+    Seed,
+    /// `--threads N` or `--threads=N`.
+    Threads,
+    /// `--json`.
+    Json,
+    /// `--incremental` or `--no-incremental`.
+    Incremental,
+}
+
 /// The flags `fault_sweep`, `recovery` and `fleet_resilience` share.
+pub const SWEEP_FLAGS: &[Flag] = &[Flag::Seed, Flag::Threads, Flag::Json, Flag::Incremental];
+
+/// The shared flags of a bench binary's command line. A flag the binary
+/// does not take keeps its default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepArgs {
     /// `--seed N` (default 11).
@@ -161,17 +182,20 @@ pub struct SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses `argv` in order. Any other flag is handed to `other` with
-    /// the remaining arguments, so a binary can take its own flags and
-    /// their values, and returns `Err` for a flag it does not know.
+    /// Parses `argv` in order, taking the shared flags listed in `flags`.
+    /// Any other argument is handed to `own` with the remaining ones, so
+    /// a binary can take its own flags and their values: `own` returns
+    /// `Ok(true)` when it took the flag and `Ok(false)` when it does not
+    /// know it.
     ///
     /// # Errors
     ///
-    /// A message for stderr (binaries print it and exit 2): a shared
-    /// flag missing or mangling its value, or whatever `other` returns.
-    pub fn parse<'a>(
-        argv: &'a [String],
-        mut other: impl FnMut(&'a str, &mut std::slice::Iter<'a, String>) -> Result<(), String>,
+    /// A message for stderr: an unknown flag, a flag missing or mangling
+    /// its value, or whatever `own` returns.
+    pub fn parse(
+        argv: &[String],
+        flags: &[Flag],
+        mut own: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, String>,
     ) -> Result<Self, String> {
         let mut args = Self {
             seed: 11,
@@ -180,75 +204,60 @@ impl SweepArgs {
             incremental: true,
         };
         let mut it = argv.iter();
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--seed" => {
+        while let Some(arg) = it.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some(("--threads", v)) => ("--threads", Some(v)),
+                _ => (arg.as_str(), None),
+            };
+            let flag = match name {
+                "--seed" => Some(Flag::Seed),
+                "--threads" => Some(Flag::Threads),
+                "--json" => Some(Flag::Json),
+                "--incremental" | "--no-incremental" => Some(Flag::Incremental),
+                _ => None,
+            };
+            match flag.filter(|f| flags.contains(f)) {
+                Some(Flag::Seed) => {
                     let v = it.next().ok_or("--seed needs a value")?;
                     args.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
                 }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a value")?;
+                Some(Flag::Threads) => {
+                    let v = match inline {
+                        Some(v) => v,
+                        None => it.next().ok_or("--threads needs a value")?,
+                    };
                     args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
                 }
-                "--json" => args.json = true,
-                "--incremental" => args.incremental = true,
-                "--no-incremental" => args.incremental = false,
-                unknown => other(unknown, &mut it)?,
+                Some(Flag::Json) => args.json = true,
+                Some(Flag::Incremental) => args.incremental = name == "--incremental",
+                None => {
+                    if !own(arg, &mut it)? {
+                        return Err(format!("unknown flag '{arg}'"));
+                    }
+                }
             }
         }
         Ok(args)
     }
-}
 
-/// Parses a `--threads N` value from a binary's argument list.
-///
-/// Accepts the flag as `--threads N` or `--threads=N`. Returns
-/// `Ok(None)` when the flag is absent (callers then pick their default,
-/// conventionally [`pool::available_threads`]); `Ok(Some(0))` is resolved
-/// to available parallelism by [`run_cells`]. Returns `Err` with a
-/// usage-style message on a malformed value so binaries can exit
-/// non-zero instead of silently mis-sweeping.
-pub fn parse_threads(args: &[String]) -> Result<Option<usize>, String> {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let value = if arg == "--threads" {
-            i += 1;
-            args.get(i)
-                .ok_or_else(|| "--threads requires a value".to_string())?
-                .clone()
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            v.to_string()
-        } else {
-            i += 1;
-            continue;
-        };
-        return value
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|_| format!("invalid --threads value '{value}' (expected an integer)"));
+    /// [`SweepArgs::parse`] over the process's arguments. On an error it
+    /// prints the message and `usage` to stderr and returns exit code 2
+    /// for `main` to return.
+    ///
+    /// # Errors
+    ///
+    /// Exit code 2 after any [`SweepArgs::parse`] error.
+    pub fn from_env(
+        usage: &str,
+        flags: &[Flag],
+        own: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, String>,
+    ) -> Result<Self, ExitCode> {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&argv, flags, own).map_err(|e| {
+            eprintln!("{e}\n{usage}");
+            ExitCode::from(2)
+        })
     }
-    Ok(None)
-}
-
-/// Parses the `--incremental` / `--no-incremental` flag pair from a
-/// binary's argument list.
-///
-/// Incremental (shared-prefix forking) is the default; `--no-incremental`
-/// selects the from-scratch path that serves as the equivalence oracle.
-/// When both appear the last occurrence wins, matching conventional CLI
-/// override semantics.
-#[must_use]
-pub fn parse_incremental(args: &[String]) -> bool {
-    let mut incremental = true;
-    for arg in args {
-        match arg.as_str() {
-            "--incremental" => incremental = true,
-            "--no-incremental" => incremental = false,
-            _ => {}
-        }
-    }
-    incremental
 }
 
 #[cfg(test)]
@@ -322,33 +331,42 @@ mod tests {
         assert_eq!(results, vec![100, 160]);
     }
 
+    fn args(s: &[&str]) -> Vec<String> {
+        s.iter().map(|a| (*a).to_string()).collect()
+    }
+
+    fn no_own_flags(_: &str, _: &mut std::slice::Iter<'_, String>) -> Result<bool, String> {
+        Ok(false)
+    }
+
     #[test]
     fn parse_incremental_defaults_on_and_last_flag_wins() {
-        let args = |s: &[&str]| s.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
-        assert!(parse_incremental(&args(&[])));
-        assert!(parse_incremental(&args(&["--incremental"])));
-        assert!(!parse_incremental(&args(&["--no-incremental"])));
-        assert!(!parse_incremental(&args(&[
-            "--incremental",
-            "--no-incremental"
-        ])));
-        assert!(parse_incremental(&args(&[
-            "--no-incremental",
-            "--incremental"
-        ])));
+        let incremental = |s: &[&str]| {
+            SweepArgs::parse(&args(s), &[Flag::Incremental], no_own_flags).map(|a| a.incremental)
+        };
+        assert_eq!(incremental(&[]), Ok(true));
+        assert_eq!(incremental(&["--incremental"]), Ok(true));
+        assert_eq!(incremental(&["--no-incremental"]), Ok(false));
+        assert_eq!(
+            incremental(&["--incremental", "--no-incremental"]),
+            Ok(false)
+        );
+        assert_eq!(
+            incremental(&["--no-incremental", "--incremental"]),
+            Ok(true)
+        );
     }
 
     #[test]
     fn sweep_args_parse_shared_flags_and_hand_back_the_rest() {
-        let args = |s: &[&str]| s.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
         let argv = args(&["--seed", "7", "--rates", "8,4", "--threads", "4", "--json"]);
         let mut rates = None;
-        let parsed = SweepArgs::parse(&argv, |flag, rest| match flag {
+        let parsed = SweepArgs::parse(&argv, SWEEP_FLAGS, |flag, rest| match flag {
             "--rates" => {
                 rates = rest.next().cloned();
-                Ok(())
+                Ok(true)
             }
-            other => Err(format!("unknown flag '{other}'")),
+            _ => Ok(false),
         });
         let mut expected = SweepArgs {
             seed: 7,
@@ -359,7 +377,6 @@ mod tests {
         assert_eq!(parsed, Ok(expected));
         assert_eq!(rates.as_deref(), Some("8,4"));
 
-        let reject = |_: &str, _: &mut std::slice::Iter<'_, String>| Err(String::new());
         expected = SweepArgs {
             seed: 11,
             threads: 0,
@@ -367,27 +384,37 @@ mod tests {
             incremental: false,
         };
         assert_eq!(
-            SweepArgs::parse(&args(&["--no-incremental"]), reject),
+            SweepArgs::parse(&args(&["--no-incremental"]), SWEEP_FLAGS, no_own_flags),
             Ok(expected)
         );
         for bad in [
             &["--seed"][..],
             &["--seed", "x"],
-            &["--threads=2"],
+            &["--threads"],
+            &["--threads="],
             &["--bogus"],
+            &["3"],
         ] {
-            assert!(SweepArgs::parse(&args(bad), reject).is_err(), "{bad:?}");
+            assert!(
+                SweepArgs::parse(&args(bad), SWEEP_FLAGS, no_own_flags).is_err(),
+                "{bad:?}"
+            );
         }
     }
 
     #[test]
     fn parse_threads_accepts_both_spellings() {
-        let args = |s: &[&str]| s.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&args(&["--threads", "4"])), Ok(Some(4)));
-        assert_eq!(parse_threads(&args(&["--threads=2"])), Ok(Some(2)));
-        assert_eq!(parse_threads(&args(&["--json"])), Ok(None));
-        assert_eq!(parse_threads(&args(&[])), Ok(None));
-        assert!(parse_threads(&args(&["--threads"])).is_err());
-        assert!(parse_threads(&args(&["--threads", "two"])).is_err());
+        let threads = |s: &[&str]| {
+            SweepArgs::parse(&args(s), &[Flag::Threads], no_own_flags).map(|a| a.threads)
+        };
+        assert_eq!(threads(&["--threads", "4"]), Ok(4));
+        assert_eq!(threads(&["--threads=2"]), Ok(2));
+        assert_eq!(threads(&[]), Ok(0));
+        assert!(threads(&["--threads"]).is_err());
+        assert!(threads(&["--threads", "two"]).is_err());
+        // A shared flag the binary does not list is unknown, not skipped.
+        for flag in ["--seed", "--json", "--no-incremental"] {
+            assert_eq!(threads(&[flag]), Err(format!("unknown flag '{flag}'")));
+        }
     }
 }

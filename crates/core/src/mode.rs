@@ -2,9 +2,11 @@
 //!
 //! §3.2 defines four modes for each battery unit — Offline, Charging,
 //! Standby, Discharging — and Fig. 8 gives the seven legal transitions
-//! between them. The controller moves every unit through this state
-//! machine; illegal moves are compile-visible here rather than scattered
-//! through control code.
+//! between them, encoded here once. Only the service's safe-mode policy
+//! (`ins_service::safe_mode::SafeModePolicy`) walks this diagram today:
+//! the stock controllers (InSURE, baseline, NoOpt) set each unit's
+//! switch-matrix attachment directly, and InSURE's moves do not all
+//! follow Fig. 8 edges.
 
 use core::fmt;
 

@@ -198,8 +198,21 @@ struct StaleWindow {
     frozen: UnitView,
 }
 
-/// The assembled in-situ system.
+/// The assembled in-situ system: the plant, the controller that runs it,
+/// and the step loop's reused buffers.
 pub struct InSituSystem {
+    plant: Plant,
+    controller: Box<dyn PowerController>,
+    /// The step loop's reused buffers (not simulation state).
+    scratch: StepScratch,
+}
+
+/// Everything an [`InSituSystem`] simulates and records apart from its
+/// controller and step scratch. A [`SystemSnapshot`] holds one clone of
+/// it, so a field added here forks verbatim by default;
+/// [`InSituSystem::fork_from`] names the few it re-derives instead.
+#[derive(Clone)]
+struct Plant {
     clock: SimClock,
     solar: SolarTrace,
     units: Vec<BatteryUnit>,
@@ -208,7 +221,6 @@ pub struct InSituSystem {
     bus: LoadBus,
     rack: Rack,
     workload: WorkloadModel,
-    controller: Box<dyn PowerController>,
     control_period: SimDuration,
     started: SimTime,
     last_control: Option<SimTime>,
@@ -226,9 +238,6 @@ pub struct InSituSystem {
     /// Restart storm in progress: restore attempts fail until this
     /// instant.
     restart_storm_until: Option<SimTime>,
-
-    /// The step loop's reused buffers (not simulation state).
-    scratch: StepScratch,
 
     // Checkpoint/recovery state (None = checkpointing disabled).
     checkpointer: Option<JobCheckpointer>,
@@ -262,12 +271,18 @@ pub struct InSituSystem {
     demand_time: SimDuration,
 }
 
+/// The sensor-noise stream a run under `faults` draws from: keyed by the
+/// schedule's seed, so a `(seed, schedule)` pair fixes a faulty run.
+fn sensor_rng(faults: &FaultSchedule) -> SimRng {
+    SimRng::seed(faults.seed()).fork("sensor-noise")
+}
+
 impl core::fmt::Debug for InSituSystem {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("InSituSystem")
-            .field("now", &self.clock.now())
+            .field("now", &self.plant.clock.now())
             .field("controller", &self.controller.name())
-            .field("units", &self.units.len())
+            .field("units", &self.plant.units.len())
             .finish_non_exhaustive()
     }
 }
@@ -277,9 +292,9 @@ impl core::fmt::Debug for InSituSystem {
 pub enum SnapshotError {
     /// The installed controller declined
     /// [`PowerController::fork_controller`]: it wraps state that cannot
-    /// be duplicated (a service-mode engine, an external process), so a
-    /// forked copy could not be byte-identical. Carries the controller's
-    /// display name.
+    /// be duplicated (the service's supervisor bridge, an external
+    /// process), so a forked copy could not be byte-identical. Carries
+    /// the controller's display name.
     ControllerNotForkable(&'static str),
 }
 
@@ -295,56 +310,8 @@ impl core::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The frozen state behind a [`SystemSnapshot`]: every [`InSituSystem`]
-/// field, verbatim, with the controller held through its snapshot handle.
-///
-/// Kept field-for-field parallel to [`InSituSystem`] (both sides use
-/// exhaustive struct expressions, no `..`), so adding a field to one
-/// without the other is a compile error — state can never silently fall
-/// out of the fork path.
-struct SnapshotState {
-    clock: SimClock,
-    solar: SolarTrace,
-    units: Vec<BatteryUnit>,
-    matrix: SwitchMatrix,
-    charger: ChargeController,
-    bus: LoadBus,
-    rack: Rack,
-    workload: WorkloadModel,
-    controller: Box<dyn SnapshotController>,
-    control_period: SimDuration,
-    started: SimTime,
-    last_control: Option<SimTime>,
-    last_discharge_current: Amps,
-    faults: FaultSchedule,
-    sensor_rng: SimRng,
-    sensor_noise: Option<(f64, SimTime)>,
-    charger_dropout_until: Option<SimTime>,
-    stale_windows: Vec<Option<StaleWindow>>,
-    checkpoint_faults: Vec<(usize, SimTime)>,
-    restart_storm_until: Option<SimTime>,
-    checkpointer: Option<JobCheckpointer>,
-    last_checkpoint_attempt: Option<SimTime>,
-    needs_recovery: bool,
-    outage_started: Option<SimTime>,
-    recovery_durations: Vec<SimDuration>,
-    lost_work_gb: f64,
-    data_loss_events: u64,
-    brownouts: usize,
-    trace_solar: Trace,
-    trace_load: Trace,
-    trace_stored: Trace,
-    trace_pack_voltage: Trace,
-    events: EventLog<SystemEvent>,
-    solar_harvested: WattHours,
-    solar_used_load: WattHours,
-    solar_used_charge: WattHours,
-    battery_delivered: WattHours,
-    served_time: SimDuration,
-    demand_time: SimDuration,
-}
-
-/// A copy-on-write snapshot of an [`InSituSystem`] mid-run.
+/// A copy-on-write snapshot of an [`InSituSystem`] mid-run: the forked
+/// controller plus one clone of the plant state.
 ///
 /// The state sits behind an [`Arc`], so handing a snapshot to every
 /// worker of a sweep pool shares one frozen copy; each
@@ -356,17 +323,20 @@ struct SnapshotState {
 ///
 /// Obtained from [`InSituSystem::snapshot`]; consumed (any number of
 /// times, from any thread) by [`InSituSystem::fork_from`].
+///
+/// [`Arc`]: std::sync::Arc
 #[derive(Clone)]
 pub struct SystemSnapshot {
-    inner: std::sync::Arc<SnapshotState>,
+    controller: std::sync::Arc<dyn SnapshotController>,
+    plant: std::sync::Arc<Plant>,
 }
 
 impl core::fmt::Debug for SystemSnapshot {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SystemSnapshot")
-            .field("now", &self.inner.clock.now())
-            .field("controller", &self.inner.controller.name())
-            .field("units", &self.inner.units.len())
+            .field("now", &self.plant.clock.now())
+            .field("controller", &self.controller.name())
+            .field("units", &self.plant.units.len())
             .finish_non_exhaustive()
     }
 }
@@ -376,7 +346,7 @@ impl SystemSnapshot {
     /// starts here).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.inner.clock.now()
+        self.plant.clock.now()
     }
 
     /// The fault schedule the snapshotted run carried. Forks that keep
@@ -384,7 +354,7 @@ impl SystemSnapshot {
     /// fleet level) pass a clone of this to [`InSituSystem::fork_from`].
     #[must_use]
     pub fn faults(&self) -> &FaultSchedule {
-        &self.inner.faults
+        &self.plant.faults
     }
 }
 
@@ -396,7 +366,8 @@ impl InSituSystem {
     }
 
     /// Freezes the system's complete state into a shareable
-    /// copy-on-write [`SystemSnapshot`].
+    /// copy-on-write [`SystemSnapshot`]: the forked controller plus one
+    /// clone of the plant state.
     ///
     /// The incremental sweep engine simulates a grid's shared prefix
     /// once, snapshots it here, and forks every cell from the snapshot
@@ -406,100 +377,17 @@ impl InSituSystem {
     /// # Errors
     ///
     /// [`SnapshotError::ControllerNotForkable`] when the installed
-    /// controller declines [`PowerController::fork_controller`] (service
-    /// bridges, engine adapters): its state cannot be duplicated, so a
+    /// controller declines [`PowerController::fork_controller`] (the
+    /// service's supervisor bridge): its state cannot be duplicated, so a
     /// fork could not be byte-identical to a from-scratch run.
     pub fn snapshot(&self) -> Result<SystemSnapshot, SnapshotError> {
-        // Exhaustive destructuring: a new `InSituSystem` field that is
-        // not also threaded through `SnapshotState` fails to compile
-        // here, instead of silently resetting in every forked cell.
-        let InSituSystem {
-            clock,
-            solar,
-            units,
-            matrix,
-            charger,
-            bus,
-            rack,
-            workload,
-            controller,
-            control_period,
-            started,
-            last_control,
-            last_discharge_current,
-            faults,
-            sensor_rng,
-            sensor_noise,
-            charger_dropout_until,
-            stale_windows,
-            checkpoint_faults,
-            restart_storm_until,
-            scratch: _,
-            checkpointer,
-            last_checkpoint_attempt,
-            needs_recovery,
-            outage_started,
-            recovery_durations,
-            lost_work_gb,
-            data_loss_events,
-            brownouts,
-            trace_solar,
-            trace_load,
-            trace_stored,
-            trace_pack_voltage,
-            events,
-            solar_harvested,
-            solar_used_load,
-            solar_used_charge,
-            battery_delivered,
-            served_time,
-            demand_time,
-        } = self;
-        let controller = controller
+        let controller = self
+            .controller
             .fork_controller()
             .ok_or(SnapshotError::ControllerNotForkable(self.controller.name()))?;
         Ok(SystemSnapshot {
-            inner: std::sync::Arc::new(SnapshotState {
-                clock: clock.clone(),
-                solar: solar.clone(),
-                units: units.clone(),
-                matrix: matrix.clone(),
-                charger: *charger,
-                bus: *bus,
-                rack: rack.clone(),
-                workload: workload.clone(),
-                controller,
-                control_period: *control_period,
-                started: *started,
-                last_control: *last_control,
-                last_discharge_current: *last_discharge_current,
-                faults: faults.clone(),
-                sensor_rng: sensor_rng.clone(),
-                sensor_noise: *sensor_noise,
-                charger_dropout_until: *charger_dropout_until,
-                stale_windows: stale_windows.clone(),
-                checkpoint_faults: checkpoint_faults.clone(),
-                restart_storm_until: *restart_storm_until,
-                checkpointer: checkpointer.clone(),
-                last_checkpoint_attempt: *last_checkpoint_attempt,
-                needs_recovery: *needs_recovery,
-                outage_started: *outage_started,
-                recovery_durations: recovery_durations.clone(),
-                lost_work_gb: *lost_work_gb,
-                data_loss_events: *data_loss_events,
-                brownouts: *brownouts,
-                trace_solar: trace_solar.clone(),
-                trace_load: trace_load.clone(),
-                trace_stored: trace_stored.clone(),
-                trace_pack_voltage: trace_pack_voltage.clone(),
-                events: events.clone(),
-                solar_harvested: *solar_harvested,
-                solar_used_load: *solar_used_load,
-                solar_used_charge: *solar_used_charge,
-                battery_delivered: *battery_delivered,
-                served_time: *served_time,
-                demand_time: *demand_time,
-            }),
+            controller: controller.into(),
+            plant: std::sync::Arc::new(self.plant.clone()),
         })
     }
 
@@ -512,8 +400,9 @@ impl InSituSystem {
     /// active, the forked system's trajectory is **byte-identical** to
     /// running the same configuration from scratch under `faults`.
     ///
-    /// Two pieces of state are re-derived rather than copied, mirroring
-    /// what [`SystemBuilder::build`] would have done for this cell:
+    /// The plant state is cloned verbatim except for two fields, which
+    /// are re-derived the way [`SystemBuilder::build`] would have done
+    /// for this cell:
     ///
     /// * the sensor-noise RNG restarts from `faults.seed()` — the stream
     ///   is untouched during a fault-free prefix, so the fork sees the
@@ -523,130 +412,57 @@ impl InSituSystem {
     ///   mis-planned schedule can never re-fire a pre-fork fault late —
     ///   it is dropped, and the equivalence oracle (`--no-incremental`)
     ///   flags the divergence instead of compounding it.
+    ///
+    /// The controller is a fresh clone of the snapshot's fork, and the
+    /// step scratch starts empty; its first step refills it exactly as
+    /// the source would.
     #[must_use]
     pub fn fork_from(snapshot: &SystemSnapshot, faults: FaultSchedule) -> InSituSystem {
-        // Exhaustive destructuring again: see `snapshot`.
-        let SnapshotState {
-            clock,
-            solar,
-            units,
-            matrix,
-            charger,
-            bus,
-            rack,
-            workload,
-            controller,
-            control_period,
-            started,
-            last_control,
-            last_discharge_current,
-            faults: _prefix_faults,
-            sensor_rng: _prefix_sensor_rng,
-            sensor_noise,
-            charger_dropout_until,
-            stale_windows,
-            checkpoint_faults,
-            restart_storm_until,
-            checkpointer,
-            last_checkpoint_attempt,
-            needs_recovery,
-            outage_started,
-            recovery_durations,
-            lost_work_gb,
-            data_loss_events,
-            brownouts,
-            trace_solar,
-            trace_load,
-            trace_stored,
-            trace_pack_voltage,
-            events,
-            solar_harvested,
-            solar_used_load,
-            solar_used_charge,
-            battery_delivered,
-            served_time,
-            demand_time,
-        } = &*snapshot.inner;
+        let mut plant = Plant::clone(&snapshot.plant);
         let mut faults = faults;
-        let now = clock.now();
-        if now > *started {
+        let now = plant.clock.now();
+        if now > plant.started {
             // The prefix's last step started at `now - dt` and drained
             // everything due then; those events are spent, not pending.
-            faults.expire_delivered(now - clock.dt());
+            faults.expire_delivered(now - plant.clock.dt());
         }
-        let sensor_rng = SimRng::seed(faults.seed()).fork("sensor-noise");
+        plant.sensor_rng = sensor_rng(&faults);
+        plant.faults = faults;
         InSituSystem {
-            clock: clock.clone(),
-            solar: solar.clone(),
-            units: units.clone(),
-            matrix: matrix.clone(),
-            charger: *charger,
-            bus: *bus,
-            rack: rack.clone(),
-            workload: workload.clone(),
-            controller: controller.clone_snapshot(),
-            control_period: *control_period,
-            started: *started,
-            last_control: *last_control,
-            last_discharge_current: *last_discharge_current,
-            faults,
-            sensor_rng,
-            sensor_noise: *sensor_noise,
-            charger_dropout_until: *charger_dropout_until,
-            stale_windows: stale_windows.clone(),
-            checkpoint_faults: checkpoint_faults.clone(),
-            restart_storm_until: *restart_storm_until,
+            plant,
+            controller: snapshot.controller.clone_snapshot(),
             scratch: StepScratch::default(),
-            checkpointer: checkpointer.clone(),
-            last_checkpoint_attempt: *last_checkpoint_attempt,
-            needs_recovery: *needs_recovery,
-            outage_started: *outage_started,
-            recovery_durations: recovery_durations.clone(),
-            lost_work_gb: *lost_work_gb,
-            data_loss_events: *data_loss_events,
-            brownouts: *brownouts,
-            trace_solar: trace_solar.clone(),
-            trace_load: trace_load.clone(),
-            trace_stored: trace_stored.clone(),
-            trace_pack_voltage: trace_pack_voltage.clone(),
-            events: events.clone(),
-            solar_harvested: *solar_harvested,
-            solar_used_load: *solar_used_load,
-            solar_used_charge: *solar_used_charge,
-            battery_delivered: *battery_delivered,
-            served_time: *served_time,
-            demand_time: *demand_time,
         }
     }
 
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.plant.clock.now()
     }
 
     /// The battery units.
     #[must_use]
     pub fn units(&self) -> &[BatteryUnit] {
-        &self.units
+        &self.plant.units
     }
 
     /// The switch matrix.
     #[must_use]
     pub fn matrix(&self) -> &SwitchMatrix {
-        &self.matrix
+        &self.plant.matrix
     }
 
     /// The server rack.
     #[must_use]
     pub fn rack(&self) -> &Rack {
-        &self.rack
+        &self.plant.rack
     }
 
     /// The workload.
     #[must_use]
     pub fn workload(&self) -> &WorkloadModel {
-        &self.workload
+        &self.plant.workload
     }
 
     /// The installed controller's name.
@@ -658,83 +474,86 @@ impl InSituSystem {
     /// Recorded events.
     #[must_use]
     pub fn events(&self) -> &EventLog<SystemEvent> {
-        &self.events
+        &self.plant.events
     }
 
     /// Solar power trace as replayed (one sample per step).
     #[must_use]
     pub fn trace_solar(&self) -> &Trace {
-        &self.trace_solar
+        &self.plant.trace_solar
     }
 
     /// Load (rack draw) trace.
     #[must_use]
     pub fn trace_load(&self) -> &Trace {
-        &self.trace_load
+        &self.plant.trace_load
     }
 
     /// Total e-Buffer stored energy trace (Wh).
     #[must_use]
     pub fn trace_stored(&self) -> &Trace {
-        &self.trace_stored
+        &self.plant.trace_stored
     }
 
     /// Mean cabinet open-circuit voltage trace.
     #[must_use]
     pub fn trace_pack_voltage(&self) -> &Trace {
-        &self.trace_pack_voltage
+        &self.plant.trace_pack_voltage
     }
 
     /// Pooled statistics of the pack-voltage trace (Table 6's σ source).
     #[must_use]
     pub fn voltage_stats(&self) -> &RunningStats {
-        self.trace_pack_voltage.stats()
+        self.plant.trace_pack_voltage.stats()
     }
 
     /// Total solar energy harvested so far.
     #[must_use]
     pub fn solar_harvested(&self) -> WattHours {
-        self.solar_harvested
+        self.plant.solar_harvested
     }
 
     /// Solar energy consumed directly by the load / by charging.
     #[must_use]
     pub fn solar_used(&self) -> (WattHours, WattHours) {
-        (self.solar_used_load, self.solar_used_charge)
+        (self.plant.solar_used_load, self.plant.solar_used_charge)
     }
 
     /// Energy delivered by the e-Buffer to the load.
     #[must_use]
     pub fn battery_delivered(&self) -> WattHours {
-        self.battery_delivered
+        self.plant.battery_delivered
     }
 
     /// Fraction of demand-time during which demand was fully served.
     #[must_use]
     pub fn service_availability(&self) -> f64 {
-        if self.demand_time.is_zero() {
+        if self.plant.demand_time.is_zero() {
             return 1.0;
         }
-        self.served_time.as_secs() as f64 / self.demand_time.as_secs() as f64
+        self.plant.served_time.as_secs() as f64 / self.plant.demand_time.as_secs() as f64
     }
 
     /// Hours simulated so far.
     #[must_use]
     pub fn elapsed_hours(&self) -> f64 {
-        (self.clock.now() - self.started).as_hours().value()
+        (self.plant.clock.now() - self.plant.started)
+            .as_hours()
+            .value()
     }
 
     /// The job checkpointer, when checkpointing is enabled.
     #[must_use]
     pub fn checkpointer(&self) -> Option<&JobCheckpointer> {
-        self.checkpointer.as_ref()
+        self.plant.checkpointer.as_ref()
     }
 
     /// Lifetime checkpoint counters (all zero when checkpointing is
     /// disabled).
     #[must_use]
     pub fn checkpoint_counters(&self) -> CheckpointCounters {
-        self.checkpointer
+        self.plant
+            .checkpointer
             .as_ref()
             .map(|c| c.store.counters())
             .unwrap_or_default()
@@ -743,13 +562,13 @@ impl InSituSystem {
     /// `true` while job state awaits a restore after an outage.
     #[must_use]
     pub fn needs_recovery(&self) -> bool {
-        self.needs_recovery
+        self.plant.needs_recovery
     }
 
     /// Crash-lost work replayed or abandoned so far, GB.
     #[must_use]
     pub fn lost_work_gb(&self) -> f64 {
-        self.lost_work_gb
+        self.plant.lost_work_gb
     }
 
     /// Throughput that produced durable value: processed GB minus the
@@ -757,32 +576,32 @@ impl InSituSystem {
     /// throughput counts replayed work twice.
     #[must_use]
     pub fn goodput_gb(&self) -> f64 {
-        (self.workload.processed_gb() - self.lost_work_gb).max(0.0)
+        (self.plant.workload.processed_gb() - self.plant.lost_work_gb).max(0.0)
     }
 
     /// Unrecoverable data-loss events (durable-checkpoint corruption,
     /// poison-job quarantines).
     #[must_use]
     pub fn data_loss_events(&self) -> u64 {
-        self.data_loss_events
+        self.plant.data_loss_events
     }
 
     /// Completed outage episodes (shutdown/brownout → serving again with
     /// job state restored), for MTTR.
     #[must_use]
     pub fn recovery_durations(&self) -> &[SimDuration] {
-        &self.recovery_durations
+        &self.plant.recovery_durations
     }
 
     /// Brownouts recorded so far.
     #[must_use]
     pub fn brownout_count(&self) -> usize {
-        self.brownouts
+        self.plant.brownouts
     }
 
     /// What the sense lines read for unit `i` right now.
     fn fresh_view(&self, i: usize) -> UnitView {
-        let u = &self.units[i];
+        let u = &self.plant.units[i];
         UnitView {
             id: u.id(),
             soc: u.soc(),
@@ -798,14 +617,14 @@ impl InSituSystem {
     /// relay contact may have moved since the last read. Between
     /// reconfigurations this is one comparison.
     fn refresh_attachments(&mut self) {
-        let generation = self.matrix.generation();
+        let generation = self.plant.matrix.generation();
         let scratch = &mut self.scratch;
         if scratch.generation == Some(generation) {
             return;
         }
-        let matrix = &self.matrix;
+        let matrix = &self.plant.matrix;
         scratch.attachments.clear();
-        scratch.attachments.extend(self.units.iter().map(|u| {
+        scratch.attachments.extend(self.plant.units.iter().map(|u| {
             // Best effort: an untracked unit (impossible today, cheap to
             // tolerate) reads as isolated rather than panicking.
             matrix.attachment(u.id()).unwrap_or(Attachment::Isolated)
@@ -819,91 +638,99 @@ impl InSituSystem {
     /// snapshot with a growing age instead of live data.
     fn observe(&mut self, solar: Watts) -> SystemObservation {
         self.refresh_attachments();
-        let now = self.clock.now();
+        let now = self.plant.clock.now();
         let mut views = std::mem::take(&mut self.scratch.views);
         views.clear();
-        views.extend((0..self.units.len()).map(|i| match self.stale_windows[i] {
-            Some(w) if now < w.until => {
-                let mut frozen = w.frozen;
-                frozen.telemetry_age = now.since(w.since);
-                frozen
-            }
-            _ => self.fresh_view(i),
-        }));
+        views.extend(
+            (0..self.plant.units.len()).map(|i| match self.plant.stale_windows[i] {
+                Some(w) if now < w.until => {
+                    let mut frozen = w.frozen;
+                    frozen.telemetry_age = now.since(w.since);
+                    frozen
+                }
+                _ => self.fresh_view(i),
+            }),
+        );
         let mut attachments = std::mem::take(&mut self.scratch.view_attachments);
         attachments.clear();
         attachments.extend_from_slice(&self.scratch.attachments);
-        let util = self.workload.utilization();
+        let util = self.plant.workload.utilization();
         SystemObservation {
-            now: self.clock.now(),
+            now: self.plant.clock.now(),
             elapsed_days: self.elapsed_hours() / 24.0,
             solar_power: solar,
             units: views,
             attachments,
-            discharge_current: self.last_discharge_current,
-            active_vms: self.rack.active_vms(),
-            target_vms: self.rack.target_vms(),
-            total_vm_slots: self.rack.total_vm_slots(),
-            duty: self.rack.duty(),
-            rack_demand: self.rack.power_demand(util),
+            discharge_current: self.plant.last_discharge_current,
+            active_vms: self.plant.rack.active_vms(),
+            target_vms: self.plant.rack.target_vms(),
+            total_vm_slots: self.plant.rack.total_vm_slots(),
+            duty: self.plant.rack.duty(),
+            rack_demand: self.plant.rack.power_demand(util),
             rack_demand_target: {
-                let profile = self.rack.servers()[0].profile();
-                let machines = self.rack.target_vms().div_ceil(profile.vm_slots.max(1));
-                profile.power_at(util, self.rack.duty().fraction()) * f64::from(machines)
+                let profile = self.plant.rack.servers()[0].profile();
+                let machines = self
+                    .plant
+                    .rack
+                    .target_vms()
+                    .div_ceil(profile.vm_slots.max(1));
+                profile.power_at(util, self.plant.rack.duty().fraction()) * f64::from(machines)
             },
             rack_demand_full: Watts::new(
-                self.rack.servers().len() as f64
-                    * self.rack.servers()[0].profile().peak_power.value(),
+                self.plant.rack.servers().len() as f64
+                    * self.plant.rack.servers()[0].profile().peak_power.value(),
             ),
             pack_voltage: Volts::new(
-                self.units
+                self.plant
+                    .units
                     .first()
                     .map_or(24.0, |u| u.params().nominal_voltage.value()),
             ),
-            pending_gb: self.workload.pending_gb(),
-            knob: self.workload.knob(),
-            brownouts: self.brownouts,
+            pending_gb: self.plant.workload.pending_gb(),
+            knob: self.plant.workload.knob(),
+            brownouts: self.plant.brownouts,
         }
     }
 
     fn apply(&mut self, action: ControlAction) {
         if action.emergency_shutdown {
-            let now = self.clock.now();
-            self.rack.shutdown_all();
-            self.events.push(now, SystemEvent::EmergencyShutdown);
-            if self.outage_started.is_none() {
-                self.outage_started = Some(now);
+            let now = self.plant.clock.now();
+            self.plant.rack.shutdown_all();
+            self.plant.events.push(now, SystemEvent::EmergencyShutdown);
+            if self.plant.outage_started.is_none() {
+                self.plant.outage_started = Some(now);
             }
             // Emergency checkpoint: the orderly wind-down gives the write
             // time to land. A broken checkpoint path on any serving
             // machine means the save cannot happen — the job will fall
             // back to its last durable state on restart.
             let path_broken = self
+                .plant
                 .rack
                 .servers()
                 .iter()
                 .any(|s| s.checkpoint_broken() && s.is_on());
-            if let Some(c) = &mut self.checkpointer {
-                let progress = self.workload.processed_gb();
+            if let Some(c) = &mut self.plant.checkpointer {
+                let progress = self.plant.workload.processed_gb();
                 if !path_broken {
                     c.store.begin_write(now, c.policy.write_duration, progress);
                 }
-                self.needs_recovery = true;
+                self.plant.needs_recovery = true;
             }
         }
         for (id, attachment) in action.attachments {
             // Best effort on two axes: an unknown id is skipped rather
             // than panicking, and a faulted relay yields whatever
             // attachment the hardware could actually reach.
-            let _ = self.matrix.attach(id, attachment);
+            let _ = self.plant.matrix.attach(id, attachment);
         }
         if let Some(vms) = action.target_vms {
             if !action.emergency_shutdown {
-                self.rack.set_target_vms(vms);
+                self.plant.rack.set_target_vms(vms);
             }
         }
         if let Some(duty) = action.duty {
-            self.rack.set_duty(duty);
+            self.plant.rack.set_duty(duty);
         }
     }
 
@@ -912,7 +739,7 @@ impl InSituSystem {
     /// Scheduled faults route through here too; the public entry point
     /// exists so tests and chaos harnesses can inject without a schedule.
     pub fn inject_fault(&mut self, kind: FaultKind) {
-        let now = self.clock.now();
+        let now = self.plant.clock.now();
         self.apply_fault(now, kind);
     }
 
@@ -923,25 +750,25 @@ impl InSituSystem {
     /// (checkpoint restore plus cold boot) must complete before the rack
     /// serves again.
     pub fn force_outage(&mut self) {
-        let now = self.clock.now();
-        self.rack.force_shutdown_all();
-        self.events.push(now, SystemEvent::BrownOut);
-        self.brownouts += 1;
-        if self.outage_started.is_none() {
-            self.outage_started = Some(now);
+        let now = self.plant.clock.now();
+        self.plant.rack.force_shutdown_all();
+        self.plant.events.push(now, SystemEvent::BrownOut);
+        self.plant.brownouts += 1;
+        if self.plant.outage_started.is_none() {
+            self.plant.outage_started = Some(now);
         }
-        if let Some(c) = &mut self.checkpointer {
+        if let Some(c) = &mut self.plant.checkpointer {
             if c.store.crash() {
-                self.events.push(now, SystemEvent::CheckpointTorn);
+                self.plant.events.push(now, SystemEvent::CheckpointTorn);
             }
-            self.needs_recovery = true;
+            self.plant.needs_recovery = true;
         }
     }
 
     /// The installed fault schedule.
     #[must_use]
     pub fn fault_schedule(&self) -> &FaultSchedule {
-        &self.faults
+        &self.plant.faults
     }
 
     fn apply_fault(&mut self, now: SimTime, kind: FaultKind) {
@@ -951,44 +778,49 @@ impl InSituSystem {
         if kind.is_fleet_level() {
             return;
         }
-        self.events
+        self.plant
+            .events
             .push(now, SystemEvent::FaultInjected(kind.class()));
         match kind {
             FaultKind::BatteryOpenCircuit { unit } => {
-                if let Some(u) = self.units.get_mut(unit) {
+                if let Some(u) = self.plant.units.get_mut(unit) {
                     u.fail_open_circuit();
                 }
             }
             FaultKind::BatteryCapacityFade { unit, fraction } => {
-                if let Some(u) = self.units.get_mut(unit) {
+                if let Some(u) = self.plant.units.get_mut(unit) {
                     u.apply_capacity_fade(fraction);
                 }
             }
             FaultKind::BatteryHighResistance { unit, factor } => {
-                if let Some(u) = self.units.get_mut(unit) {
+                if let Some(u) = self.plant.units.get_mut(unit) {
                     u.degrade_resistance(factor);
                 }
             }
             FaultKind::RelayStuckOpen { unit, role } => {
-                let _ =
-                    self.matrix
-                        .inject_relay_fault(BatteryId(unit), role, RelayFault::StuckOpen);
+                let _ = self.plant.matrix.inject_relay_fault(
+                    BatteryId(unit),
+                    role,
+                    RelayFault::StuckOpen,
+                );
             }
             FaultKind::RelayStuckClosed { unit, role } => {
-                let _ =
-                    self.matrix
-                        .inject_relay_fault(BatteryId(unit), role, RelayFault::StuckClosed);
+                let _ = self.plant.matrix.inject_relay_fault(
+                    BatteryId(unit),
+                    role,
+                    RelayFault::StuckClosed,
+                );
             }
             FaultKind::ChargerDropout { duration } => {
-                self.charger_dropout_until = Some(now + duration);
+                self.plant.charger_dropout_until = Some(now + duration);
             }
             FaultKind::SensorNoise { sigma, duration } => {
-                self.sensor_noise = Some((sigma, now + duration));
+                self.plant.sensor_noise = Some((sigma, now + duration));
             }
             FaultKind::StaleTelemetry { unit, duration } => {
-                if unit < self.units.len() {
+                if unit < self.plant.units.len() {
                     let frozen = self.fresh_view(unit);
-                    self.stale_windows[unit] = Some(StaleWindow {
+                    self.plant.stale_windows[unit] = Some(StaleWindow {
                         since: now,
                         until: now + duration,
                         frozen,
@@ -996,22 +828,22 @@ impl InSituSystem {
                 }
             }
             FaultKind::ServerCrash { server } => {
-                let _ = self.rack.crash_server(server);
+                let _ = self.plant.rack.crash_server(server);
             }
             FaultKind::CheckpointWriteFailure { server, duration } => {
-                if self.rack.set_checkpoint_broken(server, true) {
-                    self.checkpoint_faults.push((server, now + duration));
+                if self.plant.rack.set_checkpoint_broken(server, true) {
+                    self.plant.checkpoint_faults.push((server, now + duration));
                 }
             }
             FaultKind::CheckpointCorruption { server } => {
                 // Silent bit-rot in the durable artifact. The server index
                 // scopes the fault to a real machine; the job-level store
                 // is shared, so any valid index corrupts it.
-                if server < self.rack.servers().len() {
-                    if let Some(c) = &mut self.checkpointer {
+                if server < self.plant.rack.servers().len() {
+                    if let Some(c) = &mut self.plant.checkpointer {
                         if c.store.corrupt_durable() {
-                            self.events.push(now, SystemEvent::CheckpointLost);
-                            self.data_loss_events += 1;
+                            self.plant.events.push(now, SystemEvent::CheckpointLost);
+                            self.plant.data_loss_events += 1;
                         }
                     }
                 }
@@ -1019,10 +851,10 @@ impl InSituSystem {
             FaultKind::TornWrite { server } => {
                 // A storage-path interruption mid-write, without the host
                 // crashing: the in-flight artifact is torn and discarded.
-                if server < self.rack.servers().len() {
-                    if let Some(c) = &mut self.checkpointer {
+                if server < self.plant.rack.servers().len() {
+                    if let Some(c) = &mut self.plant.checkpointer {
                         if c.store.crash() {
-                            self.events.push(now, SystemEvent::CheckpointTorn);
+                            self.plant.events.push(now, SystemEvent::CheckpointTorn);
                         }
                     }
                 }
@@ -1030,7 +862,7 @@ impl InSituSystem {
             FaultKind::RestartStorm { duration } => {
                 let until = now + duration;
                 // Overlapping storms extend, never shorten, the window.
-                self.restart_storm_until = Some(match self.restart_storm_until {
+                self.plant.restart_storm_until = Some(match self.plant.restart_storm_until {
                     Some(t) if t > until => t,
                     _ => until,
                 });
@@ -1048,27 +880,27 @@ impl InSituSystem {
     /// recovery); the time comparisons in `observe`/`step` do the rest.
     fn expire_fault_windows(&mut self, now: SimTime) {
         let mut i = 0;
-        while i < self.checkpoint_faults.len() {
-            if now >= self.checkpoint_faults[i].1 {
-                let (server, _) = self.checkpoint_faults.swap_remove(i);
-                let _ = self.rack.set_checkpoint_broken(server, false);
+        while i < self.plant.checkpoint_faults.len() {
+            if now >= self.plant.checkpoint_faults[i].1 {
+                let (server, _) = self.plant.checkpoint_faults.swap_remove(i);
+                let _ = self.plant.rack.set_checkpoint_broken(server, false);
             } else {
                 i += 1;
             }
         }
-        for window in &mut self.stale_windows {
+        for window in &mut self.plant.stale_windows {
             if window.is_some_and(|w| now >= w.until) {
                 *window = None;
             }
         }
-        if self.restart_storm_until.is_some_and(|t| now >= t) {
-            self.restart_storm_until = None;
+        if self.plant.restart_storm_until.is_some_and(|t| now >= t) {
+            self.plant.restart_storm_until = None;
         }
     }
 
     /// Completes in-flight checkpoint writes and starts periodic ones.
     fn advance_checkpoints(&mut self, now: SimTime) {
-        let (completed, interval, write_duration) = match &mut self.checkpointer {
+        let (completed, interval, write_duration) = match &mut self.plant.checkpointer {
             Some(c) => (
                 c.store.step(now),
                 c.policy.interval,
@@ -1077,12 +909,13 @@ impl InSituSystem {
             None => return,
         };
         if completed {
-            self.events.push(now, SystemEvent::CheckpointWritten);
+            self.plant.events.push(now, SystemEvent::CheckpointWritten);
         }
-        if self.needs_recovery || !self.rack.any_serving() {
+        if self.plant.needs_recovery || !self.plant.rack.any_serving() {
             return;
         }
         let due = self
+            .plant
             .last_checkpoint_attempt
             .is_none_or(|t| now.since(t) >= interval);
         if !due {
@@ -1090,8 +923,9 @@ impl InSituSystem {
         }
         // The attempt is paced regardless of outcome, so a broken
         // checkpoint path is retried next interval, not every step.
-        self.last_checkpoint_attempt = Some(now);
+        self.plant.last_checkpoint_attempt = Some(now);
         let path_broken = self
+            .plant
             .rack
             .servers()
             .iter()
@@ -1099,8 +933,8 @@ impl InSituSystem {
         if path_broken {
             return;
         }
-        let progress = self.workload.processed_gb();
-        if let Some(c) = &mut self.checkpointer {
+        let progress = self.plant.workload.processed_gb();
+        if let Some(c) = &mut self.plant.checkpointer {
             c.store.begin_write(now, write_duration, progress);
         }
     }
@@ -1109,11 +943,11 @@ impl InSituSystem {
     /// Restores can only ever read the *durable* checkpoint — a torn
     /// write was discarded at crash time and is unreachable here.
     fn attempt_restore(&mut self, now: SimTime) {
-        if !self.needs_recovery || !self.rack.any_serving() {
+        if !self.plant.needs_recovery || !self.plant.rack.any_serving() {
             return;
         }
-        let Some(c) = &self.checkpointer else {
-            self.needs_recovery = false;
+        let Some(c) = &self.plant.checkpointer else {
+            self.plant.needs_recovery = false;
             return;
         };
         if !c.backoff.ready(now) {
@@ -1121,44 +955,44 @@ impl InSituSystem {
         }
         let policy = c.policy;
         let had_durable = c.store.durable().is_some();
-        let processed = self.workload.processed_gb();
-        let storm = self.restart_storm_until.is_some_and(|t| now < t);
+        let processed = self.plant.workload.processed_gb();
+        let storm = self.plant.restart_storm_until.is_some_and(|t| now < t);
         if storm {
             // The restore attempt fails: back off exponentially, and
             // quarantine the job as poison after too many consecutive
             // failures.
-            let outcome = match &mut self.checkpointer {
+            let outcome = match &mut self.plant.checkpointer {
                 Some(c) => c.backoff.record_failure(now),
                 None => return,
             };
             if outcome == RestartOutcome::Exhausted {
                 // Poison job: the replay is abandoned. Durable progress is
                 // kept; the un-checkpointed remainder is lost for good.
-                if let Some(c) = &mut self.checkpointer {
+                if let Some(c) = &mut self.plant.checkpointer {
                     let durable = c.store.restore();
-                    self.lost_work_gb += (processed - durable).max(0.0);
+                    self.plant.lost_work_gb += (processed - durable).max(0.0);
                     c.backoff = policy.restart_backoff();
                 }
-                self.data_loss_events += 1;
-                self.needs_recovery = false;
+                self.plant.data_loss_events += 1;
+                self.plant.needs_recovery = false;
             }
             return;
         }
         // Restore succeeds: reinstate the durable progress and replay the
         // work done since that snapshot.
-        if let Some(c) = &mut self.checkpointer {
+        if let Some(c) = &mut self.plant.checkpointer {
             let restored = c.store.restore();
             let lost = (processed - restored).max(0.0);
-            self.lost_work_gb += lost;
+            self.plant.lost_work_gb += lost;
             c.backoff.record_success();
             if lost > 0.0 {
-                self.workload.requeue_gb(now, lost);
+                self.plant.workload.requeue_gb(now, lost);
             }
         }
         if had_durable {
-            self.events.push(now, SystemEvent::CheckpointRestored);
+            self.plant.events.push(now, SystemEvent::CheckpointRestored);
         }
-        self.needs_recovery = false;
+        self.plant.needs_recovery = false;
     }
 
     /// The solar reading the *controller* sees: the true harvest,
@@ -1166,9 +1000,9 @@ impl InSituSystem {
     /// settlement always uses the true value — noise corrupts decisions,
     /// not physics.
     fn observed_solar(&mut self, actual: Watts, now: SimTime) -> Watts {
-        match self.sensor_noise {
+        match self.plant.sensor_noise {
             Some((sigma, until)) if now < until => {
-                let factor = 1.0 + self.sensor_rng.normal(0.0, sigma);
+                let factor = 1.0 + self.plant.sensor_rng.normal(0.0, sigma);
                 Watts::new((actual.value() * factor).max(0.0))
             }
             _ => actual,
@@ -1177,17 +1011,17 @@ impl InSituSystem {
 
     /// Advances the system one clock step.
     pub fn step(&mut self) {
-        let now = self.clock.now();
-        let dt = self.clock.dt();
+        let now = self.plant.clock.now();
+        let dt = self.plant.clock.dt();
         let dt_h = dt.as_hours();
-        let solar = self.solar.power_at(now);
+        let solar = self.plant.solar.power_at(now);
 
         // Scheduled faults due this step strike the hardware first, and
         // expired windows (repairs) retire. `has_due` is a non-mutating
         // peek, so the common fault-free step pays one comparison instead
         // of draining and copying an empty slice.
-        if self.faults.has_due(now) {
-            let due: Vec<FaultEvent> = self.faults.due(now).to_vec();
+        if self.plant.faults.has_due(now) {
+            let due: Vec<FaultEvent> = self.plant.faults.due(now).to_vec();
             for event in due {
                 self.apply_fault(now, event.kind);
             }
@@ -1196,12 +1030,12 @@ impl InSituSystem {
         self.advance_checkpoints(now);
 
         // Controller at its period boundary.
-        let control_due = match self.last_control {
+        let control_due = match self.plant.last_control {
             None => true,
-            Some(t) => now.since(t) >= self.control_period,
+            Some(t) => now.since(t) >= self.plant.control_period,
         };
         if control_due {
-            self.last_control = Some(now);
+            self.plant.last_control = Some(now);
             let observed = self.observed_solar(solar, now);
             let obs = self.observe(observed);
             let action = self.controller.control(&obs);
@@ -1219,26 +1053,27 @@ impl InSituSystem {
         // Power settlement: load first (solar then discharging units).
         // An in-flight checkpoint write draws its storage-path power from
         // the same budget as the servers.
-        let util = self.workload.utilization();
-        let checkpoint_power = match &self.checkpointer {
+        let util = self.plant.workload.utilization();
+        let checkpoint_power = match &self.plant.checkpointer {
             Some(c) if c.store.writing() => c.policy.write_power,
             _ => Watts::ZERO,
         };
-        let demand = self.rack.power_demand(util) + checkpoint_power;
+        let demand = self.plant.rack.power_demand(util) + checkpoint_power;
         let scratch = &mut self.scratch;
         let settlement = scratch.members.lend(
             on_bus(
-                &mut self.units,
+                &mut self.plant.units,
                 &scratch.attachments,
                 Attachment::DischargeBus,
             ),
-            |members| self.bus.settle(demand, solar, members, dt_h),
+            |members| self.plant.bus.settle(demand, solar, members, dt_h),
         );
         let pack_v = self
+            .plant
             .units
             .first()
             .map_or(24.0, |u| u.params().nominal_voltage.value());
-        self.last_discharge_current = Amps::new(settlement.battery_used.value() / pack_v);
+        self.plant.last_discharge_current = Amps::new(settlement.battery_used.value() / pack_v);
 
         // Brown-out: a materially unservable demand (beyond what the PSU
         // ride-through tolerates) forces an immediate checkpoint. Small
@@ -1252,25 +1087,27 @@ impl InSituSystem {
         if browned_out {
             // The supply actually collapsed: machines crash off instantly
             // (no orderly checkpoint window) and must cold-boot later.
-            self.rack.force_shutdown_all();
-            self.events.push(now, SystemEvent::BrownOut);
-            self.brownouts += 1;
-            if self.outage_started.is_none() {
-                self.outage_started = Some(now);
+            self.plant.rack.force_shutdown_all();
+            self.plant.events.push(now, SystemEvent::BrownOut);
+            self.plant.brownouts += 1;
+            if self.plant.outage_started.is_none() {
+                self.plant.outage_started = Some(now);
             }
-            if let Some(c) = &mut self.checkpointer {
+            if let Some(c) = &mut self.plant.checkpointer {
                 // A write caught mid-flight is torn and discarded; the
                 // durable checkpoint (if any) survives the crash.
                 if c.store.crash() {
-                    self.events.push(now, SystemEvent::CheckpointTorn);
+                    self.plant.events.push(now, SystemEvent::CheckpointTorn);
                 }
-                self.needs_recovery = true;
+                self.plant.needs_recovery = true;
             }
         }
         // Cutoff trips while discharging.
-        for (unit, attachment) in self.units.iter().zip(&self.scratch.attachments) {
+        for (unit, attachment) in self.plant.units.iter().zip(&self.scratch.attachments) {
             if *attachment == Attachment::DischargeBus && unit.at_cutoff(Amps::new(10.0)) {
-                self.events.push(now, SystemEvent::CutoffTrip(unit.id()));
+                self.plant
+                    .events
+                    .push(now, SystemEvent::CutoffTrip(unit.id()));
             }
         }
 
@@ -1278,19 +1115,23 @@ impl InSituSystem {
         // the PV input for its window: nothing charges, and charge-bus
         // units simply rest through it.
         let solar_left = (solar - settlement.solar_used).max(Watts::ZERO);
-        let charger_down = self.charger_dropout_until.is_some_and(|t| now < t);
+        let charger_down = self.plant.charger_dropout_until.is_some_and(|t| now < t);
         let charge_step = if charger_down {
             ChargeStep::idle()
         } else {
             let scratch = &mut self.scratch;
             scratch.members.lend(
-                on_bus(&mut self.units, &scratch.attachments, Attachment::ChargeBus),
-                |members| self.charger.charge(members, solar_left, dt_h),
+                on_bus(
+                    &mut self.plant.units,
+                    &scratch.attachments,
+                    Attachment::ChargeBus,
+                ),
+                |members| self.plant.charger.charge(members, solar_left, dt_h),
             )
         };
 
         // Isolated units rest (recovery effect continues).
-        for (u, attachment) in self.units.iter_mut().zip(&self.scratch.attachments) {
+        for (u, attachment) in self.plant.units.iter_mut().zip(&self.scratch.attachments) {
             let attached = match attachment {
                 Attachment::DischargeBus => true,
                 Attachment::ChargeBus => !charger_down,
@@ -1302,66 +1143,76 @@ impl InSituSystem {
         }
 
         // Rack advances; workload progresses when the demand was served.
-        let draw = self.rack.step(dt, util);
+        let draw = self.plant.rack.step(dt, util);
         // Recovery: restore job state once machines serve again, then
         // close the outage episode (MTTR measures shutdown → restored).
         self.attempt_restore(now);
-        if self.outage_started.is_some() && self.rack.any_serving() && !self.needs_recovery {
-            if let Some(start) = self.outage_started.take() {
-                self.recovery_durations.push(now.since(start));
-                self.events.push(now, SystemEvent::Recovered);
+        if self.plant.outage_started.is_some()
+            && self.plant.rack.any_serving()
+            && !self.plant.needs_recovery
+        {
+            if let Some(start) = self.plant.outage_started.take() {
+                self.plant.recovery_durations.push(now.since(start));
+                self.plant.events.push(now, SystemEvent::Recovered);
             }
         }
-        let capacity = if browned_out || self.needs_recovery {
+        let capacity = if browned_out || self.plant.needs_recovery {
             0.0
         } else {
             // Tolerated transient shortfalls degrade progress linearly.
-            self.workload
-                .capacity_gb_per_hour(self.rack.active_vms(), self.rack.duty().fraction())
-                * (1.0 - shortfall_frac / 0.05).clamp(0.0, 1.0)
+            self.plant.workload.capacity_gb_per_hour(
+                self.plant.rack.active_vms(),
+                self.plant.rack.duty().fraction(),
+            ) * (1.0 - shortfall_frac / 0.05).clamp(0.0, 1.0)
         };
-        self.workload.step(now, dt, capacity);
+        self.plant.workload.step(now, dt, capacity);
 
         // Accounting.
-        self.solar_harvested += solar * dt_h;
-        self.solar_used_load += settlement.solar_used * dt_h;
-        self.solar_used_charge += charge_step.drawn * dt_h;
-        self.battery_delivered += settlement.battery_used * dt_h;
+        self.plant.solar_harvested += solar * dt_h;
+        self.plant.solar_used_load += settlement.solar_used * dt_h;
+        self.plant.solar_used_charge += charge_step.drawn * dt_h;
+        self.plant.battery_delivered += settlement.battery_used * dt_h;
         if demand.value() > 1.0 {
-            self.demand_time += dt;
+            self.plant.demand_time += dt;
             if !browned_out {
-                self.served_time += dt;
+                self.plant.served_time += dt;
             }
         }
-        self.trace_solar.record(now, solar.value());
-        self.trace_load.record(now, draw.value());
-        let stored: WattHours = self.units.iter().map(BatteryUnit::stored_energy).sum();
-        self.trace_stored.record(now, stored.value());
+        self.plant.trace_solar.record(now, solar.value());
+        self.plant.trace_load.record(now, draw.value());
+        let stored: WattHours = self
+            .plant
+            .units
+            .iter()
+            .map(BatteryUnit::stored_energy)
+            .sum();
+        self.plant.trace_stored.record(now, stored.value());
         let mean_v = self
+            .plant
             .units
             .iter()
             .map(|u| u.open_circuit_voltage().value())
             .sum::<f64>()
-            / self.units.len().max(1) as f64;
-        self.trace_pack_voltage.record(now, mean_v);
+            / self.plant.units.len().max(1) as f64;
+        self.plant.trace_pack_voltage.record(now, mean_v);
 
-        self.clock.tick();
+        self.plant.clock.tick();
     }
 
     /// Runs until the given instant.
     pub fn run_until(&mut self, end: SimTime) {
         // Reserve the trace buffers for the whole span up front so the
         // per-step `record` calls never reallocate mid-run.
-        let now = self.clock.now();
+        let now = self.plant.clock.now();
         if end > now {
-            let dt_s = self.clock.dt().as_secs().max(1);
+            let dt_s = self.plant.clock.dt().as_secs().max(1);
             let steps = usize::try_from(end.since(now).as_secs() / dt_s + 1).unwrap_or(usize::MAX);
-            self.trace_solar.reserve(steps);
-            self.trace_load.reserve(steps);
-            self.trace_stored.reserve(steps);
-            self.trace_pack_voltage.reserve(steps);
+            self.plant.trace_solar.reserve(steps);
+            self.plant.trace_load.reserve(steps);
+            self.plant.trace_stored.reserve(steps);
+            self.plant.trace_pack_voltage.reserve(steps);
         }
-        while self.clock.now() < end {
+        while self.plant.clock.now() < end {
             self.step();
         }
     }
@@ -1369,7 +1220,8 @@ impl InSituSystem {
     /// Total e-Buffer discharge throughput so far.
     #[must_use]
     pub fn total_discharge_throughput(&self) -> AmpHours {
-        self.units
+        self.plant
+            .units
             .iter()
             .map(BatteryUnit::discharge_throughput)
             .sum()
@@ -1385,8 +1237,8 @@ impl InSituSystem {
     /// (shedding, backpressure) happens *before* this call.
     pub fn offer_work(&mut self, gb: f64) {
         if gb > 0.0 {
-            let now = self.clock.now();
-            self.workload.requeue_gb(now, gb);
+            let now = self.plant.clock.now();
+            self.plant.workload.requeue_gb(now, gb);
         }
     }
 
@@ -1395,12 +1247,12 @@ impl InSituSystem {
     /// write (a drain waits for the artifact — nothing tears). Returns
     /// `false` when checkpointing is disabled.
     pub fn flush_checkpoint(&mut self) -> bool {
-        let now = self.clock.now();
-        let progress = self.workload.processed_gb();
-        match &mut self.checkpointer {
+        let now = self.plant.clock.now();
+        let progress = self.plant.workload.processed_gb();
+        match &mut self.plant.checkpointer {
             Some(c) => {
                 c.flush(now, progress);
-                self.events.push(now, SystemEvent::CheckpointWritten);
+                self.plant.events.push(now, SystemEvent::CheckpointWritten);
                 true
             }
             None => false,
@@ -1608,8 +1460,7 @@ impl SystemBuilder {
         let units: Vec<BatteryUnit> = (0..self.unit_count)
             .map(|i| BatteryUnit::with_soc(BatteryId(i), self.unit_params, self.initial_soc))
             .collect();
-        let sensor_rng = SimRng::seed(self.faults.seed()).fork("sensor-noise");
-        InSituSystem {
+        let plant = Plant {
             clock: SimClock::starting_at(self.start, self.dt),
             solar: self.solar,
             matrix: SwitchMatrix::new(units.len()),
@@ -1619,18 +1470,16 @@ impl SystemBuilder {
             bus: LoadBus::prototype(),
             rack: self.rack,
             workload: self.workload,
-            controller: self.controller,
             control_period: self.control_period,
             started: self.start,
             last_control: None,
             last_discharge_current: Amps::ZERO,
+            sensor_rng: sensor_rng(&self.faults),
             faults: self.faults,
-            sensor_rng,
             sensor_noise: None,
             charger_dropout_until: None,
             checkpoint_faults: Vec::new(),
             restart_storm_until: None,
-            scratch: StepScratch::default(),
             checkpointer: self.checkpoint.map(JobCheckpointer::new),
             last_checkpoint_attempt: None,
             needs_recovery: false,
@@ -1650,6 +1499,11 @@ impl SystemBuilder {
             battery_delivered: WattHours::ZERO,
             served_time: SimDuration::ZERO,
             demand_time: SimDuration::ZERO,
+        };
+        InSituSystem {
+            plant,
+            controller: self.controller,
+            scratch: StepScratch::default(),
         }
     }
 }
@@ -1676,49 +1530,75 @@ mod tests {
         }
     }
 
+    /// Every stock controller, with and without checkpoints, at a 10 s
+    /// and a 60 s step: a run forked at 08:00 from a fault-free prefix
+    /// must replay the from-scratch run exactly under a schedule whose
+    /// events all fall at or after 09:00.
     #[test]
     fn forked_run_is_identical_to_its_scratch_run() {
-        let schedule = || {
-            FaultSchedule::from_events(
-                5,
-                vec![dropout_at(7 * 3600, 30), dropout_at(12 * 3600 + 30, 45)],
-            )
+        let targets = ins_sim::fault::FaultTargets {
+            units: 3,
+            servers: 4,
         };
-        let end = SimTime::from_hms(23, 59, 30);
-        // From scratch: the whole day under the cell's schedule.
-        let mut scratch = InSituSystem::builder(
-            high_generation_day(42),
-            Box::new(InsureController::default()),
-        )
-        .time_step(SimDuration::from_secs(30))
-        .fault_schedule(schedule())
-        .build();
-        scratch.run_until(end);
-        // Incremental: fault-free shared prefix to 06:00, snapshot, fork
-        // under the same schedule (first event 07:00 > fork point).
-        let mut prefix = day_system(Box::new(InsureController::default()));
-        prefix.run_until(SimTime::from_hms(6, 0, 0));
-        let snap = prefix.snapshot().expect("stock controllers fork");
-        let mut forked = InSituSystem::fork_from(&snap, schedule());
-        forked.run_until(end);
-        // Mutating the prefix afterwards must not disturb the fork's
-        // source (copy-on-write isolation).
-        prefix.run_until(SimTime::from_hms(8, 0, 0));
-        assert_eq!(RunMetrics::collect(&scratch), RunMetrics::collect(&forked));
-        assert_eq!(scratch.trace_solar(), forked.trace_solar());
-        assert_eq!(scratch.trace_load(), forked.trace_load());
-        assert_eq!(scratch.trace_stored(), forked.trace_stored());
-        assert_eq!(scratch.trace_pack_voltage(), forked.trace_pack_voltage());
-        assert_eq!(scratch.events().len(), forked.events().len());
-        assert_eq!(
-            scratch
-                .events()
-                .count(|e| matches!(e, SystemEvent::FaultInjected(_))),
-            forked
-                .events()
-                .count(|e| matches!(e, SystemEvent::FaultInjected(_)))
-        );
-        assert_eq!(scratch.now(), forked.now());
+        let day = SimDuration::from_hours(24);
+        let drawn =
+            FaultSchedule::stochastic_extended(11, day, SimDuration::from_hours(2), targets);
+        let mut after_nine = drawn.events().to_vec();
+        after_nine.retain(|e| e.at >= SimTime::from_hms(9, 0, 0));
+        // Sensor noise is the one fault that draws from the re-derived
+        // sensor RNG, so the schedule must carry one.
+        assert!(after_nine
+            .iter()
+            .any(|e| matches!(e.kind, FaultKind::SensorNoise { .. })));
+        let schedule = || FaultSchedule::from_events(drawn.seed(), after_nine.clone());
+        let end = SimTime::from_hms(23, 59, 0);
+        let controllers: [fn() -> Box<dyn PowerController>; 3] = [
+            || Box::new(InsureController::default()),
+            || Box::new(BaselineController::new()),
+            || Box::new(NoOptController::new()),
+        ];
+        for make in controllers {
+            for checkpoints in [None, Some(CheckpointPolicy::prototype())] {
+                for step in [10, 60] {
+                    let build = |faults| {
+                        let mut builder = InSituSystem::builder(high_generation_day(42), make())
+                            .time_step(SimDuration::from_secs(step))
+                            .fault_schedule(faults);
+                        if let Some(policy) = checkpoints {
+                            builder = builder.checkpoints(policy);
+                        }
+                        builder.build()
+                    };
+                    let mut scratch = build(schedule());
+                    scratch.run_until(end);
+                    let mut prefix = build(FaultSchedule::empty());
+                    prefix.run_until(SimTime::from_hms(8, 0, 0));
+                    let snap = prefix.snapshot().expect("stock controllers fork");
+                    // Running the prefix on must not disturb the snapshot
+                    // (copy-on-write isolation).
+                    prefix.run_until(SimTime::from_hms(12, 0, 0));
+                    let mut forked = InSituSystem::fork_from(&snap, schedule());
+                    forked.run_until(end);
+                    let case = format!("{} step={step}s {checkpoints:?}", make().name());
+                    let fired = forked
+                        .events()
+                        .count(|e| matches!(e, SystemEvent::FaultInjected(_)));
+                    assert!(fired > 0, "{case}: no fault fired after the fork");
+                    let metrics = |s: &InSituSystem| format!("{:?}", RunMetrics::collect(s));
+                    assert_eq!(metrics(&scratch), metrics(&forked), "{case}");
+                    assert_eq!(scratch.events(), forked.events(), "{case}");
+                    for trace in [
+                        InSituSystem::trace_solar,
+                        InSituSystem::trace_load,
+                        InSituSystem::trace_stored,
+                        InSituSystem::trace_pack_voltage,
+                    ] {
+                        assert_eq!(trace(&scratch), trace(&forked), "{case}");
+                    }
+                    assert_eq!(scratch.now(), forked.now(), "{case}");
+                }
+            }
+        }
     }
 
     #[test]

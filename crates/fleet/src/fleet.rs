@@ -100,8 +100,15 @@ impl FleetConfig {
 /// N federated sites behind one fault-tolerant router.
 #[derive(Debug)]
 pub struct Fleet {
-    config: FleetConfig,
     sites: Vec<Site>,
+    state: FleetState,
+}
+
+/// Everything a [`Fleet`] keeps beside its sites. A [`FleetSnapshot`]
+/// holds one clone of it, so a field added here forks by default.
+#[derive(Debug, Clone)]
+struct FleetState {
+    config: FleetConfig,
     schedule: FaultSchedule,
     router: Router,
     flap_until: Option<SimTime>,
@@ -139,29 +146,28 @@ impl Fleet {
                 )
             })
             .collect();
-        let schedule = config.fault_schedule();
-        Self {
+        let state = FleetState {
             router: Router::new(config.router),
+            schedule: config.fault_schedule(),
             config,
-            sites,
-            schedule,
             flap_until: None,
             now: SimTime::from_secs(0),
             tick_index: 0,
             fleet_faults: 0,
-        }
+        };
+        Self { sites, state }
     }
 
     /// The fleet's configuration.
     #[must_use]
     pub fn config(&self) -> &FleetConfig {
-        &self.config
+        &self.state.config
     }
 
     /// Current simulated time (routing-tick granularity).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// The sites, indexed by [`SiteId`].
@@ -173,14 +179,14 @@ impl Fleet {
     /// The router and its counters.
     #[must_use]
     pub fn router(&self) -> &Router {
-        &self.router
+        &self.state.router
     }
 
     /// Applies one fleet-level fault immediately — the chaos-harness
     /// entry point mirroring `InSituSystem::inject_fault`. Single-site
     /// kinds are ignored here (inject those into a site's system).
     pub fn inject_fault(&mut self, kind: FaultKind) {
-        let now = self.now;
+        let now = self.state.now;
         self.apply_fleet_fault(now, kind);
     }
 
@@ -189,13 +195,13 @@ impl Fleet {
             FaultKind::SiteBlackout { site, duration } => {
                 if let Some(s) = self.sites.get_mut(site) {
                     s.begin_blackout(now, duration);
-                    self.fleet_faults += 1;
+                    self.state.fleet_faults += 1;
                 }
             }
             FaultKind::WanPartition { site, duration } => {
                 if let Some(s) = self.sites.get_mut(site) {
                     s.begin_partition(now, duration);
-                    self.fleet_faults += 1;
+                    self.state.fleet_faults += 1;
                 }
             }
             FaultKind::SlowSite {
@@ -205,16 +211,16 @@ impl Fleet {
             } => {
                 if let Some(s) = self.sites.get_mut(site) {
                     s.begin_slowdown(now, factor, duration);
-                    self.fleet_faults += 1;
+                    self.state.fleet_faults += 1;
                 }
             }
             FaultKind::RoutingFlap { duration } => {
                 let until = now + duration;
-                self.flap_until = Some(match self.flap_until {
+                self.state.flap_until = Some(match self.state.flap_until {
                     Some(t) if t > until => t,
                     _ => until,
                 });
-                self.fleet_faults += 1;
+                self.state.fleet_faults += 1;
             }
             _ => {}
         }
@@ -223,38 +229,44 @@ impl Fleet {
     /// `true` while a routing-flap window is active.
     #[must_use]
     pub fn routing_flap_active(&self) -> bool {
-        self.flap_until.is_some_and(|t| self.now < t)
+        self.state.flap_until.is_some_and(|t| self.state.now < t)
     }
 
     /// Advances one routing tick: drain due fleet faults, advance every
     /// site's physics to the tick boundary, then place the tick's
     /// requests.
     pub fn step_tick(&mut self) {
-        let now = self.now;
-        let due: Vec<FaultKind> = self.schedule.due(now).iter().map(|e| e.kind).collect();
+        let now = self.state.now;
+        let due: Vec<FaultKind> = self
+            .state
+            .schedule
+            .due(now)
+            .iter()
+            .map(|e| e.kind)
+            .collect();
         for kind in due {
             self.apply_fleet_fault(now, kind);
         }
-        let end = now + self.config.tick;
+        let end = now + self.state.config.tick;
         for site in &mut self.sites {
             site.advance_to(end);
         }
-        let flap = self.flap_until.is_some_and(|t| end < t);
-        self.router.route_tick(
+        let flap = self.state.flap_until.is_some_and(|t| end < t);
+        self.state.router.route_tick(
             end,
-            self.config.tick,
+            self.state.config.tick,
             &mut self.sites,
             flap,
-            self.tick_index,
+            self.state.tick_index,
         );
-        self.now = end;
-        self.tick_index += 1;
+        self.state.now = end;
+        self.state.tick_index += 1;
     }
 
     /// Runs routing ticks until the configured horizon.
     pub fn run_to_horizon(&mut self) {
-        let horizon = SimTime::from_secs(0) + self.config.horizon;
-        while self.now < horizon {
+        let horizon = SimTime::from_secs(0) + self.state.config.horizon;
+        while self.state.now < horizon {
             self.step_tick();
         }
     }
@@ -270,31 +282,14 @@ impl Fleet {
     /// [`Fleet::new`] always use the stock InSURE controller, which
     /// forks, so this only fires for hand-assembled exotic fleets.
     pub fn snapshot(&self) -> Result<FleetSnapshot, SnapshotError> {
-        // Exhaustive destructuring: adding a `Fleet` field without
-        // threading it through the snapshot is a compile error.
-        let Fleet {
-            config,
-            sites,
-            schedule,
-            router,
-            flap_until,
-            now,
-            tick_index,
-            fleet_faults,
-        } = self;
-        let sites = sites
+        let sites = self
+            .sites
             .iter()
             .map(Site::snapshot)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(FleetSnapshot {
-            config: config.clone(),
             sites,
-            schedule: schedule.clone(),
-            router: router.clone(),
-            flap_until: *flap_until,
-            now: *now,
-            tick_index: *tick_index,
-            fleet_faults: *fleet_faults,
+            state: self.state.clone(),
         })
     }
 
@@ -312,31 +307,17 @@ impl Fleet {
     /// loudly in the equivalence oracle rather than double-inject.
     #[must_use]
     pub fn fork_from(snapshot: &FleetSnapshot, fleet_fault_mean: Option<SimDuration>) -> Fleet {
-        let FleetSnapshot {
-            config,
-            sites,
-            schedule: _prefix_schedule,
-            router,
-            flap_until,
-            now,
-            tick_index,
-            fleet_faults,
-        } = snapshot;
-        let mut config = config.clone();
-        config.fleet_fault_mean = fleet_fault_mean;
-        let mut schedule = config.fault_schedule();
-        if *now > SimTime::from_secs(0) {
-            schedule.expire_delivered(*now - config.tick);
+        let mut state = snapshot.state.clone();
+        state.config.fleet_fault_mean = fleet_fault_mean;
+        state.schedule = state.config.fault_schedule();
+        if state.now > SimTime::from_secs(0) {
+            state
+                .schedule
+                .expire_delivered(state.now - state.config.tick);
         }
         Fleet {
-            sites: sites.iter().map(Site::fork_from).collect(),
-            schedule,
-            router: router.clone(),
-            flap_until: *flap_until,
-            now: *now,
-            tick_index: *tick_index,
-            fleet_faults: *fleet_faults,
-            config,
+            sites: snapshot.sites.iter().map(Site::fork_from).collect(),
+            state,
         }
     }
 
@@ -344,13 +325,13 @@ impl Fleet {
     #[must_use]
     pub fn metrics(&self) -> FleetMetrics {
         FleetMetrics {
-            stream: self.router.stream,
-            batch: self.router.batch,
-            retries: self.router.retries,
-            hedges: self.router.hedges,
-            duplicate_serves: self.router.duplicate_serves,
-            misrouted_wh: self.router.misrouted_wh,
-            fleet_faults: self.fleet_faults,
+            stream: self.state.router.stream,
+            batch: self.state.router.batch,
+            retries: self.state.router.retries,
+            hedges: self.state.router.hedges,
+            duplicate_serves: self.state.router.duplicate_serves,
+            misrouted_wh: self.state.router.misrouted_wh,
+            fleet_faults: self.state.fleet_faults,
             site_availability: self.sites.iter().map(Site::availability).collect(),
             breaker_trips: self.sites.iter().map(|s| s.breaker().trips()).sum(),
             breaker_resets: self.sites.iter().map(|s| s.breaker().resets()).sum(),
@@ -358,35 +339,29 @@ impl Fleet {
     }
 }
 
-/// Frozen [`Fleet`] state: per-site [`SiteSnapshot`]s plus the router,
-/// fault cursor and tick clock, verbatim.
+/// Frozen [`Fleet`] state: per-site [`SiteSnapshot`]s plus a clone of
+/// the router, fault cursor and tick clock.
 ///
 /// Produced by [`Fleet::snapshot`]; consumed any number of times by
 /// [`Fleet::fork_from`]. Cloning is cheap — each site's heavy physics
 /// state is shared behind its snapshot's `Arc`.
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot {
-    config: FleetConfig,
     sites: Vec<SiteSnapshot>,
-    schedule: FaultSchedule,
-    router: Router,
-    flap_until: Option<SimTime>,
-    now: SimTime,
-    tick_index: u64,
-    fleet_faults: u64,
+    state: FleetState,
 }
 
 impl FleetSnapshot {
     /// The simulated instant the snapshot was taken at.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.now
+        self.state.now
     }
 
     /// The configuration the prefix fleet ran under.
     #[must_use]
     pub fn config(&self) -> &FleetConfig {
-        &self.config
+        &self.state.config
     }
 }
 

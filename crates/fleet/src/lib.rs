@@ -54,6 +54,6 @@ pub mod site;
 
 pub use breaker::{BreakerPolicy, BreakerState, CircuitBreaker};
 pub use fleet::{Fleet, FleetConfig};
-pub use metrics::{ClassCounters, FleetMetrics};
+pub use metrics::FleetMetrics;
 pub use router::{Router, RouterPolicy};
 pub use site::{Site, SiteId};

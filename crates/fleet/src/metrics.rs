@@ -7,44 +7,7 @@
 //! robustness counters (retries, hedges, breaker trips/resets,
 //! misrouted energy).
 
-/// Request accounting for one traffic class (stream or batch).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ClassCounters {
-    /// Requests offered to the router.
-    pub offered: u64,
-    /// Requests served in full.
-    pub served: u64,
-    /// Requests served partially (reduced rate under scarce capacity).
-    pub served_degraded: u64,
-    /// Requests explicitly shed (batch under capacity collapse).
-    pub shed: u64,
-    /// Requests that failed every routing attempt.
-    pub failed: u64,
-    /// GB offered.
-    pub offered_gb: f64,
-    /// GB actually served (full + partial).
-    pub served_gb: f64,
-}
-
-impl ClassCounters {
-    /// Requests that resolved to *some* outcome. The router's
-    /// zero-silent-drop contract is `resolved() == offered`.
-    #[must_use]
-    pub fn resolved(&self) -> u64 {
-        self.served + self.served_degraded + self.shed + self.failed
-    }
-
-    /// Served fraction of offered volume, in `[0, 1]`; 1.0 when nothing
-    /// was offered.
-    #[must_use]
-    pub fn goodput_fraction(&self) -> f64 {
-        if self.offered_gb <= 0.0 {
-            1.0
-        } else {
-            self.served_gb / self.offered_gb
-        }
-    }
-}
+use ins_sim::ledger::ClassCounters;
 
 /// The full metric bundle of a fleet run.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,27 +63,6 @@ impl FleetMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolved_sums_all_outcomes() {
-        let c = ClassCounters {
-            offered: 10,
-            served: 5,
-            served_degraded: 2,
-            shed: 1,
-            failed: 2,
-            offered_gb: 1.0,
-            served_gb: 0.68,
-        };
-        assert_eq!(c.resolved(), 10);
-        assert!((c.goodput_fraction() - 0.68).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_class_has_unit_goodput() {
-        let c = ClassCounters::default();
-        assert!((c.goodput_fraction() - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn availability_aggregates() {

@@ -28,9 +28,9 @@
 //! pure functions of the sites' observable state, so fleet trajectories
 //! replay byte-identically from the fault seed.
 
+use ins_sim::ledger::ClassCounters;
 use ins_sim::time::{SimDuration, SimTime};
 
-use crate::metrics::ClassCounters;
 use crate::site::Site;
 
 /// Routing thresholds and per-tick demand.

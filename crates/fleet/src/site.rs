@@ -40,8 +40,15 @@ impl std::fmt::Display for SiteId {
 /// A federated site: local physics plus WAN-facing fault state.
 #[derive(Debug)]
 pub struct Site {
-    id: SiteId,
     system: InSituSystem,
+    state: SiteState,
+}
+
+/// Everything a [`Site`] keeps beside its system. A [`SiteSnapshot`]
+/// holds one clone of it, so a field added here forks by default.
+#[derive(Debug, Clone)]
+struct SiteState {
+    id: SiteId,
     /// The site's own solar trace, kept for surplus observation.
     solar: SolarTrace,
     solar_peak_w: f64,
@@ -78,9 +85,8 @@ impl Site {
             .samples()
             .iter()
             .fold(1.0_f64, |acc, s| acc.max(s.value));
-        Self {
+        let state = SiteState {
             id,
-            system,
             solar,
             solar_peak_w,
             breaker: CircuitBreaker::new(breaker_policy),
@@ -95,13 +101,14 @@ impl Site {
             slow_factor: 1.0,
             routable_ticks: 0,
             total_ticks: 0,
-        }
+        };
+        Self { system, state }
     }
 
     /// The site's fleet-level identifier.
     #[must_use]
     pub fn id(&self) -> SiteId {
-        self.id
+        self.state.id
     }
 
     /// The wrapped single-site simulation.
@@ -118,23 +125,23 @@ impl Site {
     /// The per-site circuit breaker.
     #[must_use]
     pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
+        &self.state.breaker
     }
 
     /// Mutable access for the router's admission/feedback path.
     pub fn breaker_mut(&mut self) -> &mut CircuitBreaker {
-        &mut self.breaker
+        &mut self.state.breaker
     }
 
     /// The router-side retry gate.
     #[must_use]
     pub fn retry_gate(&self) -> &Backoff {
-        &self.retry_gate
+        &self.state.retry_gate
     }
 
     /// Mutable access to the retry gate.
     pub fn retry_gate_mut(&mut self) -> &mut Backoff {
-        &mut self.retry_gate
+        &mut self.state.retry_gate
     }
 
     /// A [`SiteBlackout`](ins_sim::fault::FaultKind::SiteBlackout) strikes:
@@ -146,7 +153,7 @@ impl Site {
     /// shorten.
     pub fn begin_blackout(&mut self, now: SimTime, duration: SimDuration) {
         let until = now + duration;
-        self.blackout_until = Some(match self.blackout_until {
+        self.state.blackout_until = Some(match self.state.blackout_until {
             Some(t) if t > until => t,
             _ => until,
         });
@@ -157,7 +164,7 @@ impl Site {
     /// the router cannot reach it until the window expires.
     pub fn begin_partition(&mut self, now: SimTime, duration: SimDuration) {
         let until = now + duration;
-        self.partition_until = Some(match self.partition_until {
+        self.state.partition_until = Some(match self.state.partition_until {
             Some(t) if t > until => t,
             _ => until,
         });
@@ -168,13 +175,13 @@ impl Site {
     /// worse factor.
     pub fn begin_slowdown(&mut self, now: SimTime, factor: f64, duration: SimDuration) {
         let until = now + duration;
-        let active = self.slow_until.is_some_and(|t| now < t);
-        self.slow_factor = if active {
-            self.slow_factor.max(factor)
+        let active = self.state.slow_until.is_some_and(|t| now < t);
+        self.state.slow_factor = if active {
+            self.state.slow_factor.max(factor)
         } else {
             factor
         };
-        self.slow_until = Some(match self.slow_until {
+        self.state.slow_until = Some(match self.state.slow_until {
             Some(t) if t > until => t,
             _ => until,
         });
@@ -183,20 +190,20 @@ impl Site {
     /// `true` while a blackout window is active.
     #[must_use]
     pub fn blacked_out(&self, now: SimTime) -> bool {
-        self.blackout_until.is_some_and(|t| now < t)
+        self.state.blackout_until.is_some_and(|t| now < t)
     }
 
     /// `true` when the WAN path to the site is up (no active partition).
     #[must_use]
     pub fn reachable(&self, now: SimTime) -> bool {
-        self.partition_until.is_none_or(|t| now >= t)
+        self.state.partition_until.is_none_or(|t| now >= t)
     }
 
     /// The current latency multiplier (1.0 when healthy).
     #[must_use]
     pub fn latency_factor(&self, now: SimTime) -> f64 {
-        if self.slow_until.is_some_and(|t| now < t) {
-            self.slow_factor
+        if self.state.slow_until.is_some_and(|t| now < t) {
+            self.state.slow_factor
         } else {
             1.0
         }
@@ -205,7 +212,7 @@ impl Site {
     /// Predicted round-trip latency of a request sent now, milliseconds.
     #[must_use]
     pub fn latency_ms(&self, now: SimTime) -> f64 {
-        self.base_latency_ms * self.latency_factor(now)
+        self.state.base_latency_ms * self.latency_factor(now)
     }
 
     /// `true` when the site can actually process requests: not blacked
@@ -254,8 +261,8 @@ impl Site {
         } else {
             units.iter().map(|u| u.soc().value()).sum::<f64>() / units.len() as f64
         };
-        let solar_now = self.solar.power_at(now).value();
-        0.7 * mean_soc + 0.3 * (solar_now / self.solar_peak_w).clamp(0.0, 1.0)
+        let solar_now = self.state.solar.power_at(now).value();
+        0.7 * mean_soc + 0.3 * (solar_now / self.state.solar_peak_w).clamp(0.0, 1.0)
     }
 
     /// Instantaneous electrical draw of the site's rack, watts — the
@@ -289,37 +296,9 @@ impl Site {
     /// always install the stock InSURE controller, which forks, so this
     /// only fires for hand-built sites around exotic controllers).
     pub fn snapshot(&self) -> Result<SiteSnapshot, SnapshotError> {
-        // Exhaustive destructuring: adding a `Site` field without
-        // threading it through the snapshot is a compile error.
-        let Site {
-            id,
-            system,
-            solar,
-            solar_peak_w,
-            breaker,
-            retry_gate,
-            base_latency_ms,
-            blackout_until,
-            partition_until,
-            slow_until,
-            slow_factor,
-            routable_ticks,
-            total_ticks,
-        } = self;
         Ok(SiteSnapshot {
-            id: *id,
-            system: system.snapshot()?,
-            solar: solar.clone(),
-            solar_peak_w: *solar_peak_w,
-            breaker: breaker.clone(),
-            retry_gate: *retry_gate,
-            base_latency_ms: *base_latency_ms,
-            blackout_until: *blackout_until,
-            partition_until: *partition_until,
-            slow_until: *slow_until,
-            slow_factor: *slow_factor,
-            routable_ticks: *routable_ticks,
-            total_ticks: *total_ticks,
+            system: self.system.snapshot()?,
+            state: self.state.clone(),
         })
     }
 
@@ -330,43 +309,18 @@ impl Site {
     /// forks under a clone of the schedule it was snapshotted with.
     #[must_use]
     pub fn fork_from(snapshot: &SiteSnapshot) -> Site {
-        let SiteSnapshot {
-            id,
-            system,
-            solar,
-            solar_peak_w,
-            breaker,
-            retry_gate,
-            base_latency_ms,
-            blackout_until,
-            partition_until,
-            slow_until,
-            slow_factor,
-            routable_ticks,
-            total_ticks,
-        } = snapshot;
+        let system = &snapshot.system;
         Site {
-            id: *id,
             system: InSituSystem::fork_from(system, system.faults().clone()),
-            solar: solar.clone(),
-            solar_peak_w: *solar_peak_w,
-            breaker: breaker.clone(),
-            retry_gate: *retry_gate,
-            base_latency_ms: *base_latency_ms,
-            blackout_until: *blackout_until,
-            partition_until: *partition_until,
-            slow_until: *slow_until,
-            slow_factor: *slow_factor,
-            routable_ticks: *routable_ticks,
-            total_ticks: *total_ticks,
+            state: snapshot.state.clone(),
         }
     }
 
     /// Records one routing tick for availability accounting.
     pub fn record_tick(&mut self, routable: bool) {
-        self.total_ticks += 1;
+        self.state.total_ticks += 1;
         if routable {
-            self.routable_ticks += 1;
+            self.state.routable_ticks += 1;
         }
     }
 
@@ -374,35 +328,24 @@ impl Site {
     /// serving), in `[0, 1]`; 1.0 before any tick is recorded.
     #[must_use]
     pub fn availability(&self) -> f64 {
-        if self.total_ticks == 0 {
+        if self.state.total_ticks == 0 {
             1.0
         } else {
-            self.routable_ticks as f64 / self.total_ticks as f64
+            self.state.routable_ticks as f64 / self.state.total_ticks as f64
         }
     }
 }
 
 /// Frozen [`Site`] state: the wrapped system's copy-on-write
-/// [`SystemSnapshot`] plus every WAN-facing field, verbatim.
+/// [`SystemSnapshot`] plus a clone of every WAN-facing field.
 ///
 /// Produced by [`Site::snapshot`]; consumed any number of times by
 /// [`Site::fork_from`]. Cloning is cheap — the heavy system state sits
 /// behind the snapshot's shared `Arc`.
 #[derive(Debug, Clone)]
 pub struct SiteSnapshot {
-    id: SiteId,
     system: SystemSnapshot,
-    solar: SolarTrace,
-    solar_peak_w: f64,
-    breaker: CircuitBreaker,
-    retry_gate: Backoff,
-    base_latency_ms: f64,
-    blackout_until: Option<SimTime>,
-    partition_until: Option<SimTime>,
-    slow_until: Option<SimTime>,
-    slow_factor: f64,
-    routable_ticks: u64,
-    total_ticks: u64,
+    state: SiteState,
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 use core::fmt;
 use std::collections::VecDeque;
 
+use ins_sim::ledger::ClassCounters;
+
 /// The two request classes of the paper's case studies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkClass {
@@ -109,29 +111,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Per-class resolution counters (requests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassCounters {
-    /// Requests offered.
-    pub offered: u64,
-    /// Requests released into the plant at full service.
-    pub served: u64,
-    /// Requests released while safe mode ran (degraded service).
-    pub degraded: u64,
-    /// Requests dropped by policy (always counted, never silent).
-    pub shed: u64,
-    /// Requests refused under backpressure.
-    pub failed: u64,
-}
-
-impl ClassCounters {
-    /// Requests that have reached a terminal fate.
-    #[must_use]
-    pub fn resolved(&self) -> u64 {
-        self.served + self.degraded + self.shed + self.failed
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     class: WorkClass,
@@ -197,7 +176,7 @@ impl AdmissionController {
         self.intake_open = false;
     }
 
-    /// `offered ≡ served + degraded + shed + failed + queued` — the
+    /// `offered ≡ served + served_degraded + shed + failed + queued` — the
     /// no-silent-drops invariant, valid at every instant. At drain time
     /// the queue is empty and the pure four-way form holds.
     #[must_use]
@@ -212,6 +191,18 @@ impl AdmissionController {
             WorkClass::Stream => &mut self.stream,
             WorkClass::Batch => &mut self.batch,
         }
+    }
+
+    /// Resolves a released entry as served, or served degraded if it was
+    /// admitted under safe mode.
+    fn record_served(&mut self, entry: Pending) {
+        let ledger = self.ledger_mut(entry.class);
+        if entry.degraded {
+            ledger.served_degraded += 1;
+        } else {
+            ledger.served += 1;
+        }
+        ledger.served_gb += entry.gb;
     }
 
     /// Evicts queued batch work, newest first, until at least `need_gb`
@@ -236,7 +227,9 @@ impl AdmissionController {
     /// running on safe mode: batch is shed at the door, stream is
     /// admitted but will count as degraded service.
     pub fn offer(&mut self, class: WorkClass, gb: f64, degraded: bool) -> AdmissionVerdict {
-        self.ledger_mut(class).offered += 1;
+        let ledger = self.ledger_mut(class);
+        ledger.offered += 1;
+        ledger.offered_gb += gb;
         if !self.intake_open {
             self.ledger_mut(class).shed += 1;
             return AdmissionVerdict::Shed;
@@ -288,12 +281,7 @@ impl AdmissionController {
             self.queue.pop_front();
             self.queued_gb = (self.queued_gb - entry.gb).max(0.0);
             released += entry.gb;
-            let ledger = self.ledger_mut(entry.class);
-            if entry.degraded {
-                ledger.degraded += 1;
-            } else {
-                ledger.served += 1;
-            }
+            self.record_served(entry);
         }
         released
     }
@@ -304,12 +292,7 @@ impl AdmissionController {
         let mut released = 0.0;
         while let Some(entry) = self.queue.pop_front() {
             released += entry.gb;
-            let ledger = self.ledger_mut(entry.class);
-            if entry.degraded {
-                ledger.degraded += 1;
-            } else {
-                ledger.served += 1;
-            }
+            self.record_served(entry);
         }
         self.queued_gb = 0.0;
         released
@@ -360,9 +343,12 @@ mod tests {
         );
         let released = a.release();
         assert!((released - 2.0).abs() < 1e-12);
-        assert_eq!(a.counters(WorkClass::Stream).degraded, 1);
+        assert_eq!(a.counters(WorkClass::Stream).served_degraded, 1);
         assert_eq!(a.counters(WorkClass::Stream).served, 0);
         assert!(a.fully_accounted());
+        // Degraded service still delivers its volume; shed work none.
+        assert!((a.counters(WorkClass::Stream).goodput_fraction() - 1.0).abs() < 1e-12);
+        assert!(a.counters(WorkClass::Batch).goodput_fraction().abs() < 1e-12);
     }
 
     #[test]

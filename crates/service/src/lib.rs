@@ -16,7 +16,8 @@
 //!   after repeated failures,
 //! * [`admission`] — bounded-queue admission control; under pressure
 //!   batch work is shed before stream work, and every offered request is
-//!   explicitly resolved (`offered ≡ served + degraded + shed + failed`),
+//!   explicitly resolved in an [`ins_sim::ledger::ClassCounters`] ledger
+//!   (`offered ≡ served + served_degraded + shed + failed`),
 //! * [`telemetry`] — byte-stable telemetry lines (the unit of the
 //!   kill-resume determinism contract),
 //! * [`harness`] — [`harness::ServiceCore`], the deterministic

@@ -7,9 +7,8 @@
 //! point onward, so nothing wall-clock, locale- or pointer-dependent
 //! may appear here.
 
+use ins_sim::ledger::ClassCounters;
 use ins_sim::time::SimTime;
-
-use crate::admission::ClassCounters;
 
 /// Everything one telemetry line carries.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +61,7 @@ impl TelemetrySnapshot {
     pub fn line(&self) -> String {
         let offered = self.stream.offered + self.batch.offered;
         let served = self.stream.served + self.batch.served;
-        let degraded = self.stream.degraded + self.batch.degraded;
+        let degraded = self.stream.served_degraded + self.batch.served_degraded;
         let shed = self.stream.shed + self.batch.shed;
         let failed = self.stream.failed + self.batch.failed;
         format!(
@@ -115,16 +114,12 @@ mod tests {
             stream: ClassCounters {
                 offered: 5,
                 served: 4,
-                degraded: 0,
-                shed: 0,
-                failed: 0,
+                ..ClassCounters::default()
             },
             batch: ClassCounters {
                 offered: 1,
-                served: 0,
-                degraded: 0,
                 shed: 1,
-                failed: 0,
+                ..ClassCounters::default()
             },
             queued: 1,
             brownouts: 0,

@@ -17,6 +17,8 @@
 //! * [`snapshot`] — shared-prefix planning for copy-on-write sweep
 //!   forking ([`snapshot::plan_prefix_groups`]),
 //! * [`log`] — typed event logs ([`log::EventLog`]),
+//! * [`ledger`] — per-class request accounting shared by the fleet
+//!   router and service admission ([`ledger::ClassCounters`]),
 //! * [`fault`] — seeded, deterministic fault injection
 //!   ([`fault::FaultSchedule`], [`fault::FaultKind`]),
 //! * [`replay`] — line-oriented input feeds for service mode
@@ -47,6 +49,7 @@
 
 pub mod backoff;
 pub mod fault;
+pub mod ledger;
 pub mod log;
 pub mod pool;
 pub mod replay;
