@@ -18,6 +18,7 @@ use ins_core::system::{InSituSystem, SystemEvent, SystemSnapshot};
 use ins_sim::fault::{FaultEvent, FaultSchedule, FaultTargets};
 use ins_sim::time::{SimDuration, SimTime};
 use ins_solar::trace::high_generation_day;
+use ins_solar::SolarTrace;
 
 use crate::table::TextTable;
 
@@ -107,7 +108,16 @@ pub fn run_day(
     schedule: FaultSchedule,
     seed: u64,
 ) -> (RunMetrics, usize) {
-    let mut sys = InSituSystem::builder(high_generation_day(seed), controller)
+    run_day_on(high_generation_day(seed), controller, schedule)
+}
+
+/// [`run_day`] on an already built solar day.
+fn run_day_on(
+    solar: SolarTrace,
+    controller: Box<dyn PowerController>,
+    schedule: FaultSchedule,
+) -> (RunMetrics, usize) {
+    let mut sys = InSituSystem::builder(solar, controller)
         .unit_count(TARGETS.units)
         .time_step(SimDuration::from_secs(30))
         .fault_schedule(schedule)
@@ -219,8 +229,10 @@ where
     F: Fn(Option<f64>) -> FaultSchedule + Sync,
 {
     let cells = grid_cells(rates);
+    let solar = high_generation_day(seed);
     crate::runner::run_cells(threads, &cells, |_, &(rate, name)| {
-        let (metrics, injected) = run_day(controller_by_name(name), schedule_of(rate), seed);
+        let (metrics, injected) =
+            run_day_on(solar.clone(), controller_by_name(name), schedule_of(rate));
         row_from(rate, name, &metrics, injected)
     })
 }
@@ -235,6 +247,7 @@ where
     F: Fn(Option<f64>) -> FaultSchedule + Sync,
 {
     let cells = grid_cells(rates);
+    let solar = high_generation_day(seed);
     let step = SimDuration::from_secs(30);
     let end = SimTime::from_hms(23, 59, 30);
     crate::runner::run_cells_incremental(
@@ -248,12 +261,11 @@ where
             // irrelevant here — the sensor RNG it feeds is only consumed
             // inside noise windows, and a fault-free prefix has none;
             // the fork re-derives it from the cell's own schedule.
-            let mut sys =
-                InSituSystem::builder(high_generation_day(seed), controller_by_name(name))
-                    .unit_count(TARGETS.units)
-                    .time_step(step)
-                    .fault_schedule(FaultSchedule::from_events(seed, Vec::new()))
-                    .build();
+            let mut sys = InSituSystem::builder(solar.clone(), controller_by_name(name))
+                .unit_count(TARGETS.units)
+                .time_step(step)
+                .fault_schedule(FaultSchedule::from_events(seed, Vec::new()))
+                .build();
             sys.run_until(fork_at);
             sys.snapshot().ok()
         },
@@ -267,7 +279,7 @@ where
                         .count(|e| matches!(e, SystemEvent::FaultInjected(_)));
                     (RunMetrics::collect(&sys), injected)
                 }
-                None => run_day(controller_by_name(name), schedule_of(rate), seed),
+                None => run_day_on(solar.clone(), controller_by_name(name), schedule_of(rate)),
             };
             row_from(rate, name, &metrics, injected)
         },

@@ -19,6 +19,7 @@ use ins_core::system::{InSituSystem, SystemEvent, SystemSnapshot};
 use ins_sim::fault::{FaultSchedule, FaultTargets};
 use ins_sim::time::{SimDuration, SimTime};
 use ins_solar::trace::high_generation_day;
+use ins_solar::SolarTrace;
 use ins_workload::checkpoint::CheckpointPolicy;
 
 use crate::export::{json_escape, json_number};
@@ -79,12 +80,12 @@ fn schedule_for(seed: u64, mean_interarrival_hours: f64) -> FaultSchedule {
 }
 
 fn builder_for(
+    solar: SolarTrace,
     controller: Box<dyn PowerController>,
     checkpoint_interval_hours: f64,
     schedule: FaultSchedule,
-    seed: u64,
 ) -> InSituSystem {
-    InSituSystem::builder(high_generation_day(seed), controller)
+    InSituSystem::builder(solar, controller)
         .unit_count(TARGETS.units)
         .time_step(SimDuration::from_secs(30))
         .fault_schedule(schedule)
@@ -109,8 +110,25 @@ pub fn run_cell(
     mean_interarrival_hours: f64,
     seed: u64,
 ) -> (RunMetrics, usize) {
+    run_cell_on(
+        high_generation_day(seed),
+        controller,
+        checkpoint_interval_hours,
+        mean_interarrival_hours,
+        seed,
+    )
+}
+
+/// [`run_cell`] on an already built solar day.
+fn run_cell_on(
+    solar: SolarTrace,
+    controller: Box<dyn PowerController>,
+    checkpoint_interval_hours: f64,
+    mean_interarrival_hours: f64,
+    seed: u64,
+) -> (RunMetrics, usize) {
     let schedule = schedule_for(seed, mean_interarrival_hours);
-    let mut sys = builder_for(controller, checkpoint_interval_hours, schedule, seed);
+    let mut sys = builder_for(solar, controller, checkpoint_interval_hours, schedule);
     sys.run_until(SimTime::from_hms(23, 59, 30));
     finish(&sys)
 }
@@ -149,8 +167,9 @@ pub fn sweep_grid_with(
             cells.push((ckpt, rate, "baseline"));
         }
     }
+    let solar = high_generation_day(seed);
     crate::runner::run_cells(threads, &cells, |_, &(ckpt, rate, name)| {
-        let (m, injected) = run_cell(controller_by_name(name), ckpt, rate, seed);
+        let (m, injected) = run_cell_on(solar.clone(), controller_by_name(name), ckpt, rate, seed);
         row_from(ckpt, rate, name, &m, injected)
     })
 }
@@ -179,6 +198,7 @@ pub fn sweep_grid_incremental(
             cells.push((ckpt, rate, "baseline"));
         }
     }
+    let solar = high_generation_day(seed);
     let step = SimDuration::from_secs(30);
     let end = SimTime::from_hms(23, 59, 30);
     crate::runner::run_cells_incremental(
@@ -188,10 +208,10 @@ pub fn sweep_grid_incremental(
         |&(ckpt, rate, name)| ((ckpt, name), schedule_for(seed, rate).first_event_at()),
         |&(ckpt, name): &(f64, &'static str), fork_at| {
             let mut sys = builder_for(
+                solar.clone(),
                 controller_by_name(name),
                 ckpt,
                 FaultSchedule::from_events(seed, Vec::new()),
-                seed,
             );
             sys.run_until(fork_at);
             sys.snapshot().ok()
@@ -203,7 +223,7 @@ pub fn sweep_grid_incremental(
                     sys.run_until(end);
                     finish(&sys)
                 }
-                None => run_cell(controller_by_name(name), ckpt, rate, seed),
+                None => run_cell_on(solar.clone(), controller_by_name(name), ckpt, rate, seed),
             };
             row_from(ckpt, rate, name, &m, injected)
         },

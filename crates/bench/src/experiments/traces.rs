@@ -9,7 +9,7 @@
 use ins_core::controller::{BaselineController, InsureController};
 use ins_core::system::{InSituSystem, SystemEvent, WorkloadModel};
 use ins_sim::time::{SimDuration, SimTime};
-use ins_sim::trace::Sample;
+use ins_sim::trace::{downsample, Sample};
 use ins_sim::units::Soc;
 use ins_solar::trace::{high_generation_day, low_generation_day, SolarTrace};
 
@@ -33,7 +33,7 @@ pub fn fig15(seed: u64) -> (SolarDaySummary, SolarDaySummary) {
         label,
         daytime_mean_w: trace.mean_power_between(7.0, 20.0).value(),
         energy_kwh: trace.total_energy().kilowatt_hours(),
-        series: trace.trace().downsample(48),
+        series: downsample(trace.trace(), 48),
     };
     let high = high_generation_day(seed);
     let low = low_generation_day(seed);

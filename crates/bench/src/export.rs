@@ -44,23 +44,20 @@ pub fn trace_to_csv(trace: &Trace) -> String {
 #[must_use]
 pub fn system_traces_to_csv(system: &InSituSystem) -> String {
     let mut out = String::from("seconds,solar_w,load_w,stored_wh,pack_v\n");
-    let solar = system.trace_solar().samples();
-    let load = system.trace_load().samples();
-    let stored = system.trace_stored().samples();
-    let volts = system.trace_pack_voltage().samples();
-    let n = solar
-        .len()
-        .min(load.len())
-        .min(stored.len())
-        .min(volts.len());
-    for i in 0..n {
+    let rows = system
+        .trace_solar()
+        .iter()
+        .zip(system.trace_load())
+        .zip(system.trace_stored())
+        .zip(system.trace_pack_voltage());
+    for (((solar, load), stored), volts) in rows {
         out.push_str(&format!(
             "{},{},{},{},{}\n",
-            solar[i].time.as_secs(),
-            csv_number(solar[i].value, Some(1)),
-            csv_number(load[i].value, Some(1)),
-            csv_number(stored[i].value, Some(1)),
-            csv_number(volts[i].value, Some(3))
+            solar.time.as_secs(),
+            csv_number(solar.value, Some(1)),
+            csv_number(load.value, Some(1)),
+            csv_number(stored.value, Some(1)),
+            csv_number(volts.value, Some(3))
         ));
     }
     out

@@ -45,17 +45,17 @@ pub struct DailyLog {
 /// (beyond the simulated horizon) are omitted.
 #[must_use]
 pub fn daily_logs(system: &InSituSystem) -> Vec<DailyLog> {
-    let solar = system.trace_solar().samples();
+    let solar = system.trace_solar();
     let Some(last_sample) = solar.last() else {
         return Vec::new();
     };
-    let load = system.trace_load().samples();
-    let volts = system.trace_pack_voltage().samples();
+    let load = system.trace_load();
+    let volts = system.trace_pack_voltage();
     let last_day = last_sample.time.day();
-    let dt_h = if solar.len() >= 2 {
-        (solar[1].time - solar[0].time).as_hours().value()
-    } else {
-        0.0
+    let mut first_two = solar.iter();
+    let dt_h = match (first_two.next(), first_two.next()) {
+        (Some(a), Some(b)) => (b.time - a.time).as_hours().value(),
+        _ => 0.0,
     };
     (0..=last_day)
         .filter_map(|day| {

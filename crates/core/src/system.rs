@@ -13,7 +13,7 @@ use ins_powernet::bus::LoadBus;
 use ins_powernet::charger::{ChargeController, ChargeStep};
 use ins_powernet::matrix::{Attachment, SwitchMatrix};
 use ins_powernet::relay::RelayFault;
-use ins_sim::fault::{FaultClass, FaultEvent, FaultKind, FaultSchedule};
+use ins_sim::fault::{FaultClass, FaultKind, FaultSchedule};
 use ins_sim::log::EventLog;
 use ins_sim::rng::SimRng;
 use ins_sim::stats::RunningStats;
@@ -1017,14 +1017,9 @@ impl InSituSystem {
         let solar = self.plant.solar.power_at(now);
 
         // Scheduled faults due this step strike the hardware first, and
-        // expired windows (repairs) retire. `has_due` is a non-mutating
-        // peek, so the common fault-free step pays one comparison instead
-        // of draining and copying an empty slice.
-        if self.plant.faults.has_due(now) {
-            let due: Vec<FaultEvent> = self.plant.faults.due(now).to_vec();
-            for event in due {
-                self.apply_fault(now, event.kind);
-            }
+        // expired windows (repairs) retire.
+        while let Some(event) = self.plant.faults.pop_due(now) {
+            self.apply_fault(now, event.kind);
         }
         self.expire_fault_windows(now);
         self.advance_checkpoints(now);
@@ -1201,17 +1196,6 @@ impl InSituSystem {
 
     /// Runs until the given instant.
     pub fn run_until(&mut self, end: SimTime) {
-        // Reserve the trace buffers for the whole span up front so the
-        // per-step `record` calls never reallocate mid-run.
-        let now = self.plant.clock.now();
-        if end > now {
-            let dt_s = self.plant.clock.dt().as_secs().max(1);
-            let steps = usize::try_from(end.since(now).as_secs() / dt_s + 1).unwrap_or(usize::MAX);
-            self.plant.trace_solar.reserve(steps);
-            self.plant.trace_load.reserve(steps);
-            self.plant.trace_stored.reserve(steps);
-            self.plant.trace_pack_voltage.reserve(steps);
-        }
         while self.plant.clock.now() < end {
             self.step();
         }
@@ -1513,7 +1497,9 @@ mod tests {
     use super::*;
     use crate::controller::{BaselineController, InsureController, NoOptController};
     use crate::metrics::RunMetrics;
-    use ins_solar::trace::high_generation_day;
+    use ins_sim::fault::FaultEvent;
+    use ins_solar::trace::{high_generation_day, SolarTraceBuilder};
+    use ins_solar::weather::DayWeather;
 
     fn day_system(controller: Box<dyn PowerController>) -> InSituSystem {
         InSituSystem::builder(high_generation_day(42), controller)
@@ -1533,7 +1519,9 @@ mod tests {
     /// Every stock controller, with and without checkpoints, at a 10 s
     /// and a 60 s step: a run forked at 08:00 from a fault-free prefix
     /// must replay the from-scratch run exactly under a schedule whose
-    /// events all fall at or after 09:00.
+    /// events all fall at or after 09:00. The third case forks on day 2
+    /// at a 10 s step, after 16 sealed trace chunks, and runs the prefix
+    /// on across more seals.
     #[test]
     fn forked_run_is_identical_to_its_scratch_run() {
         let targets = ins_sim::fault::FaultTargets {
@@ -1550,8 +1538,6 @@ mod tests {
         assert!(after_nine
             .iter()
             .any(|e| matches!(e.kind, FaultKind::SensorNoise { .. })));
-        let schedule = || FaultSchedule::from_events(drawn.seed(), after_nine.clone());
-        let end = SimTime::from_hms(23, 59, 0);
         let controllers: [fn() -> Box<dyn PowerController>; 3] = [
             || Box::new(InsureController::default()),
             || Box::new(BaselineController::new()),
@@ -1559,9 +1545,24 @@ mod tests {
         ];
         for make in controllers {
             for checkpoints in [None, Some(CheckpointPolicy::prototype())] {
-                for step in [10, 60] {
+                for (lead_days, step) in [(0, 10), (0, 60), (2, 10)] {
+                    // Every instant of the one-day case, `lead_days` later.
+                    let lead = SimDuration::from_hours(24 * lead_days);
+                    let at = |h, m| SimTime::from_hms(h, m, 0) + lead;
+                    let schedule = || {
+                        let shifted = after_nine
+                            .iter()
+                            .map(|e| FaultEvent {
+                                at: e.at + lead,
+                                kind: e.kind,
+                            })
+                            .collect();
+                        FaultSchedule::from_events(drawn.seed(), shifted)
+                    };
+                    let weather = vec![DayWeather::Sunny; lead_days as usize + 1];
+                    let solar = SolarTraceBuilder::new().seed(42).build_days(&weather);
                     let build = |faults| {
-                        let mut builder = InSituSystem::builder(high_generation_day(42), make())
+                        let mut builder = InSituSystem::builder(solar.clone(), make())
                             .time_step(SimDuration::from_secs(step))
                             .fault_schedule(faults);
                         if let Some(policy) = checkpoints {
@@ -1569,17 +1570,29 @@ mod tests {
                         }
                         builder.build()
                     };
+                    let end = at(23, 59);
                     let mut scratch = build(schedule());
                     scratch.run_until(end);
                     let mut prefix = build(FaultSchedule::empty());
-                    prefix.run_until(SimTime::from_hms(8, 0, 0));
+                    prefix.run_until(at(8, 0));
                     let snap = prefix.snapshot().expect("stock controllers fork");
                     // Running the prefix on must not disturb the snapshot
-                    // (copy-on-write isolation).
-                    prefix.run_until(SimTime::from_hms(12, 0, 0));
+                    // (copy-on-write isolation), including across the
+                    // chunk seals its traces make meanwhile.
+                    let sealed_at_fork = prefix.trace_solar().sealed_chunks().len();
+                    prefix.run_until(at(12, 0));
+                    let case = format!(
+                        "{} day {lead_days} step={step}s {checkpoints:?}",
+                        make().name()
+                    );
+                    if step == 10 {
+                        assert!(
+                            prefix.trace_solar().sealed_chunks().len() > sealed_at_fork,
+                            "{case}: the prefix sealed no chunk after the fork"
+                        );
+                    }
                     let mut forked = InSituSystem::fork_from(&snap, schedule());
                     forked.run_until(end);
-                    let case = format!("{} step={step}s {checkpoints:?}", make().name());
                     let fired = forked
                         .events()
                         .count(|e| matches!(e, SystemEvent::FaultInjected(_)));

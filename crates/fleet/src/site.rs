@@ -82,7 +82,6 @@ impl Site {
     ) -> Self {
         let solar_peak_w = solar
             .trace()
-            .samples()
             .iter()
             .fold(1.0_f64, |acc, s| acc.max(s.value));
         let state = SiteState {

@@ -411,7 +411,6 @@ impl ServiceCore {
         let solar_w = self
             .sys
             .trace_solar()
-            .iter()
             .last()
             .map_or(0.0, |sample| sample.value);
         TelemetrySnapshot {

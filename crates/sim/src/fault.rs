@@ -516,16 +516,22 @@ impl FaultSchedule {
         self.events.len() - self.cursor
     }
 
-    /// `true` when at least one un-drained event is due at or before
-    /// `now`. A non-mutating peek, so per-step callers can skip the
-    /// [`FaultSchedule::due`] drain (and any copying of its result) on
-    /// the overwhelmingly common fault-free step.
-    #[must_use]
-    pub fn has_due(&self, now: SimTime) -> bool {
-        self.events.get(self.cursor).is_some_and(|e| e.at <= now)
+    /// Drains the earliest un-drained event if it is due at or before
+    /// `now`.
+    ///
+    /// Call it until it returns `None`: successive drains with
+    /// non-decreasing `now` yield each event exactly once, in time order.
+    /// Each event comes out by value, so the caller may apply it to state
+    /// that owns this schedule without copying the due set first, and a
+    /// fault-free step costs one comparison.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<FaultEvent> {
+        let event = *self.events.get(self.cursor).filter(|e| e.at <= now)?;
+        self.cursor += 1;
+        Some(event)
     }
 
-    /// Drains and returns every event due at or before `now`.
+    /// Drains and returns every event due at or before `now`, as one
+    /// slice borrowed from the schedule.
     ///
     /// Successive calls with non-decreasing `now` return each event exactly
     /// once, in time order.
@@ -913,12 +919,16 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(s.due(SimTime::from_secs(5)).len(), 0);
-        let first = s.due(SimTime::from_secs(15));
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].at, SimTime::from_secs(10));
-        assert_eq!(s.due(SimTime::from_secs(100)).len(), 2);
-        assert_eq!(s.due(SimTime::from_secs(200)).len(), 0);
+        let mut drain = |now| {
+            let now = SimTime::from_secs(now);
+            std::iter::from_fn(|| s.pop_due(now))
+                .map(|e| e.at.as_secs())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(drain(5), Vec::<u64>::new());
+        assert_eq!(drain(15), vec![10]);
+        assert_eq!(drain(100), vec![20, 30]);
+        assert_eq!(drain(200), Vec::<u64>::new());
         assert_eq!(s.remaining(), 0);
         assert_eq!(s.len(), 3);
     }

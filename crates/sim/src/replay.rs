@@ -176,7 +176,6 @@ impl ReplayFeed {
     #[must_use]
     pub fn solar_trace(&self) -> Trace {
         let mut t = Trace::new("replay solar W");
-        t.reserve(self.rows.len());
         for r in &self.rows {
             t.record(r.time, r.solar_w);
         }
@@ -226,6 +225,7 @@ impl ReplayFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::interpolate;
 
     #[test]
     fn parses_comments_blank_lines_and_optional_work_column() {
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn solar_trace_interpolates_between_rows() {
         let feed = ReplayFeed::parse("0, 0.0\n100, 1000.0\n").unwrap();
-        let trace = feed.solar_trace();
-        assert_eq!(trace.value_at(SimTime::from_secs(50)), Some(500.0));
+        let samples: Vec<_> = feed.solar_trace().iter().copied().collect();
+        assert_eq!(interpolate(&samples, SimTime::from_secs(50)), Some(500.0));
     }
 }

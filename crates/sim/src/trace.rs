@@ -5,6 +5,8 @@
 //! is a sequence of `(time, value)` samples that the experiment harness can
 //! summarize or print.
 
+use std::sync::Arc;
+
 use crate::stats::RunningStats;
 use crate::time::SimTime;
 
@@ -17,7 +19,19 @@ pub struct Sample {
     pub value: f64,
 }
 
+/// Samples per sealed chunk of a [`Trace`] (16 KiB of samples).
+///
+/// A clone copies at most one chunk's worth of unsealed samples per
+/// trace, so snapshot and fork costs stay flat however long the run.
+pub const CHUNK_LEN: usize = 1 << 10;
+
 /// A named, append-only time series of `f64` samples.
+///
+/// Samples are kept in sealed chunks of [`CHUNK_LEN`] behind `Arc`s plus
+/// one owned tail holding the samples since the last seal. Cloning a
+/// trace (every plant snapshot and fork does) shares the sealed chunks
+/// and copies only the tail. The tail grows like a `Vec`, so a short
+/// trace never allocates a whole chunk.
 ///
 /// # Examples
 ///
@@ -34,7 +48,11 @@ pub struct Sample {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     name: String,
-    samples: Vec<Sample>,
+    /// Full chunks, oldest first, each exactly [`CHUNK_LEN`] samples.
+    sealed: Vec<Arc<[Sample]>>,
+    /// Samples recorded since the last seal; always fewer than
+    /// [`CHUNK_LEN`].
+    tail: Vec<Sample>,
     stats: RunningStats,
 }
 
@@ -45,7 +63,8 @@ impl Trace {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            samples: Vec::new(),
+            sealed: Vec::new(),
+            tail: Vec::new(),
             stats: RunningStats::new(),
         }
     }
@@ -56,13 +75,6 @@ impl Trace {
         &self.name
     }
 
-    /// Pre-allocates room for `additional` more samples. Long runs call
-    /// this once up front so the per-step `record` never reallocates
-    /// mid-simulation.
-    pub fn reserve(&mut self, additional: usize) {
-        self.samples.reserve(additional);
-    }
-
     /// Appends a sample.
     ///
     /// # Panics
@@ -71,35 +83,43 @@ impl Trace {
     /// sample — traces must be recorded in chronological order.
     pub fn record(&mut self, time: SimTime, value: f64) {
         debug_assert!(
-            self.samples.last().is_none_or(|s| s.time <= time),
+            self.last().is_none_or(|s| s.time <= time),
             "trace '{}' recorded out of order",
             self.name
         );
-        self.samples.push(Sample { time, value });
+        self.tail.push(Sample { time, value });
+        if self.tail.len() == CHUNK_LEN {
+            // Copy the full tail into a shared chunk and keep its buffer
+            // for the next one.
+            self.sealed.push(Arc::from(self.tail.as_slice()));
+            self.tail.clear();
+        }
         self.stats.push(value);
     }
 
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.sealed.len() * CHUNK_LEN + self.tail.len()
     }
 
     /// `true` when no samples have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.sealed.is_empty() && self.tail.is_empty()
     }
 
-    /// The recorded samples in chronological order.
+    /// The sealed chunks, oldest first. Each holds exactly [`CHUNK_LEN`]
+    /// samples and is shared with every clone taken after it was sealed.
     #[must_use]
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    pub fn sealed_chunks(&self) -> &[Arc<[Sample]>] {
+        &self.sealed
     }
 
-    /// Iterates over the samples.
-    pub fn iter(&self) -> core::slice::Iter<'_, Sample> {
-        self.samples.iter()
+    /// Iterates over the samples in chronological order.
+    pub fn iter(&self) -> Iter<'_> {
+        let chunk: fn(&Arc<[Sample]>) -> &[Sample] = |c| &c[..];
+        self.sealed.iter().flat_map(chunk).chain(self.tail.iter())
     }
 
     /// Summary statistics over all recorded values.
@@ -108,58 +128,22 @@ impl Trace {
         &self.stats
     }
 
-    /// The most recent sample, if any.
+    /// The most recent sample, if any. O(1).
     #[must_use]
     pub fn last(&self) -> Option<Sample> {
-        self.samples.last().copied()
+        self.tail
+            .last()
+            .or_else(|| self.sealed.last().and_then(|c| c.last()))
+            .copied()
     }
 
-    /// Linearly interpolated value at `time`.
-    ///
-    /// Clamps to the first/last sample outside the recorded range. Returns
-    /// `None` for an empty trace. On an evenly spaced trace (every
-    /// generated one) the lookup is O(1); otherwise it is a binary
-    /// search. Both find the same bracketing samples.
-    #[must_use]
-    pub fn value_at(&self, time: SimTime) -> Option<f64> {
-        let samples = &self.samples;
-        if samples.is_empty() {
-            return None;
+    /// The sample at `index` in recording order. O(1).
+    fn get(&self, index: usize) -> Option<Sample> {
+        match self.sealed.get(index / CHUNK_LEN) {
+            Some(chunk) => chunk.get(index % CHUNK_LEN),
+            None => self.tail.get(index - self.sealed.len() * CHUNK_LEN),
         }
-        let (first, last) = (samples[0], *samples.last()?);
-        if time <= first.time {
-            return Some(first.value);
-        }
-        if time >= last.time {
-            return Some(last.value);
-        }
-        // Find the first sample at or after `time`. The two clamp
-        // returns above guarantee `0 < idx < samples.len()`. Try the
-        // index an evenly spaced trace predicts first; it stands only if
-        // both neighbours confirm it, which pins it to the same index the
-        // binary search would find.
-        let brackets = |idx: usize| {
-            idx.checked_sub(1)
-                .and_then(|i| samples.get(i))
-                .is_some_and(|a| a.time < time)
-                && samples.get(idx).is_some_and(|b| b.time >= time)
-        };
-        let span = (last.time - first.time).as_secs();
-        let predicted = (time - first.time)
-            .as_secs()
-            .checked_mul(samples.len() as u64 - 1)
-            .map(|scaled| scaled.div_ceil(span))
-            .and_then(|idx| usize::try_from(idx).ok())
-            .filter(|&idx| brackets(idx));
-        let idx = predicted.unwrap_or_else(|| samples.partition_point(|s| s.time < time));
-        // ins-lint: allow(L009) -- idx >= 1: time > first.time was handled above
-        let (a, b) = (samples[idx - 1], samples[idx]);
-        if a.time == b.time {
-            return Some(b.value);
-        }
-        let span = (b.time - a.time).as_secs() as f64;
-        let frac = (time - a.time).as_secs() as f64 / span;
-        Some(a.value + (b.value - a.value) * frac)
+        .copied()
     }
 
     /// Downsamples to at most `max_points` evenly spaced samples, for
@@ -167,25 +151,91 @@ impl Trace {
     /// trace is already small enough.
     #[must_use]
     pub fn downsample(&self, max_points: usize) -> Vec<Sample> {
-        if max_points == 0 || self.samples.is_empty() {
-            return Vec::new();
-        }
-        if self.samples.len() <= max_points {
-            return self.samples.clone();
-        }
-        let stride = self.samples.len() as f64 / max_points as f64;
-        (0..max_points)
-            .map(|i| self.samples[(i as f64 * stride) as usize])
+        stride_indices(self.len(), max_points)
+            .filter_map(|i| self.get(i))
             .collect()
     }
 }
 
+/// Iterator over a [`Trace`]'s samples: each sealed chunk, then the tail.
+pub type Iter<'a> = core::iter::Chain<
+    core::iter::FlatMap<
+        core::slice::Iter<'a, Arc<[Sample]>>,
+        &'a [Sample],
+        fn(&'a Arc<[Sample]>) -> &'a [Sample],
+    >,
+    core::slice::Iter<'a, Sample>,
+>;
+
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a Sample;
-    type IntoIter = core::slice::Iter<'a, Sample>;
+    type IntoIter = Iter<'a>;
     fn into_iter(self) -> Self::IntoIter {
-        self.samples.iter()
+        self.iter()
     }
+}
+
+/// [`Trace::downsample`] over a contiguous sample slice.
+#[must_use]
+pub fn downsample(samples: &[Sample], max_points: usize) -> Vec<Sample> {
+    stride_indices(samples.len(), max_points)
+        .filter_map(|i| samples.get(i).copied())
+        .collect()
+}
+
+/// The indices of at most `max_points` evenly spaced samples out of
+/// `len`: every index when `len` fits.
+fn stride_indices(len: usize, max_points: usize) -> impl Iterator<Item = usize> {
+    let stride = if len <= max_points {
+        1.0
+    } else {
+        len as f64 / max_points as f64
+    };
+    (0..len.min(max_points)).map(move |i| (i as f64 * stride) as usize)
+}
+
+/// Linearly interpolated value at `time` over time-ordered `samples`.
+///
+/// Clamps to the first/last sample outside the recorded range. Returns
+/// `None` for an empty slice. On evenly spaced samples (every generated
+/// trace) the lookup is O(1); otherwise it is a binary search. Both find
+/// the same bracketing samples.
+#[must_use]
+pub fn interpolate(samples: &[Sample], time: SimTime) -> Option<f64> {
+    let (first, last) = (*samples.first()?, *samples.last()?);
+    if time <= first.time {
+        return Some(first.value);
+    }
+    if time >= last.time {
+        return Some(last.value);
+    }
+    // Find the first sample at or after `time`. The two clamp
+    // returns above guarantee `0 < idx < samples.len()`. Try the
+    // index an evenly spaced trace predicts first; it stands only if
+    // both neighbours confirm it, which pins it to the same index the
+    // binary search would find.
+    let brackets = |idx: usize| {
+        idx.checked_sub(1)
+            .and_then(|i| samples.get(i))
+            .is_some_and(|a| a.time < time)
+            && samples.get(idx).is_some_and(|b| b.time >= time)
+    };
+    let span = (last.time - first.time).as_secs();
+    let predicted = (time - first.time)
+        .as_secs()
+        .checked_mul(samples.len() as u64 - 1)
+        .map(|scaled| scaled.div_ceil(span))
+        .and_then(|idx| usize::try_from(idx).ok())
+        .filter(|&idx| brackets(idx));
+    let idx = predicted.unwrap_or_else(|| samples.partition_point(|s| s.time < time));
+    // ins-lint: allow(L009) -- idx >= 1: time > first.time was handled above
+    let (a, b) = (samples[idx - 1], samples[idx]);
+    if a.time == b.time {
+        return Some(b.value);
+    }
+    let span = (b.time - a.time).as_secs() as f64;
+    let frac = (time - a.time).as_secs() as f64 / span;
+    Some(a.value + (b.value - a.value) * frac)
 }
 
 #[cfg(test)]
@@ -213,12 +263,12 @@ mod tests {
 
     #[test]
     fn interpolation_midpoints_and_clamping() {
-        let t = ramp();
-        assert_eq!(t.value_at(SimTime::from_secs(25)), Some(2.5));
-        assert_eq!(t.value_at(SimTime::from_secs(0)), Some(0.0));
+        let samples: Vec<Sample> = ramp().iter().copied().collect();
+        assert_eq!(interpolate(&samples, SimTime::from_secs(25)), Some(2.5));
+        assert_eq!(interpolate(&samples, SimTime::from_secs(0)), Some(0.0));
         // Clamped outside range.
-        assert_eq!(t.value_at(SimTime::from_secs(1000)), Some(10.0));
-        assert_eq!(Trace::new("empty").value_at(SimTime::ZERO), None);
+        assert_eq!(interpolate(&samples, SimTime::from_secs(1000)), Some(10.0));
+        assert_eq!(interpolate(&[], SimTime::ZERO), None);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Property tests for the simulation kernel.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use ins_sim::backoff::{Backoff, BackoffOutcome};
 use ins_sim::replay::ReplayFeed;
 use ins_sim::stats::RunningStats;
 use ins_sim::time::{SimDuration, SimTime};
-use ins_sim::trace::Trace;
+use ins_sim::trace::{interpolate, Sample, Trace, CHUNK_LEN};
 use ins_sim::units::{Amps, Hours, Volts, WattHours, Watts};
 
 proptest! {
@@ -69,11 +71,12 @@ proptest! {
         values in proptest::collection::vec(-100f64..100.0, 2..100),
         query_s in 0u64..20_000
     ) {
-        let mut t = Trace::new("p");
-        for (i, v) in values.iter().enumerate() {
-            t.record(SimTime::from_secs(i as u64 * 60), *v);
-        }
-        let v = t.value_at(SimTime::from_secs(query_s)).expect("non-empty trace");
+        let samples: Vec<Sample> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| Sample { time: SimTime::from_secs(i as u64 * 60), value })
+            .collect();
+        let v = interpolate(&samples, SimTime::from_secs(query_s)).expect("non-empty trace");
         let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
@@ -89,21 +92,22 @@ proptest! {
         even in 0u8..2,
         queries in proptest::collection::vec(0u64..4_000, 1..60)
     ) {
-        let mut t = Trace::new("lookup");
+        let mut samples = Vec::new();
         let mut at = 500;
         for (i, gap) in gaps.iter().enumerate() {
-            t.record(SimTime::from_secs(at), (i as f64 * 0.37).sin() * 100.0);
+            let value = (i as f64 * 0.37).sin() * 100.0;
+            samples.push(Sample { time: SimTime::from_secs(at), value });
             at += if even == 1 { spacing } else { *gap };
         }
         // Random instants, plus every sample's own instant and its
         // neighbours, where repeated timestamps make the index ambiguous.
-        let at_samples = t
+        let at_samples = samples
             .iter()
             .flat_map(|s| [s.time.as_secs() - 1, s.time.as_secs(), s.time.as_secs() + 1]);
         for q in queries.into_iter().chain(at_samples) {
             let time = SimTime::from_secs(q);
-            let expected = reference_value_at(&t, time).map(f64::to_bits);
-            prop_assert_eq!(t.value_at(time).map(f64::to_bits), expected);
+            let expected = reference_value_at(&samples, time).map(f64::to_bits);
+            prop_assert_eq!(interpolate(&samples, time).map(f64::to_bits), expected);
         }
     }
 
@@ -248,10 +252,84 @@ proptest! {
     }
 }
 
-/// `Trace::value_at` as a plain binary search: the reference the indexed
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The chunked recorder behaves as a plain `Vec<Sample>` across at
+    /// least three chunk seals, and every clone is an independent copy
+    /// that shares the chunks sealed before it was taken.
+    #[test]
+    fn trace_matches_a_vec_across_chunk_seals(
+        len in (3 * CHUNK_LEN + 1)..(6 * CHUNK_LEN),
+        clone_at in proptest::collection::vec(0usize..6 * CHUNK_LEN, 1..6),
+        diverge in 1usize..(2 * CHUNK_LEN),
+        max_points in 0usize..(8 * CHUNK_LEN)
+    ) {
+        let sample = |i: usize| Sample {
+            time: SimTime::from_secs(i as u64 * 10),
+            value: ((i * 7919) % 1000) as f64 * 0.25,
+        };
+        let mut trace = Trace::new("chunked");
+        let mut reference = Vec::new();
+        let mut clones = Vec::new();
+        for i in 0..len {
+            if clone_at.contains(&i) {
+                clones.push((i, trace.clone()));
+            }
+            let s = sample(i);
+            trace.record(s.time, s.value);
+            reference.push(s);
+        }
+        check_against_vec(&trace, &reference, max_points);
+        prop_assert_eq!(trace.sealed_chunks().len(), len / CHUNK_LEN);
+        for (at, mut copy) in clones {
+            check_against_vec(&copy, &reference[..at], max_points);
+            prop_assert_eq!(copy.sealed_chunks().len(), at / CHUNK_LEN);
+            for (a, b) in copy.sealed_chunks().iter().zip(trace.sealed_chunks()) {
+                prop_assert!(Arc::ptr_eq(a, b), "a clone must share sealed chunks");
+            }
+            // Record a diverging run into the clone, past its next seal.
+            let mut own = reference[..at].to_vec();
+            for i in at..at + diverge {
+                let s = Sample { value: -1.0 - i as f64, ..sample(i) };
+                copy.record(s.time, s.value);
+                own.push(s);
+            }
+            check_against_vec(&copy, &own, max_points);
+            check_against_vec(&trace, &reference, max_points);
+        }
+    }
+}
+
+/// Checks every read of `trace` against the same reads of `samples`.
+fn check_against_vec(trace: &Trace, samples: &[Sample], max_points: usize) {
+    prop_assert_eq!(trace.len(), samples.len());
+    prop_assert_eq!(trace.is_empty(), samples.is_empty());
+    prop_assert_eq!(trace.last(), samples.last().copied());
+    prop_assert!(trace.iter().eq(samples.iter()), "iteration differs");
+    prop_assert!(
+        IntoIterator::into_iter(trace).eq(samples.iter()),
+        "&Trace iteration differs"
+    );
+    let stats: RunningStats = samples.iter().map(|s| s.value).collect();
+    prop_assert_eq!(trace.stats(), &stats);
+    // The stride selection a `Vec` downsample makes.
+    let expected: Vec<Sample> = if max_points == 0 {
+        Vec::new()
+    } else if samples.len() <= max_points {
+        samples.to_vec()
+    } else {
+        let stride = samples.len() as f64 / max_points as f64;
+        (0..max_points)
+            .map(|i| samples[(i as f64 * stride) as usize])
+            .collect()
+    };
+    prop_assert_eq!(trace.downsample(max_points), expected);
+}
+
+/// `interpolate` as a plain binary search: the reference the indexed
 /// lookup must agree with.
-fn reference_value_at(trace: &Trace, time: SimTime) -> Option<f64> {
-    let samples = trace.samples();
+fn reference_value_at(samples: &[Sample], time: SimTime) -> Option<f64> {
     let (first, last) = (*samples.first()?, *samples.last()?);
     if time <= first.time {
         return Some(first.value);

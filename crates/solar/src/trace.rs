@@ -7,9 +7,12 @@
 //! equivalents: deterministic (seeded) day-long power traces with the same
 //! averages and fluctuation character.
 
+use std::iter;
+use std::sync::Arc;
+
 use ins_sim::rng::SimRng;
 use ins_sim::time::{SimDuration, SimTime, SECONDS_PER_DAY};
-use ins_sim::trace::Trace;
+use ins_sim::trace::{interpolate, Sample, Trace};
 use ins_sim::units::{WattHours, Watts};
 
 use crate::irradiance::{clear_sky_fraction, DaylightWindow};
@@ -18,9 +21,14 @@ use crate::panel::SolarPanel;
 use crate::weather::{CloudField, DayWeather};
 
 /// A generated solar power time series.
+///
+/// The samples are stored once, contiguous, behind an `Arc`: every plant
+/// built on a trace, and every snapshot and fork of that plant, shares
+/// them, and [`SolarTrace::power_at`] interpolates straight over the
+/// slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolarTrace {
-    trace: Trace,
+    samples: Arc<[Sample]>,
     dt: SimDuration,
 }
 
@@ -31,13 +39,18 @@ impl SolarTrace {
     /// the samples' own timestamps, so an irregular feed is fine.
     #[must_use]
     pub fn from_trace(trace: Trace, dt: SimDuration) -> Self {
-        Self { trace, dt }
+        let samples = filled(trace.len(), |slots| {
+            for (slot, sample) in slots.iter_mut().zip(&trace) {
+                *slot = *sample;
+            }
+        });
+        Self { samples, dt }
     }
 
-    /// The underlying trace (values in watts).
+    /// The samples (values in watts), in time order.
     #[must_use]
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    pub fn trace(&self) -> &[Sample] {
+        &self.samples
     }
 
     /// Sampling interval.
@@ -49,14 +62,17 @@ impl SolarTrace {
     /// Power at an arbitrary instant (linear interpolation, zero outside).
     #[must_use]
     pub fn power_at(&self, t: SimTime) -> Watts {
-        Watts::new(self.trace.value_at(t).unwrap_or(0.0))
+        Watts::new(interpolate(&self.samples, t).unwrap_or(0.0))
     }
 
     /// Total energy in the trace.
     #[must_use]
     pub fn total_energy(&self) -> WattHours {
         let dt_h = self.dt.as_hours();
-        self.trace.iter().map(|s| Watts::new(s.value) * dt_h).sum()
+        self.samples
+            .iter()
+            .map(|s| Watts::new(s.value) * dt_h)
+            .sum()
     }
 
     /// Mean power over a wall-clock window of the day, e.g. the paper's
@@ -65,7 +81,7 @@ impl SolarTrace {
     pub fn mean_power_between(&self, from_h: f64, to_h: f64) -> Watts {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for s in self.trace.iter() {
+        for s in self.samples.iter() {
             let h = s.time.time_of_day_hours();
             if h >= from_h && h < to_h {
                 sum += s.value;
@@ -181,30 +197,52 @@ impl SolarTraceBuilder {
     #[must_use]
     pub fn build_days(&self, days: &[DayWeather]) -> SolarTrace {
         assert!(!days.is_empty(), "at least one day required");
-        let mut trace = Trace::new(format!("solar W ({} day(s))", days.len()));
-        let rng_root = SimRng::seed(self.seed);
-        let mut mppt = MpptTracker::new();
-        for (day_idx, &weather) in days.iter().enumerate() {
-            let mut clouds =
-                CloudField::new(weather, rng_root.fork(&format!("clouds-day{day_idx}")));
-            let day_start = day_idx as u64 * SECONDS_PER_DAY;
-            let steps = SECONDS_PER_DAY / self.dt.as_secs();
-            for i in 0..steps {
-                let t = SimTime::from_secs(day_start + i * self.dt.as_secs());
-                let tod = t.time_of_day_hours();
-                let envelope = clear_sky_fraction(&self.window, tod);
-                let transmission = clouds.step(self.dt.as_secs() as f64);
-                let available = self.panel.output(envelope, transmission);
-                let out = if self.mppt {
-                    mppt.step(available)
-                } else {
-                    available
-                };
-                trace.record(t, out.value());
+        let steps = SECONDS_PER_DAY / self.dt.as_secs();
+        let samples = filled(days.len() * steps as usize, |slots| {
+            let mut slots = slots.iter_mut();
+            let rng_root = SimRng::seed(self.seed);
+            let mut mppt = MpptTracker::new();
+            for (day_idx, &weather) in days.iter().enumerate() {
+                let mut clouds =
+                    CloudField::new(weather, rng_root.fork(&format!("clouds-day{day_idx}")));
+                let day_start = day_idx as u64 * SECONDS_PER_DAY;
+                for (i, slot) in (0..steps).zip(&mut slots) {
+                    let t = SimTime::from_secs(day_start + i * self.dt.as_secs());
+                    let tod = t.time_of_day_hours();
+                    let envelope = clear_sky_fraction(&self.window, tod);
+                    let transmission = clouds.step(self.dt.as_secs() as f64);
+                    let available = self.panel.output(envelope, transmission);
+                    let out = if self.mppt {
+                        mppt.step(available)
+                    } else {
+                        available
+                    };
+                    *slot = Sample {
+                        time: t,
+                        value: out.value(),
+                    };
+                }
             }
+        });
+        SolarTrace {
+            samples,
+            dt: self.dt,
         }
-        SolarTrace { trace, dt: self.dt }
     }
+}
+
+/// `len` samples in one shared allocation of exactly that length, written
+/// in place by `fill`: a long input is never grown or copied.
+fn filled(len: usize, fill: impl FnOnce(&mut [Sample])) -> Arc<[Sample]> {
+    let blank = Sample {
+        time: SimTime::ZERO,
+        value: 0.0,
+    };
+    // `repeat_n` has a trusted length, so the collect allocates once.
+    let mut samples: Arc<[Sample]> = iter::repeat_n(blank, len).collect();
+    // The fresh `Arc` has no other owner, so this borrows it in place.
+    fill(Arc::make_mut(&mut samples));
+    samples
 }
 
 impl Default for SolarTraceBuilder {
@@ -269,9 +307,9 @@ mod tests {
     fn deterministic_under_seed() {
         let a = high_generation_day(9);
         let b = high_generation_day(9);
-        assert_eq!(a.trace().samples(), b.trace().samples());
+        assert_eq!(a.trace(), b.trace());
         let c = high_generation_day(10);
-        assert_ne!(a.trace().samples(), c.trace().samples());
+        assert_ne!(a.trace(), c.trace());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Allocation budget of the steady-state step loop.
+//! Allocation budgets of the steady-state step loop and of forking.
 //!
 //! Every experiment, sweep cell, fleet site and the live daemon spends its
 //! time in `InSituSystem::step`, so the loop reuses its buffers instead of
@@ -13,7 +13,11 @@
 //! * Control steps must average at most 3: the controller's returned
 //!   attachment list and the SPM selection lists it builds.
 //!
-//! The test harness runs tests on parallel threads, so the counter is
+//! The allocator also counts bytes, which pins that a snapshot plus a
+//! fork costs about the same after one simulated day as after ten: the
+//! solar input and the sealed trace chunks are shared, not copied.
+//!
+//! The test harness runs tests on parallel threads, so the counters are
 //! thread-local: each test counts only its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -24,6 +28,7 @@ use insure::core::controller::{
     ControlAction, InsureController, PowerController, SystemObservation,
 };
 use insure::core::system::InSituSystem;
+use insure::sim::fault::FaultSchedule;
 use insure::sim::time::{SimDuration, SimTime};
 use insure::solar::trace::SolarTraceBuilder;
 use insure::solar::weather::DayWeather;
@@ -32,31 +37,39 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation of `size` bytes (a `realloc` counts its new
+/// size).
+fn count_one(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 // SAFETY: every method forwards to the system allocator unchanged; the
-// only addition is a thread-local counter bump, which never allocates.
+// only addition is two thread-local counter bumps, which never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -148,4 +161,31 @@ fn step_loop_allocation_budget_at_10s() {
 #[test]
 fn step_loop_allocation_budget_at_60s() {
     assert_budget(60);
+}
+
+/// Bytes allocated by one `snapshot()` plus one `fork_from()` of the
+/// prototype plant built on a `days`-day input and run to its end.
+fn fork_bytes(days: usize) -> u64 {
+    let weather: Vec<DayWeather> = DayWeather::ALL.into_iter().cycle().take(days).collect();
+    let solar = SolarTraceBuilder::new().seed(11).build_days(&weather);
+    let mut sys = InSituSystem::builder(solar, Box::new(InsureController::default()))
+        .time_step(SimDuration::from_secs(60))
+        .build();
+    sys.run_until(SimTime::from_secs(days as u64 * 86_400));
+    let before = bytes();
+    let snapshot = sys.snapshot().expect("the stock controller forks");
+    let forked = InSituSystem::fork_from(&snapshot, FaultSchedule::empty());
+    let allocated = bytes() - before;
+    drop((snapshot, forked));
+    allocated
+}
+
+#[test]
+fn snapshot_and_fork_bytes_do_not_grow_with_the_horizon() {
+    let (one, ten) = (fork_bytes(1), fork_bytes(10));
+    eprintln!("snapshot + fork: {one} bytes after 1 day, {ten} bytes after 10 days");
+    assert!(
+        ten <= 2 * one,
+        "snapshot + fork bytes grew from {one} after 1 day to {ten} after 10 days"
+    );
 }
