@@ -1,20 +1,20 @@
-//! Benchmark artifact generator: `BENCH_step.json` + `BENCH_sweep.json`.
+//! Sweep-scaling artifact generator: `BENCH_sweep.json`.
 //!
 //! ```sh
 //! cargo run -p ins-bench --release --bin bench_report -- \
 //!     [--threads N] [--out DIR]
 //! ```
 //!
-//! `BENCH_step.json` records the simulator's hot-path timings (the
-//! per-step cost `InSituSystem::step` pays and the one-day run built on
-//! it). `BENCH_sweep.json` records wall-clock for the fault-sweep and
-//! recovery grids serially and at `--threads N` (default: available
-//! parallelism), the machine's `available_parallelism`, the resulting
-//! parallel speedups when the machine has at least two cores (on one
-//! core a "speedup" measures only scheduling overhead, so it is left
-//! out), and the incremental engine's scratch-vs-forked timing on the
-//! shared late-window grid, a serial ratio that every host records.
-//! Both files are written for CI to upload and diff across commits.
+//! `BENCH_sweep.json` records wall-clock for the fault-sweep and recovery
+//! grids serially and, when `--threads N` (default: available
+//! parallelism) is at least 2, at N threads too; the machine's
+//! `available_parallelism`; the resulting parallel speedups when both the
+//! run and the machine have at least two threads (on one core a
+//! "speedup" measures only scheduling overhead, so it is left out); and
+//! the incremental engine's scratch-vs-forked timing on the shared
+//! late-window grid, a serial ratio that every host records. CI gates on
+//! the ratios and uploads the file. The simulator's per-layer timings
+//! live in the `perfbench` package.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -23,11 +23,7 @@ use criterion::{black_box, Criterion};
 use ins_bench::experiments::{faults, recovery};
 use ins_bench::export::json_number;
 use ins_bench::runner::{Flag, SweepArgs};
-use ins_core::controller::InsureController;
-use ins_core::system::InSituSystem;
 use ins_sim::pool::available_threads;
-use ins_sim::time::{SimDuration, SimTime};
-use ins_solar::trace::high_generation_day;
 
 fn bench_json(results: &[(String, f64)], extra: &[(String, String)]) -> String {
     let mut out = String::from("{\n");
@@ -60,53 +56,23 @@ fn median(samples: &[f64]) -> f64 {
     }
 }
 
-fn one_day_60s() -> f64 {
-    let mut sys = InSituSystem::builder(
-        high_generation_day(1),
-        Box::new(InsureController::default()),
-    )
-    .time_step(SimDuration::from_secs(60))
-    .build();
-    sys.run_until(SimTime::from_hms(23, 59, 0));
-    sys.workload().processed_gb()
-}
-
-fn step_report() -> String {
-    let mut c = Criterion::default();
-
-    c.bench_function("full_system_step_10s", |b| {
-        let mut sys = InSituSystem::builder(
-            high_generation_day(1),
-            Box::new(InsureController::default()),
-        )
-        .time_step(SimDuration::from_secs(10))
-        .build();
-        sys.run_until(SimTime::from_hms(10, 0, 0));
-        b.iter(|| {
-            sys.step();
-            black_box(sys.now())
-        });
-    });
-    c.bench_function("insure_one_day_60s_steps", |b| b.iter(one_day_60s));
-
-    let step_ns = c
-        .results()
-        .iter()
-        .find(|(n, _)| n == "full_system_step_10s")
-        .map_or(0.0, |(_, ns)| *ns);
-    let steps_per_sec = if step_ns > 0.0 { 1e9 / step_ns } else { 0.0 };
-    bench_json(
-        c.results(),
-        &[(
-            "steps_per_second".to_string(),
-            json_number(steps_per_sec.round()),
-        )],
-    )
+/// The thread counts `sweep_report` times, and whether it writes the
+/// parallel speedups between them. A run at one thread has no parallel
+/// side to time, and on one core the "parallel" run only adds scheduling
+/// overhead, so neither reports a speedup.
+fn sweep_plan(threads: usize, available: usize) -> (Vec<usize>, bool) {
+    if threads < 2 {
+        (vec![1], false)
+    } else {
+        (vec![1, threads], available >= 2)
+    }
 }
 
 fn sweep_report(threads: usize) -> String {
+    let available = available_threads();
+    let (thread_counts, parallel_speedups) = sweep_plan(threads, available);
     let mut c = Criterion::default();
-    for &t in &[1usize, threads] {
+    for &t in &thread_counts {
         c.bench_function(&format!("fault_sweep/threads_{t}"), |b| {
             b.iter(|| black_box(faults::sweep_rates_with(11, &faults::RATES_HOURS, t)));
         });
@@ -136,14 +102,11 @@ fn sweep_report(threads: usize) -> String {
         }
     };
     let ratio = |x: f64| json_number((x * 100.0).round() / 100.0);
-    let available = available_threads();
     let mut fields = vec![
         ("threads".to_string(), threads.to_string()),
         ("available_parallelism".to_string(), available.to_string()),
     ];
-    // On one core the "parallel" run only adds scheduling overhead, so
-    // there is no speedup to report.
-    if available >= 2 {
+    if parallel_speedups {
         for grid in ["fault_sweep", "recovery"] {
             let parallel = speedup(
                 ns_of(&format!("{grid}/threads_1")),
@@ -227,8 +190,6 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
 
-    println!("== step hot path ==");
-    let step = step_report();
     println!("== sweep scaling (1 vs {threads} threads) ==");
     let sweep = sweep_report(threads);
 
@@ -236,16 +197,24 @@ fn main() -> ExitCode {
         eprintln!("error: creating {out_dir}: {e}");
         return ExitCode::FAILURE;
     }
-    let step_path = format!("{out_dir}/BENCH_step.json");
     let sweep_path = format!("{out_dir}/BENCH_sweep.json");
-    if let Err(e) = std::fs::write(&step_path, &step) {
-        eprintln!("error: writing {step_path}: {e}");
-        return ExitCode::FAILURE;
-    }
     if let Err(e) = std::fs::write(&sweep_path, &sweep) {
         eprintln!("error: writing {sweep_path}: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {step_path} and {sweep_path}");
+    println!("wrote {sweep_path}");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sweep_plan;
+
+    #[test]
+    fn speedups_need_a_parallel_run_on_a_multi_core_host() {
+        assert_eq!(sweep_plan(1, 2), (vec![1], false));
+        assert_eq!(sweep_plan(2, 2), (vec![1, 2], true));
+        assert_eq!(sweep_plan(4, 2), (vec![1, 4], true));
+        assert_eq!(sweep_plan(2, 1), (vec![1, 2], false));
+    }
 }

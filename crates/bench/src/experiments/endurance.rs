@@ -94,35 +94,6 @@ pub fn sunshine_sweep_with(
     crate::runner::run_cells(threads, fractions, |_, &sf| run_point(sf, days, seed))
 }
 
-/// [`sunshine_sweep_with`] routed through the incremental scheduler.
-///
-/// The sunshine sweep is the incremental engine's *degenerate* case:
-/// every cell's weather (and therefore its solar trace) differs from the
-/// very first step, so each point diverges at `t = 0`, the planner maps
-/// every cell to a scratch run, and no prefix is ever simulated. The
-/// sweep still goes through [`crate::runner::run_cells_incremental`] so
-/// the `endurance_weeks` binary honours `--incremental` uniformly — the
-/// flag just cannot help here, by construction.
-#[must_use]
-pub fn sunshine_sweep_incremental(
-    fractions: &[f64],
-    days: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<SunshinePoint> {
-    crate::runner::run_cells_incremental(
-        threads,
-        fractions,
-        SimDuration::from_secs(60),
-        |&sf| (sf.to_bits(), Some(SimTime::from_secs(0))),
-        |_, _| None::<ins_core::system::SystemSnapshot>,
-        |_, &sf, snap| {
-            debug_assert!(snap.is_none(), "sunshine cells can never share a prefix");
-            run_point(sf, days, seed)
-        },
-    )
-}
-
 fn run_point(sf: f64, days: usize, seed: u64) -> SunshinePoint {
     let mut rng = SimRng::seed(seed);
     let weather = DayWeather::mix_for_sunshine_fraction(sf, days, &mut rng);
@@ -173,17 +144,6 @@ mod tests {
         let serial = sunshine_sweep(&[1.0, 0.5], 1, 4);
         for threads in [0, 2] {
             assert_eq!(sunshine_sweep_with(&[1.0, 0.5], 1, 4, threads), serial);
-        }
-    }
-
-    #[test]
-    fn incremental_sunshine_sweep_matches_scratch_exactly() {
-        let serial = sunshine_sweep(&[1.0, 0.5], 1, 4);
-        for threads in [1, 2] {
-            assert_eq!(
-                sunshine_sweep_incremental(&[1.0, 0.5], 1, 4, threads),
-                serial
-            );
         }
     }
 

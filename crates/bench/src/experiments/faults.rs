@@ -101,17 +101,8 @@ fn controller_by_name(name: &str) -> Box<dyn PowerController> {
     }
 }
 
-/// Runs one full day under the given controller and fault schedule.
-#[must_use]
-pub fn run_day(
-    controller: Box<dyn PowerController>,
-    schedule: FaultSchedule,
-    seed: u64,
-) -> (RunMetrics, usize) {
-    run_day_on(high_generation_day(seed), controller, schedule)
-}
-
-/// [`run_day`] on an already built solar day.
+/// Runs one full day on `solar` under the given controller and fault
+/// schedule.
 fn run_day_on(
     solar: SolarTrace,
     controller: Box<dyn PowerController>,

@@ -102,24 +102,8 @@ fn finish(sys: &InSituSystem) -> (RunMetrics, usize) {
     (RunMetrics::collect(sys), injected)
 }
 
-/// Runs one day with checkpointing under the extended fault menu.
-#[must_use]
-pub fn run_cell(
-    controller: Box<dyn PowerController>,
-    checkpoint_interval_hours: f64,
-    mean_interarrival_hours: f64,
-    seed: u64,
-) -> (RunMetrics, usize) {
-    run_cell_on(
-        high_generation_day(seed),
-        controller,
-        checkpoint_interval_hours,
-        mean_interarrival_hours,
-        seed,
-    )
-}
-
-/// [`run_cell`] on an already built solar day.
+/// Runs one day on `solar` with checkpointing under the extended fault
+/// menu.
 fn run_cell_on(
     solar: SolarTrace,
     controller: Box<dyn PowerController>,

@@ -39,14 +39,14 @@
 //! |---|---|
 //! | `fault_sweep` | `[--seed N] [--rates H1,H2,...] [--threads N] [--json] [--incremental\|--no-incremental]` |
 //! | `recovery`, `fleet_resilience` | `[--seed N] [--threads N] [--json] [--incremental\|--no-incremental]` |
-//! | `endurance_weeks` | `[--threads N] [--incremental\|--no-incremental]` |
-//! | `all_experiments`, `fig25_scenarios` | `[--threads N]` |
+//! | `all_experiments`, `endurance_weeks`, `fig25_scenarios` | `[--threads N]` |
 //! | `bench_report` | `[--threads N] [--out DIR]` |
 //!
 //! `--threads N` may also be written `--threads=N`.
 //!
-//! `cargo bench -p ins-bench` additionally measures the simulator's hot
-//! paths and runs scaled-down versions of the heavier experiments.
+//! `bench_report` records only the sweep speedups CI gates on. The
+//! simulator's timings, end to end and per layer, come from the
+//! repository's separate `perfbench` package.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

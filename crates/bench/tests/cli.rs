@@ -36,6 +36,11 @@ fn misspelt_flags_exit_2_with_the_usage_line() {
             &["3"],
         ),
         (
+            "endurance_weeks",
+            env!("CARGO_BIN_EXE_endurance_weeks"),
+            &["--no-incremental"],
+        ),
+        (
             "bench_report",
             env!("CARGO_BIN_EXE_bench_report"),
             &["--ot", "out"],
@@ -43,7 +48,7 @@ fn misspelt_flags_exit_2_with_the_usage_line() {
     ];
     for (name, bin, args) in cases {
         let (out, dir) = run_in_temp_dir(name, bin, args);
-        let wrote_bench_files = dir.join("BENCH_step.json").exists();
+        let wrote_bench_files = dir.join("BENCH_sweep.json").exists();
         let _ = std::fs::remove_dir_all(&dir);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");

@@ -134,12 +134,6 @@ impl VmPool {
         self.vms.iter().map(|v| v.restores).sum()
     }
 
-    /// Total live migrations across the pool.
-    #[must_use]
-    pub fn total_migrations(&self) -> u64 {
-        self.vms.iter().map(|v| v.migrations).sum()
-    }
-
     /// Reconciles the pool against a VM target and the machines, of
     /// which those passing `is_on` are currently serving: VMs on dead
     /// machines checkpoint; surplus VMs checkpoint; deficit restores onto

@@ -727,12 +727,6 @@ impl SnapshotController for NoOptController {
     }
 }
 
-/// Minimum duration between controller invocations used by experiments.
-#[must_use]
-pub fn default_control_period() -> SimDuration {
-    SimDuration::from_minutes(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1303,7 +1303,6 @@ impl MemberList {
 pub struct SystemBuilder {
     solar: SolarTrace,
     controller: Box<dyn PowerController>,
-    unit_params: BatteryParams,
     unit_count: usize,
     initial_soc: Soc,
     rack: Rack,
@@ -1324,7 +1323,6 @@ impl SystemBuilder {
         Self {
             solar,
             controller,
-            unit_params: BatteryParams::cabinet_24v(),
             unit_count: 3,
             initial_soc: Soc::saturating(0.6),
             rack: Rack::prototype(),
@@ -1362,13 +1360,6 @@ impl SystemBuilder {
         }
         self.unit_count = count;
         Ok(self)
-    }
-
-    /// Sets the per-cabinet battery parameters.
-    #[must_use]
-    pub fn unit_params(mut self, params: BatteryParams) -> Self {
-        self.unit_params = params;
-        self
     }
 
     /// Sets the initial (rested) state of charge of every cabinet.
@@ -1435,14 +1426,14 @@ impl SystemBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configured battery parameters fail
-    /// [`BatteryParams::validate`] — the builder accepts arbitrary
-    /// parameter sets, so validation happens here, once, before any
-    /// unit is constructed.
+    /// Only if [`BatteryParams::cabinet_24v`], the parameters every
+    /// cabinet gets, failed [`BatteryParams::validate`]; the battery
+    /// crate's `presets_validate` test pins that they pass.
     #[must_use]
     pub fn build(self) -> InSituSystem {
+        let params = BatteryParams::cabinet_24v();
         let units: Vec<BatteryUnit> = (0..self.unit_count)
-            .map(|i| BatteryUnit::with_soc(BatteryId(i), self.unit_params, self.initial_soc))
+            .map(|i| BatteryUnit::with_soc(BatteryId(i), params, self.initial_soc))
             .collect();
         let plant = Plant {
             clock: SimClock::starting_at(self.start, self.dt),

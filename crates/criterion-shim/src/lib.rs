@@ -2,11 +2,11 @@
 //! workspace uses.
 //!
 //! The build environment has no registry access, so the real `criterion`
-//! crate cannot be fetched. This shim keeps the bench sources unchanged:
-//! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
-//! [`Bencher::iter`], [`criterion_group!`] and [`criterion_main!`] all
-//! exist with compatible signatures. Timing is a straightforward
-//! wall-clock measurement (median of a few batches) printed as
+//! crate cannot be fetched. `bench_report` times its sweeps through
+//! [`Criterion::bench_function`] and [`Bencher::iter`], which keep the
+//! real crate's signatures, and reads the timings back through
+//! [`Criterion::results`]. Timing is a straightforward wall-clock
+//! measurement (mean of one auto-sized batch) printed as
 //! `name  ...  <time>/iter` — no statistics engine, plots, or baselines.
 
 use std::time::{Duration, Instant};
@@ -22,16 +22,6 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Mean nanoseconds per iteration of the last [`Bencher::iter`] run.
-    ///
-    /// `0.0` before the first `iter` call. Exposed so callers that record
-    /// benchmark artifacts (e.g. `BENCH_step.json`) can read the
-    /// measurement instead of scraping stdout.
-    #[must_use]
-    pub fn ns_per_iter(&self) -> f64 {
-        self.last_ns_per_iter
-    }
-
     /// Times `routine`, auto-scaling the iteration count so the
     /// measurement lasts long enough to be meaningful but stays fast.
     pub fn iter<R>(&mut self, mut routine: impl FnMut() -> R) {
@@ -66,7 +56,7 @@ fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Benchmark registry/driver. Created by [`criterion_group!`]'s runner.
+/// Benchmark registry/driver.
 #[derive(Debug, Default)]
 pub struct Criterion {
     results: Vec<(String, f64)>,
@@ -91,64 +81,6 @@ impl Criterion {
     pub fn results(&self) -> &[(String, f64)] {
         &self.results
     }
-
-    /// Opens a named group of benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            criterion: self,
-            name: name.to_string(),
-        }
-    }
-}
-
-/// A named group of benchmarks (settings are accepted and ignored).
-#[derive(Debug)]
-pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the sample count (accepted for API compatibility; ignored).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Sets the measurement time (accepted for API compatibility; ignored).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    /// Runs one named benchmark within the group.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let full = format!("{}/{}", self.name, name);
-        self.criterion.bench_function(&full, f);
-        self
-    }
-
-    /// Closes the group.
-    pub fn finish(self) {}
-}
-
-/// Declares a benchmark group runner function.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Declares the bench entry point running the listed groups.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
 
 #[cfg(test)]
@@ -163,22 +95,12 @@ mod tests {
     }
 
     #[test]
-    fn groups_accept_settings() {
-        let mut c = Criterion::default();
-        let mut g = c.benchmark_group("g");
-        g.sample_size(10).bench_function("inner", |b| b.iter(|| ()));
-        g.finish();
-    }
-
-    #[test]
     fn results_record_every_bench_in_order() {
         let mut c = Criterion::default();
         c.bench_function("first", |b| b.iter(|| black_box(1) + 1));
-        let mut g = c.benchmark_group("grp");
-        g.bench_function("second", |b| b.iter(|| black_box(2) + 2));
-        g.finish();
+        c.bench_function("second", |b| b.iter(|| black_box(2) + 2));
         let names: Vec<&str> = c.results().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["first", "grp/second"]);
+        assert_eq!(names, ["first", "second"]);
         assert!(c.results().iter().all(|(_, ns)| *ns > 0.0));
     }
 

@@ -7,8 +7,6 @@
 //! * [`matrix`] — the PLC-driven switch matrix attaching each battery unit
 //!   to the charge bus, the load bus, or neither, with the
 //!   never-both-closed safety invariant,
-//! * [`topology`] — the P1/P2/P3 series/parallel array reconfiguration of
-//!   §3.1 with its voltage/ampere-hour ratings,
 //! * [`converter`] — DC/DC stages with fixed overhead + proportional loss
 //!   (the light-load penalty that motivates concentrated charging),
 //! * [`charger`] — the multi-channel solar charge controller,
@@ -34,11 +32,9 @@ pub mod charger;
 pub mod converter;
 pub mod matrix;
 pub mod relay;
-pub mod topology;
 
 pub use bus::{LoadBus, LoadSettlement};
 pub use charger::{ChargeController, ChargeStep};
 pub use converter::Converter;
 pub use matrix::{Attachment, SwitchMatrix, UnknownUnitError};
 pub use relay::{Relay, RelayFault};
-pub use topology::{ArrayTopology, SwitchStates};

@@ -204,12 +204,6 @@ impl DecisionSource {
             Self::Quarantined => "safe-quarantined",
         }
     }
-
-    /// `true` when safe mode (not the primary) produced the decision.
-    #[must_use]
-    pub fn is_degraded(self) -> bool {
-        !matches!(self, Self::Primary)
-    }
 }
 
 /// Lifetime counters for the supervised engine.

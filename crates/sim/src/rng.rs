@@ -94,12 +94,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit value (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        // ins-lint: allow(L009) -- truncation to the high 32 bits is the point
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Fills `dest` with random bytes.
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         for chunk in dest.chunks_mut(8) {

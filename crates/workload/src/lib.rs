@@ -9,8 +9,6 @@
 //!   day) with FIFO queueing and turnaround statistics,
 //! * [`stream`] — continuous data streams (24-camera video at
 //!   0.21 GB/min) with backlog and service-delay accounting,
-//! * [`schedule`] — seeded generation of daily arrival schedules beyond
-//!   the fixed prototype timetable,
 //! * [`checkpoint`] — crash-consistent job checkpoints (torn-write rule,
 //!   restart backoff, poison-job quarantine) backing the recovery path.
 //!
@@ -34,7 +32,6 @@ pub mod batch;
 pub mod benchmark;
 pub mod checkpoint;
 pub mod scaling;
-pub mod schedule;
 pub mod stream;
 
 pub use batch::{BatchSpec, BatchWorkload};
