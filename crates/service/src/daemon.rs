@@ -320,11 +320,22 @@ impl Sink {
                 println!("{line}");
                 Ok(())
             }
-            Self::File(f) => writeln!(f, "{line}")
-                .and_then(|()| f.flush())
-                .map_err(|e| ServiceError::Io(format!("telemetry write: {e}"))),
+            Self::File(f) => {
+                write_line(f, line).map_err(|e| ServiceError::Io(format!("telemetry write: {e}")))
+            }
         }
     }
+}
+
+/// Writes `line` and its newline with one `write_all`: `writeln!` issues
+/// two writes, and a SIGKILL between them would leave the line without
+/// its newline for the resumed daemon's header to run into.
+fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    w.write_all(buf.as_bytes())?;
+    w.flush()
 }
 
 /// Runs the daemon to completion (drain command, tick limit or feed
@@ -405,4 +416,36 @@ pub fn run(opts: DaemonOptions) -> Result<DaemonReport, ServiceError> {
         resumed_from,
         drain,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_and_its_newline_go_out_in_one_write() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, "tick=0 t=60").expect("in-memory write");
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"tick=0 t=60\n");
+    }
 }

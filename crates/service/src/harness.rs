@@ -8,7 +8,7 @@
 //! `(engine, seed, feed)` triple fully determines the stream of lines,
 //! which is what makes kill-resume determinism checkable at all.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 use ins_core::config::ConfigError;
@@ -158,17 +158,6 @@ impl ServiceSpec {
         Ok(())
     }
 
-    /// The resume token for this spec after `ticks` completed periods.
-    #[must_use]
-    pub fn resume_token(&self, ticks: u64) -> ResumeToken {
-        ResumeToken {
-            engine: self.engine.clone(),
-            seed: self.seed,
-            ticks,
-            digest: feed_digest(self.replay.as_ref()),
-        }
-    }
-
     /// Checks that `token` belongs to this spec.
     ///
     /// # Errors
@@ -243,8 +232,11 @@ pub struct ServiceCore {
     sys: InSituSystem,
     shared: Rc<RefCell<SupervisedState>>,
     admission: AdmissionController,
+    /// [`feed_digest`] of `spec.replay`, hashed for the first resume
+    /// token: the spec never changes after construction, and hashing
+    /// the feed costs milliseconds.
+    feed_digest: OnceCell<u64>,
     ticks: u64,
-    emitting: bool,
     lines: Vec<String>,
     drained: bool,
 }
@@ -306,8 +298,8 @@ impl ServiceCore {
             sys,
             shared,
             admission,
+            feed_digest: OnceCell::new(),
             ticks: 0,
-            emitting: true,
             lines: Vec::new(),
             drained: false,
         })
@@ -393,10 +385,18 @@ impl ServiceCore {
         }
     }
 
-    /// The resume token capturing the current restore point.
+    /// The resume token capturing the current restore point. The first
+    /// call hashes the replay feed; later calls reuse that digest.
     #[must_use]
     pub fn resume_token(&self) -> ResumeToken {
-        self.spec.resume_token(self.ticks)
+        ResumeToken {
+            engine: self.spec.engine.clone(),
+            seed: self.spec.seed,
+            ticks: self.ticks,
+            digest: *self
+                .feed_digest
+                .get_or_init(|| feed_digest(self.spec.replay.as_ref())),
+        }
     }
 
     fn snapshot(&self) -> TelemetrySnapshot {
@@ -442,6 +442,14 @@ impl ServiceCore {
         if self.drained {
             return None;
         }
+        self.advance();
+        let line = self.snapshot().line();
+        self.lines.push(line.clone());
+        Some(line)
+    }
+
+    /// One control period without its telemetry line.
+    fn advance(&mut self) {
         let period = self.spec.control_period.as_secs();
         let prev = SimTime::from_secs(period.saturating_mul(self.ticks));
         let target = SimTime::from_secs(period.saturating_mul(self.ticks.saturating_add(1)));
@@ -463,25 +471,18 @@ impl ServiceCore {
         self.sys.offer_work(released);
         self.sys.run_until(target);
         self.ticks = self.ticks.saturating_add(1);
-
-        let line = self.snapshot().line();
-        if self.emitting {
-            self.lines.push(line.clone());
-        }
-        Some(line)
     }
 
-    /// Silently replays `ticks` control periods (no telemetry recorded)
-    /// — the resume fast-forward. Determinism makes the state identical
-    /// to a run that emitted all along.
+    /// Silently replays `ticks` control periods (no telemetry formatted
+    /// or recorded) — the resume fast-forward. Determinism makes the
+    /// state identical to a run that emitted all along.
     pub fn fast_forward(&mut self, ticks: u64) {
-        self.emitting = false;
-        for _ in 0..ticks {
-            if self.tick().is_none() {
-                break;
-            }
+        if self.drained {
+            return;
         }
-        self.emitting = true;
+        for _ in 0..ticks {
+            self.advance();
+        }
     }
 
     /// Graceful drain: close intake, flush the queue into the plant,
@@ -512,9 +513,7 @@ impl ServiceCore {
                 .map_or(0.0, |d| d.progress_gb),
             self.admission.fully_accounted(),
         );
-        if self.emitting {
-            self.lines.push(line.clone());
-        }
+        self.lines.push(line.clone());
         self.drained = true;
         DrainReport {
             flushed_gb: flushed,

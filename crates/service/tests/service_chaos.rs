@@ -4,6 +4,7 @@
 //! threads or wall clocks involved.
 
 use ins_service::harness::{ServiceCore, ServiceSpec};
+use ins_service::resume::feed_digest;
 use ins_service::supervisor::{DecisionSource, EngineFault, EngineStatus, SupervisorConfig};
 use ins_sim::replay::ReplayFeed;
 
@@ -166,6 +167,26 @@ fn resume_token_round_trips_through_the_spec() {
     let mut other = spec_with_feed("insure", 47);
     other.replay = None;
     assert!(other.accepts(&token).is_err());
+}
+
+/// The core hashes its feed once, for its first token: every token it
+/// issues carries that digest and is accepted by its spec.
+#[test]
+fn resume_tokens_carry_the_feed_digest_at_every_tick() {
+    for spec in [
+        spec_with_feed("insure", 47),
+        ServiceSpec::prototype("noopt", 47),
+    ] {
+        let digest = feed_digest(spec.replay.as_ref());
+        let mut core = ServiceCore::try_new(spec.clone()).expect("core builds");
+        core.fast_forward(3);
+        for ticks in 3..8 {
+            let token = core.resume_token();
+            assert_eq!((token.ticks, token.digest), (ticks, digest));
+            spec.accepts(&token).expect("token matches its own spec");
+            core.tick();
+        }
+    }
 }
 
 /// The no-silent-drops acceptance gate: at drain time the queue is
