@@ -9,10 +9,9 @@
 //! * [`dvfs`] — clock duty cycles, the TPM's batch-workload knob,
 //! * [`server`] — the per-machine power-state machine with total vs
 //!   *effective* energy accounting,
-//! * [`rack`] — VM-target placement and the control-action counters that
-//!   feed Table 6,
-//! * [`vm`] — per-instance placement, checkpoint/restore and migration
-//!   bookkeeping.
+//! * [`rack`] — the rack aggregate: the VM target, its mapping onto
+//!   machine power states, and the control-action counters that feed
+//!   Table 6.
 //!
 //! # Examples
 //!
@@ -36,10 +35,8 @@ pub mod dvfs;
 pub mod profiles;
 pub mod rack;
 pub mod server;
-pub mod vm;
 
 pub use dvfs::DutyCycle;
 pub use profiles::{ProfileError, ServerProfile};
 pub use rack::Rack;
 pub use server::{PowerState, Server};
-pub use vm::{Vm, VmPool, VmState};

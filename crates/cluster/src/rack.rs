@@ -1,11 +1,12 @@
-//! The server rack: VM placement over physical machines.
+//! The server rack: a VM target over physical machines.
 //!
 //! The prototype runs 8 Xen VMs on 4 physical machines, two per PM (§5).
 //! The node allocator adjusts the number of active VMs (stream workloads)
 //! or the clock duty cycle (batch workloads); this module maps a target VM
 //! count onto server power states and tracks the control-action counters
 //! the paper logs in Table 6 ("Power Ctrl. Times", "On/Off Cycles",
-//! "VM Ctrl. Times").
+//! "VM Ctrl. Times"). The running VM count is derived from the machines
+//! ([`Rack::active_vms`]); no per-instance placement is kept.
 
 use ins_sim::time::SimDuration;
 use ins_sim::units::{WattHours, Watts};
@@ -13,7 +14,6 @@ use ins_sim::units::{WattHours, Watts};
 use crate::dvfs::DutyCycle;
 use crate::profiles::ServerProfile;
 use crate::server::{PowerState, Server};
-use crate::vm::VmPool;
 
 /// A homogeneous rack of physical machines with a VM target.
 ///
@@ -34,7 +34,6 @@ use crate::vm::VmPool;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rack {
     servers: Vec<Server>,
-    vm_pool: VmPool,
     target_vms: u32,
     duty: DutyCycle,
     vm_control_actions: u64,
@@ -51,10 +50,8 @@ impl Rack {
     #[must_use]
     pub fn new(profile: ServerProfile, n: usize) -> Self {
         assert!(n > 0, "rack needs at least one server");
-        let slots = profile.vm_slots;
         Self {
             servers: (0..n).map(|_| Server::new(profile.clone())).collect(),
-            vm_pool: VmPool::new(slots * n as u32, slots),
             target_vms: 0,
             duty: DutyCycle::FULL,
             vm_control_actions: 0,
@@ -130,34 +127,33 @@ impl Rack {
     /// Maps the VM target onto machine power states, skipping machines in
     /// a crash cooldown and preferring machines that are already live so a
     /// recovered machine does not evict its substitute.
+    ///
+    /// The first `needed` live machines (serving or booting) stay up, in
+    /// index order; healthy spares, lowest index first, cover whatever
+    /// the live ones do not; everything else powers off.
     fn apply_power_targets(&mut self) {
         // Machines needed assuming uniform slot counts.
         let slots_per = self.servers[0].profile().vm_slots.max(1);
         let needed = self.target_vms.div_ceil(slots_per) as usize;
-        let mut grant = vec![false; self.servers.len()];
-        let mut granted = 0;
-        // First pass: keep already-live machines (serving or booting).
-        for (i, s) in self.servers.iter().enumerate() {
-            if granted >= needed {
-                break;
-            }
-            if matches!(s.state(), PowerState::On | PowerState::Booting { .. }) {
-                grant[i] = true;
-                granted += 1;
-            }
-        }
-        // Second pass: bring up healthy spares, lowest index first.
-        for (i, s) in self.servers.iter().enumerate() {
-            if granted >= needed {
-                break;
-            }
-            if !grant[i] && !s.is_crash_cooling() {
-                grant[i] = true;
-                granted += 1;
-            }
-        }
-        for (i, server) in self.servers.iter_mut().enumerate() {
-            if grant[i] {
+        let is_live = |s: &Server| matches!(s.state(), PowerState::On | PowerState::Booting { .. });
+        let live_kept = self
+            .servers
+            .iter()
+            .filter(|s| is_live(s))
+            .count()
+            .min(needed);
+        let (mut live_seen, mut spares_seen) = (0, 0);
+        for server in &mut self.servers {
+            let grant = if is_live(server) {
+                live_seen += 1;
+                live_seen <= needed
+            } else if server.is_crash_cooling() {
+                false
+            } else {
+                spares_seen += 1;
+                live_kept + spares_seen <= needed
+            };
+            if grant {
                 server.power_on();
             } else {
                 server.power_off();
@@ -235,19 +231,13 @@ impl Rack {
     }
 
     /// Advances all machines by `dt` at the given utilization; returns the
-    /// rack's power draw during the step. VM placement is reconciled
-    /// against the machines actually serving (checkpoint on machine loss,
-    /// restore when capacity returns).
+    /// rack's power draw during the step.
     pub fn step(&mut self, dt: SimDuration, utilization: f64) -> Watts {
         let duty = self.duty;
-        let draw = self
-            .servers
+        self.servers
             .iter_mut()
             .map(|s| s.step(dt, utilization, duty))
-            .sum();
-        self.vm_pool
-            .reconcile(self.target_vms, &self.servers, Server::is_on);
-        draw
+            .sum()
     }
 
     /// Aggregate compute capacity right now: active VMs × duty ×
@@ -298,14 +288,6 @@ impl Rack {
     #[must_use]
     pub fn any_serving(&self) -> bool {
         self.servers.iter().any(Server::is_on)
-    }
-
-    /// The VM pool: placement state and checkpoint/restore/migration
-    /// counters (the 5-minute management overhead of §5 accrues per
-    /// operation recorded here).
-    #[must_use]
-    pub fn vm_pool(&self) -> &VmPool {
-        &self.vm_pool
     }
 }
 
@@ -406,23 +388,6 @@ mod tests {
         assert!(!rack.any_serving());
         assert_eq!(rack.power_demand(1.0), Watts::ZERO);
         assert_eq!(rack.on_off_cycles(), 4);
-    }
-
-    #[test]
-    fn vm_pool_follows_machine_lifecycle() {
-        let mut rack = Rack::prototype();
-        rack.set_target_vms(6);
-        settle(&mut rack, 15);
-        assert_eq!(rack.vm_pool().running(), 6);
-        // Scale down: two VMs checkpoint.
-        rack.set_target_vms(2);
-        settle(&mut rack, 10);
-        assert_eq!(rack.vm_pool().running(), 2);
-        assert!(rack.vm_pool().total_checkpoints() >= 4);
-        // Hard crash checkpoints the rest on the next step.
-        rack.force_shutdown_all();
-        settle(&mut rack, 1);
-        assert_eq!(rack.vm_pool().running(), 0);
     }
 
     #[test]

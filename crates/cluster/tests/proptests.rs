@@ -92,6 +92,35 @@ proptest! {
         prop_assert_eq!(rack.active_vms(), vms.min(8));
     }
 
+    /// Re-targeting and crashes map the VM target onto exactly the
+    /// machines the two-pass grant-list reference picks, from any
+    /// reachable mix of live, off, shutting-down and cooling machines.
+    #[test]
+    fn power_mapping_matches_the_two_pass_reference(
+        ops in proptest::collection::vec((0u8..3, 0u32..9, 0usize..4, 1u64..20), 1..60)
+    ) {
+        let mut rack = Rack::prototype();
+        for (kind, vms, machine, minutes) in ops {
+            match kind {
+                0 => {
+                    let expected = two_pass_mapping(rack.servers().to_vec(), vms.min(8));
+                    rack.set_target_vms(vms);
+                    prop_assert_eq!(rack.servers(), &expected[..]);
+                }
+                1 => {
+                    let mut crashed = rack.servers().to_vec();
+                    crashed[machine].crash();
+                    let expected = two_pass_mapping(crashed, rack.target_vms());
+                    rack.crash_server(machine);
+                    prop_assert_eq!(rack.servers(), &expected[..]);
+                }
+                _ => {
+                    rack.step(SimDuration::from_minutes(minutes), 1.0);
+                }
+            }
+        }
+    }
+
     /// The crash-restart cooldown doubles per consecutive crash and is
     /// exactly `BASE << MAX_CRASH_BACKOFF_DOUBLINGS` from the cap onward,
     /// for any crash-loop length.
@@ -138,4 +167,34 @@ proptest! {
         }
         prop_assert_eq!(up, DutyCycle::FULL);
     }
+}
+
+/// The rack's VM-target mapping written as two passes over a grant list
+/// (two VM slots per machine): keep the first live machines (serving or
+/// booting), then bring up healthy spares, lowest index first, until the
+/// target's machines are granted; power the rest off.
+fn two_pass_mapping(mut servers: Vec<Server>, target_vms: u32) -> Vec<Server> {
+    let needed = target_vms.div_ceil(2) as usize;
+    let mut grant = vec![false; servers.len()];
+    let mut granted = 0;
+    for (i, s) in servers.iter().enumerate() {
+        if granted < needed && matches!(s.state(), PowerState::On | PowerState::Booting { .. }) {
+            grant[i] = true;
+            granted += 1;
+        }
+    }
+    for (i, s) in servers.iter().enumerate() {
+        if granted < needed && !grant[i] && !s.is_crash_cooling() {
+            grant[i] = true;
+            granted += 1;
+        }
+    }
+    for (s, granted) in servers.iter_mut().zip(grant) {
+        if granted {
+            s.power_on();
+        } else {
+            s.power_off();
+        }
+    }
+    servers
 }

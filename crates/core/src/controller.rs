@@ -142,10 +142,14 @@ pub struct InsureController {
     /// brownout; its admission cap only ever lowers the VM target.
     recovery: RecoveryCoordinator,
     /// Per-period working lists, refilled on every control call: the
-    /// eligible units out of quarantine, and those of them left for
-    /// charging once the dischargers are chosen.
+    /// eligible units out of quarantine, the dischargers picked from
+    /// them, those left for charging and the chargers picked from those,
+    /// plus the SPM selections' candidate ranking.
     survivors: Vec<BatteryId>,
+    dischargers: Vec<BatteryId>,
     charge_eligible: Vec<BatteryId>,
+    chargers: Vec<BatteryId>,
+    ranked: Vec<usize>,
 }
 
 impl InsureController {
@@ -178,7 +182,10 @@ impl InsureController {
             health: HealthMonitor::prototype(),
             recovery: RecoveryCoordinator::default(),
             survivors: Vec::new(),
+            dischargers: Vec::new(),
             charge_eligible: Vec::new(),
+            chargers: Vec::new(),
+            ranked: Vec::new(),
         })
     }
 
@@ -216,22 +223,23 @@ impl InsureController {
             self.config.desired_lifetime_days,
         );
         // Keep at least two units in play so load and charge can proceed.
-        let s = screen(&obs.units, threshold, self.config.elastic_threshold, 2);
+        let applied = screen(
+            &obs.units,
+            threshold,
+            self.config.elastic_threshold,
+            2,
+            &mut self.eligible,
+        );
         // Unused budget for the next interval: mean per-unit leftover.
         if !obs.units.is_empty() {
             let leftover: f64 = obs
                 .units
                 .iter()
-                .map(|u| {
-                    (s.applied_threshold - u.discharge_throughput)
-                        .value()
-                        .max(0.0)
-                })
+                .map(|u| (applied - u.discharge_throughput).value().max(0.0))
                 .sum::<f64>()
                 / obs.units.len() as f64;
             self.unused_budget = AmpHours::new(leftover);
         }
-        self.eligible = s.eligible;
     }
 }
 
@@ -346,17 +354,21 @@ impl PowerController for InsureController {
         self.smoothed_surplus += 0.2 * (surplus.value() - self.smoothed_surplus);
 
         // --- Spatial decision: who charges, who discharges. ------------
-        let mut assigned: Vec<(BatteryId, Attachment)> = Vec::new();
+        // Every unit gets exactly one order.
+        let mut assigned: Vec<(BatteryId, Attachment)> = Vec::with_capacity(obs.units.len());
         // Discharge selection: cover the deficit under the per-unit cap.
         let needed_current = Amps::new(deficit.value() / obs.pack_voltage.value().max(1.0));
-        let dischargers = select_for_discharge(
+        let dischargers = &mut self.dischargers;
+        select_for_discharge(
             &obs.units,
             survivors,
             needed_current,
             discharge_cap,
             cfg.soc_low_threshold,
+            &mut self.ranked,
+            dischargers,
         );
-        for id in &dischargers {
+        for id in dischargers.iter() {
             assigned.push((*id, Attachment::DischargeBus));
         }
         // Charge selection from the remaining eligible survivors.
@@ -369,8 +381,16 @@ impl PowerController for InsureController {
                 .filter(|id| !dischargers.contains(id)),
         );
         let n = charge_batch_size(surplus, cfg.peak_charge_power);
-        let chargers = select_for_charging(&obs.units, charge_eligible, n, cfg.charge_target_soc);
-        for id in &chargers {
+        let chargers = &mut self.chargers;
+        select_for_charging(
+            &obs.units,
+            charge_eligible,
+            n,
+            cfg.charge_target_soc,
+            &mut self.ranked,
+            chargers,
+        );
+        for id in chargers.iter() {
             assigned.push((*id, Attachment::ChargeBus));
         }
         // Charged spare units ride the discharge bus as hot standby while
@@ -553,15 +573,17 @@ impl PowerController for BaselineController {
 
         if self.locked_out {
             // Whole buffer charges; servers may only ride direct solar.
-            for u in &obs.units {
-                action.attachments.push((u.id, Attachment::ChargeBus));
-            }
+            action.attachments = obs
+                .units
+                .iter()
+                .map(|u| (u.id, Attachment::ChargeBus))
+                .collect();
             // Solar-only operation needs a stability margin, or every
             // passing cloud browns the servers out.
             let machines =
-                // ins-lint: allow(L009) -- float-to-int `as` saturates; counts are small
+                // ins-lint: allow(L009) -- float `as` saturates at u32::MAX; so does the doubling below
                 (obs.solar_power.value() / (self.watts_per_machine * 1.3)).floor() as u32;
-            let target = (machines * 2).min(obs.total_vm_slots);
+            let target = machines.saturating_mul(2).min(obs.total_vm_slots);
             if target == 0 {
                 action.emergency_shutdown = true;
             }
@@ -573,9 +595,9 @@ impl PowerController for BaselineController {
         // the unified buffer shaving what's left (no per-unit decisions).
         let buffer_assist = if mean_soc > 0.5 { 1.5 } else { 0.5 };
         let budget = obs.solar_power.value() * (1.0 + buffer_assist * 0.3);
-        // ins-lint: allow(L009) -- float-to-int `as` saturates; counts are small
+        // ins-lint: allow(L009) -- float `as` saturates at u32::MAX; so does the doubling below
         let machines = (budget / self.watts_per_machine).floor() as u32;
-        let target = (machines * 2).min(obs.total_vm_slots);
+        let target = machines.saturating_mul(2).min(obs.total_vm_slots);
         action.target_vms = Some(target);
 
         // The unified buffer backs the load whenever the demand implied
@@ -588,9 +610,7 @@ impl PowerController for BaselineController {
         } else {
             Attachment::ChargeBus
         };
-        for u in &obs.units {
-            action.attachments.push((u.id, unified));
-        }
+        action.attachments = obs.units.iter().map(|u| (u.id, unified)).collect();
         action
     }
 }
@@ -691,14 +711,18 @@ impl PowerController for NoOptController {
         } else {
             Attachment::ChargeBus
         };
-        for u in &obs.units {
-            let a = if u.at_cutoff {
-                Attachment::ChargeBus
-            } else {
-                unified
-            };
-            action.attachments.push((u.id, a));
-        }
+        action.attachments = obs
+            .units
+            .iter()
+            .map(|u| {
+                let a = if u.at_cutoff {
+                    Attachment::ChargeBus
+                } else {
+                    unified
+                };
+                (u.id, a)
+            })
+            .collect();
         action
     }
 }
@@ -993,6 +1017,24 @@ mod tests {
         o.solar_power = Watts::new(400.0);
         let low = c.control(&o).target_vms.unwrap();
         assert!(high > low);
+    }
+
+    #[test]
+    fn baseline_targets_every_slot_on_a_huge_solar_reading() {
+        // A replay feed accepts any finite wattage; 1e13 W saturates the
+        // machine count, and doubling it into VMs must saturate too.
+        let mut c = BaselineController::new();
+        let mut o = obs();
+        o.solar_power = Watts::new(1e13);
+        assert_eq!(c.control(&o).target_vms, Some(o.total_vm_slots));
+        // The locked-out (solar-only) path sizes the rack the same way.
+        o.units[0].at_cutoff = true;
+        let locked_out = c.control(&o);
+        assert!(locked_out
+            .attachments
+            .iter()
+            .all(|(_, a)| *a == Attachment::ChargeBus));
+        assert_eq!(locked_out.target_vms, Some(o.total_vm_slots));
     }
 
     #[test]

@@ -59,49 +59,34 @@ pub fn discharge_threshold(
     unused_budget + lifetime_discharge * ratio
 }
 
-/// Result of the Fig. 9 screening pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Screening {
-    /// Units under the threshold, usable in the coming cycle.
-    pub eligible: Vec<BatteryId>,
-    /// Over-used units rested for this period.
-    pub rested: Vec<BatteryId>,
-    /// The threshold actually applied (possibly relaxed, see below).
-    pub applied_threshold: AmpHours,
-}
-
-/// Screens units against the discharge threshold (Fig. 9).
+/// Screens units against the discharge threshold (Fig. 9): refills
+/// `eligible` with the units under it, usable in the coming cycle (the
+/// rest are over-used and rest for the period), and returns the
+/// threshold actually applied.
 ///
 /// With `elastic` set (§3.3's lifetime-for-throughput trade), the
 /// threshold is relaxed in 10 % steps until at least `min_eligible` units
 /// qualify, so a long stretch of high demand cannot strand the system with
 /// an empty eligible set.
-#[must_use]
 pub fn screen(
     units: &[UnitView],
     threshold: AmpHours,
     elastic: bool,
     min_eligible: usize,
-) -> Screening {
+    eligible: &mut Vec<BatteryId>,
+) -> AmpHours {
     let mut applied = threshold;
     loop {
-        let eligible: Vec<BatteryId> = units
-            .iter()
-            .filter(|u| u.discharge_throughput < applied || applied.value() <= 0.0)
-            .map(|u| u.id)
-            .collect();
+        eligible.clear();
+        eligible.extend(
+            units
+                .iter()
+                .filter(|u| u.discharge_throughput < applied || applied.value() <= 0.0)
+                .map(|u| u.id),
+        );
         let enough = eligible.len() >= min_eligible.min(units.len());
         if enough || !elastic {
-            let rested = units
-                .iter()
-                .map(|u| u.id)
-                .filter(|id| !eligible.contains(id))
-                .collect();
-            return Screening {
-                eligible,
-                rested,
-                applied_threshold: applied,
-            };
+            return applied;
         }
         // Relax by 10 % of the designated threshold (or a floor when the
         // threshold started at zero).
@@ -127,63 +112,86 @@ pub fn charge_batch_size(pg: Watts, ppc: Watts) -> usize {
     n.max(1)
 }
 
-/// Picks up to `n` units to charge: lowest state of charge first
-/// (fast-charging priority, Fig. 14-a), ties toward the least-used unit
-/// (balance, Fig. 14-b). Only units below `target_soc` are candidates.
-#[must_use]
+/// Refills `ranked` with the indices of the `units` that pass `keep`,
+/// in a stable sort by `order`.
+fn rank(
+    ranked: &mut Vec<usize>,
+    units: &[UnitView],
+    keep: impl Fn(&UnitView) -> bool,
+    order: impl Fn(&UnitView, &UnitView) -> std::cmp::Ordering,
+) {
+    ranked.clear();
+    ranked.extend((0..units.len()).filter(|&i| keep(&units[i])));
+    ranked.sort_by(|&a, &b| order(&units[a], &units[b]));
+}
+
+/// Picks up to `n` units to charge into `chosen`: lowest state of charge
+/// first (fast-charging priority, Fig. 14-a), ties toward the least-used
+/// unit (balance, Fig. 14-b). Only units below `target_soc` are
+/// candidates.
+///
+/// `ranked` and `chosen` are the caller's reused working lists; nothing
+/// in them carries over from an earlier call.
 pub fn select_for_charging(
     units: &[UnitView],
     eligible: &[BatteryId],
     n: usize,
     target_soc: Soc,
-) -> Vec<BatteryId> {
-    let mut candidates: Vec<&UnitView> = units
-        .iter()
-        .filter(|u| eligible.contains(&u.id) && u.soc < target_soc)
-        .collect();
-    candidates.sort_by(|a, b| {
-        a.soc
-            .total_cmp(&b.soc)
-            .then(a.discharge_throughput.total_cmp(&b.discharge_throughput))
-    });
-    candidates.into_iter().take(n).map(|u| u.id).collect()
+    ranked: &mut Vec<usize>,
+    chosen: &mut Vec<BatteryId>,
+) {
+    rank(
+        ranked,
+        units,
+        |u| eligible.contains(&u.id) && u.soc < target_soc,
+        |a, b| {
+            a.soc
+                .total_cmp(&b.soc)
+                .then(a.discharge_throughput.total_cmp(&b.discharge_throughput))
+        },
+    );
+    chosen.clear();
+    chosen.extend(ranked.iter().take(n).map(|&i| units[i].id));
 }
 
-/// Picks units to carry a total discharge `needed` under a per-unit
-/// current cap: fullest and least-used units first, adding units until the
-/// per-unit share fits under the cap (or candidates run out).
+/// Picks units into `chosen` to carry a total discharge `needed` under a
+/// per-unit current cap: fullest and least-used units first, adding units
+/// until the per-unit share fits under the cap (or candidates run out).
+/// An empty `chosen` means no unit can serve.
 ///
-/// Returns the chosen ids; an empty vector means no unit can serve.
-#[must_use]
+/// `ranked` and `chosen` are the caller's reused working lists; nothing
+/// in them carries over from an earlier call.
 pub fn select_for_discharge(
     units: &[UnitView],
     eligible: &[BatteryId],
     needed: Amps,
     per_unit_cap: Amps,
     min_usable_soc: Soc,
-) -> Vec<BatteryId> {
+    ranked: &mut Vec<usize>,
+    chosen: &mut Vec<BatteryId>,
+) {
+    chosen.clear();
     if needed.value() <= 0.0 {
-        return Vec::new();
+        return;
     }
-    let mut candidates: Vec<&UnitView> = units
-        .iter()
-        .filter(|u| eligible.contains(&u.id) && u.soc > min_usable_soc && !u.at_cutoff)
-        .collect();
     // Fullest first; among equals, least lifetime usage first.
-    candidates.sort_by(|a, b| {
-        b.soc
-            .total_cmp(&a.soc)
-            .then(a.discharge_throughput.total_cmp(&b.discharge_throughput))
-    });
-    let mut chosen = Vec::new();
-    for u in candidates {
-        chosen.push(u.id);
+    rank(
+        ranked,
+        units,
+        |u| eligible.contains(&u.id) && u.soc > min_usable_soc && !u.at_cutoff,
+        |a, b| {
+            b.soc
+                .total_cmp(&a.soc)
+                .then(a.discharge_throughput.total_cmp(&b.discharge_throughput))
+        },
+    );
+    for &i in ranked.iter() {
+        chosen.push(units[i].id);
         let per_unit = needed / chosen.len() as f64;
         if per_unit <= per_unit_cap {
             break;
         }
     }
-    chosen
 }
 
 #[cfg(test)]
@@ -202,6 +210,52 @@ mod tests {
         }
     }
 
+    /// [`screen`] into a fresh list: the eligible ids, the rested ids
+    /// (the complement) and the applied threshold.
+    fn screened(
+        units: &[UnitView],
+        threshold: AmpHours,
+        elastic: bool,
+        min_eligible: usize,
+    ) -> (Vec<BatteryId>, Vec<BatteryId>, AmpHours) {
+        let mut eligible = Vec::new();
+        let applied = screen(units, threshold, elastic, min_eligible, &mut eligible);
+        let rested = units
+            .iter()
+            .map(|u| u.id)
+            .filter(|id| !eligible.contains(id))
+            .collect();
+        (eligible, rested, applied)
+    }
+
+    /// [`select_for_charging`] into fresh working lists.
+    fn charging(
+        units: &[UnitView],
+        eligible: &[BatteryId],
+        n: usize,
+        target_soc: Soc,
+    ) -> Vec<BatteryId> {
+        let (mut ranked, mut chosen) = (Vec::new(), Vec::new());
+        select_for_charging(units, eligible, n, target_soc, &mut ranked, &mut chosen);
+        chosen
+    }
+
+    /// [`select_for_discharge`] at the prototype's 17.5 A cap and 30 %
+    /// usable floor, into fresh working lists.
+    fn discharging(units: &[UnitView], eligible: &[BatteryId], needed: Amps) -> Vec<BatteryId> {
+        let (mut ranked, mut chosen) = (Vec::new(), Vec::new());
+        select_for_discharge(
+            units,
+            eligible,
+            needed,
+            Amps::new(17.5),
+            Soc::new(0.3),
+            &mut ranked,
+            &mut chosen,
+        );
+        chosen
+    }
+
     #[test]
     fn threshold_grows_linearly_with_age() {
         let dl = AmpHours::new(8750.0);
@@ -217,10 +271,10 @@ mod tests {
     #[test]
     fn screening_separates_overused_units() {
         let units = [view(0, 0.8, 10.0), view(1, 0.8, 200.0), view(2, 0.8, 50.0)];
-        let s = screen(&units, AmpHours::new(100.0), false, 0);
-        assert_eq!(s.eligible, vec![BatteryId(0), BatteryId(2)]);
-        assert_eq!(s.rested, vec![BatteryId(1)]);
-        assert_eq!(s.applied_threshold, AmpHours::new(100.0));
+        let (eligible, rested, applied) = screened(&units, AmpHours::new(100.0), false, 0);
+        assert_eq!(eligible, vec![BatteryId(0), BatteryId(2)]);
+        assert_eq!(rested, vec![BatteryId(1)]);
+        assert_eq!(applied, AmpHours::new(100.0));
     }
 
     #[test]
@@ -231,11 +285,11 @@ mod tests {
             view(1, 0.8, 120.0),
             view(2, 0.8, 180.0),
         ];
-        let rigid = screen(&units, AmpHours::new(100.0), false, 2);
-        assert!(rigid.eligible.is_empty());
-        let elastic = screen(&units, AmpHours::new(100.0), true, 2);
-        assert!(elastic.eligible.len() >= 2);
-        assert!(elastic.applied_threshold > AmpHours::new(100.0));
+        let (rigid, _, _) = screened(&units, AmpHours::new(100.0), false, 2);
+        assert!(rigid.is_empty());
+        let (elastic, _, applied) = screened(&units, AmpHours::new(100.0), true, 2);
+        assert!(elastic.len() >= 2);
+        assert!(applied > AmpHours::new(100.0));
     }
 
     #[test]
@@ -259,7 +313,7 @@ mod tests {
     fn charging_selection_prefers_low_soc() {
         let units = [view(0, 0.9, 0.0), view(1, 0.2, 0.0), view(2, 0.5, 0.0)];
         let all = [BatteryId(0), BatteryId(1), BatteryId(2)];
-        let picked = select_for_charging(&units, &all, 2, Soc::new(0.9));
+        let picked = charging(&units, &all, 2, Soc::new(0.9));
         assert_eq!(picked, vec![BatteryId(1), BatteryId(2)]);
     }
 
@@ -267,14 +321,14 @@ mod tests {
     fn charging_selection_ignores_already_charged() {
         let units = [view(0, 0.95, 0.0), view(1, 0.92, 0.0)];
         let all = [BatteryId(0), BatteryId(1)];
-        assert!(select_for_charging(&units, &all, 2, Soc::new(0.9)).is_empty());
+        assert!(charging(&units, &all, 2, Soc::new(0.9)).is_empty());
     }
 
     #[test]
     fn charging_selection_breaks_ties_by_usage() {
         let units = [view(0, 0.5, 500.0), view(1, 0.5, 10.0)];
         let all = [BatteryId(0), BatteryId(1)];
-        let picked = select_for_charging(&units, &all, 1, Soc::new(0.9));
+        let picked = charging(&units, &all, 1, Soc::new(0.9));
         assert_eq!(picked, vec![BatteryId(1)]);
     }
 
@@ -282,7 +336,7 @@ mod tests {
     fn charging_selection_respects_eligibility() {
         let units = [view(0, 0.1, 0.0), view(1, 0.2, 0.0)];
         let only_one = [BatteryId(1)];
-        let picked = select_for_charging(&units, &only_one, 2, Soc::new(0.9));
+        let picked = charging(&units, &only_one, 2, Soc::new(0.9));
         assert_eq!(picked, vec![BatteryId(1)]);
     }
 
@@ -291,22 +345,10 @@ mod tests {
         let units = [view(0, 0.9, 0.0), view(1, 0.85, 0.0), view(2, 0.8, 0.0)];
         let all = [BatteryId(0), BatteryId(1), BatteryId(2)];
         // 40 A needed at a 17.5 A cap → 3 units.
-        let picked = select_for_discharge(
-            &units,
-            &all,
-            Amps::new(40.0),
-            Amps::new(17.5),
-            Soc::new(0.3),
-        );
+        let picked = discharging(&units, &all, Amps::new(40.0));
         assert_eq!(picked.len(), 3);
         // 15 A needed → a single (fullest) unit suffices.
-        let picked = select_for_discharge(
-            &units,
-            &all,
-            Amps::new(15.0),
-            Amps::new(17.5),
-            Soc::new(0.3),
-        );
+        let picked = discharging(&units, &all, Amps::new(15.0));
         assert_eq!(picked, vec![BatteryId(0)]);
     }
 
@@ -318,13 +360,7 @@ mod tests {
         tripped.at_cutoff = true;
         let good = view(2, 0.7, 0.0);
         let all = [BatteryId(0), BatteryId(1), BatteryId(2)];
-        let picked = select_for_discharge(
-            &[low, tripped, good],
-            &all,
-            Amps::new(10.0),
-            Amps::new(17.5),
-            Soc::new(0.3),
-        );
+        let picked = discharging(&[low, tripped, good], &all, Amps::new(10.0));
         assert_eq!(picked, vec![BatteryId(2)]);
     }
 
@@ -332,10 +368,44 @@ mod tests {
     fn discharge_selection_zero_need_is_empty() {
         let units = [view(0, 0.9, 0.0)];
         let all = [BatteryId(0)];
-        assert!(
-            select_for_discharge(&units, &all, Amps::ZERO, Amps::new(17.5), Soc::new(0.3))
-                .is_empty()
+        assert!(discharging(&units, &all, Amps::ZERO).is_empty());
+    }
+
+    #[test]
+    fn reused_lists_keep_no_picks_from_the_previous_call() {
+        // One pair of working lists for both selections, as the
+        // controller keeps them: a three-unit pick, then a call with a
+        // single candidate, must return exactly that one unit.
+        let units = [view(0, 0.9, 0.0), view(1, 0.5, 0.0), view(2, 0.2, 0.0)];
+        let all = [BatteryId(0), BatteryId(1), BatteryId(2)];
+        let (mut ranked, mut chosen) = (Vec::new(), Vec::new());
+        let discharge = |eligible: &[BatteryId], ranked: &mut Vec<usize>, chosen: &mut Vec<_>| {
+            select_for_discharge(
+                &units,
+                eligible,
+                Amps::new(100.0),
+                Amps::new(17.5),
+                Soc::new(0.1),
+                ranked,
+                chosen,
+            );
+        };
+        discharge(&all, &mut ranked, &mut chosen);
+        assert_eq!(chosen, [BatteryId(0), BatteryId(1), BatteryId(2)]);
+        discharge(&[BatteryId(1)], &mut ranked, &mut chosen);
+        assert_eq!(chosen, [BatteryId(1)]);
+
+        select_for_charging(&units, &all, 3, Soc::new(0.95), &mut ranked, &mut chosen);
+        assert_eq!(chosen, [BatteryId(2), BatteryId(1), BatteryId(0)]);
+        select_for_charging(
+            &units,
+            &[BatteryId(0)],
+            3,
+            Soc::new(0.95),
+            &mut ranked,
+            &mut chosen,
         );
+        assert_eq!(chosen, [BatteryId(0)]);
     }
 
     #[test]
@@ -352,23 +422,11 @@ mod tests {
             view(2, 0.8, 10.0),
         ];
         let all = vec![BatteryId(0), BatteryId(1), BatteryId(2)];
-        let first = select_for_discharge(
-            &units,
-            &all,
-            Amps::new(40.0),
-            Amps::new(17.5),
-            Soc::new(0.3),
-        );
+        let first = discharging(&units, &all, Amps::new(40.0));
         assert_eq!(first, vec![BatteryId(2), BatteryId(1), BatteryId(0)]);
         // Same candidates presented in a different order: same ranking.
         units.swap(0, 2);
-        let again = select_for_discharge(
-            &units,
-            &all,
-            Amps::new(40.0),
-            Amps::new(17.5),
-            Soc::new(0.3),
-        );
+        let again = discharging(&units, &all, Amps::new(40.0));
         assert_eq!(first, again);
     }
 }

@@ -602,13 +602,17 @@ impl InSituSystem {
     /// What the sense lines read for unit `i` right now.
     fn fresh_view(&self, i: usize) -> UnitView {
         let u = &self.plant.units[i];
+        // One voltage read serves both fields: `BatteryUnit::at_cutoff`
+        // is this comparison, and a failed-open unit reads 0 V, under
+        // any positive cutoff.
+        let terminal_voltage = u.terminal_voltage(SENSE_CURRENT);
         UnitView {
             id: u.id(),
             soc: u.soc(),
             available_fraction: u.available_fraction().value(),
             discharge_throughput: u.discharge_throughput(),
-            at_cutoff: u.at_cutoff(SENSE_CURRENT),
-            terminal_voltage: u.terminal_voltage(SENSE_CURRENT),
+            at_cutoff: terminal_voltage <= u.params().cutoff_voltage,
+            terminal_voltage,
             telemetry_age: SimDuration::ZERO,
         }
     }

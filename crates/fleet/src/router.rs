@@ -91,8 +91,8 @@ struct TickLedger<'a> {
     now: SimTime,
     tick: SimDuration,
     sites: &'a mut [Site],
-    order: Vec<usize>,
-    remaining: Vec<f64>,
+    order: &'a [usize],
+    remaining: &'a mut [f64],
 }
 
 /// The fleet router: policy plus lifetime counters.
@@ -112,6 +112,13 @@ pub struct Router {
     /// Energy burned on work that produced no accepted response
     /// (late responses, hedge losers), watt-hours.
     pub misrouted_wh: f64,
+    /// Per-tick working lists, refilled on every tick: each site's
+    /// surplus score, the ranked site order and the capacity ledger.
+    /// Their contents are a function of the sites' state, so a cloned
+    /// router forks identically.
+    scores: Vec<f64>,
+    order: Vec<usize>,
+    remaining: Vec<f64>,
 }
 
 impl Router {
@@ -126,6 +133,9 @@ impl Router {
             hedges: 0,
             duplicate_serves: 0,
             misrouted_wh: 0.0,
+            scores: Vec::new(),
+            order: Vec::new(),
+            remaining: Vec::new(),
         }
     }
 
@@ -156,8 +166,12 @@ impl Router {
             let routable = site.reachable(now) && site.serving(now);
             site.record_tick(routable);
         }
-        let scores: Vec<f64> = sites.iter().map(|s| s.surplus_score(now)).collect();
-        let mut order: Vec<usize> = (0..sites.len()).collect();
+        let scores = &mut self.scores;
+        scores.clear();
+        scores.extend(sites.iter().map(|s| s.surplus_score(now)));
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(0..sites.len());
         order.sort_by(|&a, &b| ins_sim::units::total_order(scores[b], scores[a]).then(a.cmp(&b)));
         if flap {
             let shift = tick_index as usize % order.len();
@@ -167,22 +181,21 @@ impl Router {
         // real tick capacity; for dark/partitioned sites, the stale
         // nameplate figure — the router does not get remote omniscience,
         // it has to send, time out and let the breaker learn.
-        let remaining: Vec<f64> = sites
-            .iter()
-            .map(|s| {
-                if s.reachable(now) && s.serving(now) {
-                    s.capacity_gb(now, tick)
-                } else {
-                    s.nominal_capacity_gb(tick)
-                }
-            })
-            .collect();
+        let mut remaining = std::mem::take(&mut self.remaining);
+        remaining.clear();
+        remaining.extend(sites.iter().map(|s| {
+            if s.reachable(now) && s.serving(now) {
+                s.capacity_gb(now, tick)
+            } else {
+                s.nominal_capacity_gb(tick)
+            }
+        }));
         let mut led = TickLedger {
             now,
             tick,
             sites,
-            order,
-            remaining,
+            order: &order,
+            remaining: &mut remaining,
         };
 
         // Streams first: they hold priority over the shared capacity.
@@ -231,6 +244,8 @@ impl Router {
                 Placement::Failed => self.batch.failed += 1,
             }
         }
+        self.order = order;
+        self.remaining = remaining;
     }
 
     /// Places one request of `size` GB. With `require_full` a candidate

@@ -14,7 +14,7 @@
 //! | [`battery`] | `ins-battery` | KiBaM kinetics, charging, wear |
 //! | [`solar`] | `ins-solar` | irradiance, weather, MPPT, day traces |
 //! | [`powernet`] | `ins-powernet` | relays, switch matrix, charger, bus |
-//! | [`cluster`] | `ins-cluster` | servers, DVFS, VM placement |
+//! | [`cluster`] | `ins-cluster` | servers, DVFS, VM slots and targets |
 //! | [`workload`] | `ins-workload` | batch/stream workloads, benchmarks |
 //! | [`core`] | `ins-core` | SPM + TPM controllers, full co-simulation |
 //! | [`service`] | `ins-service` | supervised daemon: safe-mode fallback, admission, drain |

@@ -1,17 +1,24 @@
-//! Allocation budgets of the steady-state step loop and of forking.
+//! Allocation budgets of the steady-state step loop, the fleet tick and
+//! forking.
 //!
 //! Every experiment, sweep cell, fleet site and the live daemon spends its
 //! time in `InSituSystem::step`, so the loop reuses its buffers instead of
-//! allocating per step. This test pins that: it drives the prototype
-//! plant (InSURE controller, seismic workload) for three simulated days
-//! after a half-day warm-up, counting heap allocations per step with a
-//! counting global allocator, and splits the steps by whether the
-//! controller ran in them.
+//! allocating per step. These tests pin that: they drive the prototype
+//! plant (seismic workload) under each stock controller (InSURE, the
+//! baseline, Non-Opt) for three simulated days after a half-day warm-up,
+//! counting heap allocations per step with a counting global allocator,
+//! and split the steps by whether the controller ran in them.
 //!
 //! * Steps without a control call must average below 0.01 allocations
 //!   (what remains is trace growth, amortized).
-//! * Control steps must average at most 3: the controller's returned
-//!   attachment list and the SPM selection lists it builds.
+//! * Control steps must average at most 1.1: the order list the
+//!   controller returns, and nothing else. The SPM selections, the rack's
+//!   power mapping and the observation all reuse their lists.
+//!
+//! A fleet tick (4 sites, each running its 1-minute control period once
+//! per 1-minute routing tick) must average at most 1.1 allocations per
+//! site control call: the sites' returned order lists. The router reuses
+//! its per-tick score, order and capacity lists.
 //!
 //! The allocator also counts bytes, which pins that a snapshot plus a
 //! fork costs about the same after one simulated day as after ten: the
@@ -25,9 +32,11 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use insure::core::controller::{
-    ControlAction, InsureController, PowerController, SystemObservation,
+    BaselineController, ControlAction, InsureController, NoOptController, PowerController,
+    SystemObservation,
 };
 use insure::core::system::InSituSystem;
+use insure::fleet::{Fleet, FleetConfig};
 use insure::sim::fault::FaultSchedule;
 use insure::sim::time::{SimDuration, SimTime};
 use insure::solar::trace::SolarTraceBuilder;
@@ -81,13 +90,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The stock InSURE controller, counting its `control` calls.
-struct Counted {
-    inner: InsureController,
+/// A stock controller, counting its `control` calls.
+struct Counted<C> {
+    inner: C,
     calls: Rc<Cell<u64>>,
 }
 
-impl PowerController for Counted {
+impl<C: PowerController> PowerController for Counted<C> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -102,7 +111,7 @@ impl PowerController for Counted {
 /// control call: `((steps, mean), (steps, mean))`.
 type Budget = ((u64, f64), (u64, f64));
 
-fn measure(dt_s: u64) -> Budget {
+fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
     let solar = SolarTraceBuilder::new().seed(11).build_days(&[
         DayWeather::Sunny,
         DayWeather::Cloudy,
@@ -111,7 +120,7 @@ fn measure(dt_s: u64) -> Budget {
     ]);
     let calls = Rc::new(Cell::new(0));
     let controller = Counted {
-        inner: InsureController::default(),
+        inner,
         calls: Rc::clone(&calls),
     };
     let mut sys = InSituSystem::builder(solar, Box::new(controller))
@@ -136,31 +145,59 @@ fn measure(dt_s: u64) -> Budget {
     (mean(quiet), mean(control))
 }
 
-fn assert_budget(dt_s: u64) {
-    let ((quiet_steps, quiet), (control_steps, control)) = measure(dt_s);
+fn assert_budget(controller: impl PowerController + 'static, dt_s: u64) {
+    let name = controller.name();
+    let ((quiet_steps, quiet), (control_steps, control)) = measure(controller, dt_s);
     eprintln!(
-        "dt={dt_s}s: {quiet:.4} allocations over {quiet_steps} steps without control, \
+        "{name}, dt={dt_s}s: {quiet:.4} allocations over {quiet_steps} steps without control, \
          {control:.3} over {control_steps} control steps"
     );
-    assert!(control_steps > 0, "the controller never ran");
+    assert!(control_steps > 0, "{name}: the controller never ran");
     assert!(
         quiet < 0.01,
-        "dt={dt_s}s: steps without a control call allocate {quiet:.4} times on average"
+        "{name}, dt={dt_s}s: steps without a control call allocate {quiet:.4} times on average"
     );
     assert!(
-        control <= 3.0,
-        "dt={dt_s}s: control steps allocate {control:.3} times on average"
+        control <= 1.1,
+        "{name}, dt={dt_s}s: control steps allocate {control:.3} times on average"
     );
 }
 
 #[test]
 fn step_loop_allocation_budget_at_10s() {
-    assert_budget(10);
+    assert_budget(InsureController::default(), 10);
+    assert_budget(BaselineController::new(), 10);
+    assert_budget(NoOptController::new(), 10);
 }
 
 #[test]
 fn step_loop_allocation_budget_at_60s() {
-    assert_budget(60);
+    assert_budget(InsureController::default(), 60);
+    assert_budget(BaselineController::new(), 60);
+    assert_budget(NoOptController::new(), 60);
+}
+
+#[test]
+fn fleet_tick_allocation_budget() {
+    let config = FleetConfig::new(20150613, 4);
+    let sites = config.sites as f64;
+    let mut fleet = Fleet::new(config);
+    // An hour's warm-up grows every reused list to its working size.
+    for _ in 0..60 {
+        fleet.step_tick();
+    }
+    let ticks = 23 * 60;
+    let before = allocations();
+    for _ in 0..ticks {
+        fleet.step_tick();
+    }
+    // Each site runs one control call per tick (see the module docs).
+    let per_control = (allocations() - before) as f64 / (ticks as f64 * sites);
+    eprintln!("fleet: {per_control:.3} allocations per site control call over {ticks} ticks");
+    assert!(
+        per_control <= 1.1,
+        "a fleet tick allocates {per_control:.3} times per site control call"
+    );
 }
 
 /// Bytes allocated by one `snapshot()` plus one `fork_from()` of the
