@@ -16,6 +16,9 @@ pub struct Suppression {
     pub line: usize,
     /// The rules the marker names, in marker order.
     pub rules: Vec<Rule>,
+    /// Entries that name no rule (`L099`, or the empty entry of
+    /// `allow()`), trimmed, in marker order. Each becomes an L010.
+    pub unknown: Vec<String>,
 }
 
 /// Everything the analysis engine knows about one source file.
@@ -284,14 +287,18 @@ impl<'a> FileContext<'a> {
                 let at = search + rel;
                 let rest = &text[at + MARKER.len()..];
                 if let Some(end) = rest.find(')') {
-                    let rules: Vec<Rule> =
-                        rest[..end].split(',').filter_map(Rule::from_id).collect();
-                    if !rules.is_empty() {
-                        out.push(Suppression {
-                            line: self.line_of(t.start + at),
-                            rules,
-                        });
+                    let mut marker = Suppression {
+                        line: self.line_of(t.start + at),
+                        rules: Vec::new(),
+                        unknown: Vec::new(),
+                    };
+                    for id in rest[..end].split(',').map(str::trim) {
+                        match Rule::from_id(id) {
+                            Some(rule) => marker.rules.push(rule),
+                            None => marker.unknown.push(id.to_string()),
+                        }
                     }
+                    out.push(marker);
                     search = at + MARKER.len() + end;
                 } else {
                     break;
@@ -382,10 +389,12 @@ x(); // ins-lint: allow(L003, L004)\n\
                 Suppression {
                     line: 1,
                     rules: vec![Rule::UnwrapInProduction],
+                    unknown: Vec::new(),
                 },
                 Suppression {
                     line: 2,
                     rules: vec![Rule::Nondeterminism, Rule::FloatEquality],
+                    unknown: Vec::new(),
                 },
             ],
             "doc-comment markers are documentation, not suppressions"

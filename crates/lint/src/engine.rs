@@ -10,7 +10,7 @@
 //! 2. build the call graph and run the graph passes;
 //! 3. per file, run the token passes, merge in the file's graph
 //!    findings, apply the suppression protocol (markers that excuse
-//!    nothing become L010 findings), filter to the enabled rules, sort.
+//!    nothing or name no rule become L010 findings), sort.
 
 use std::fs;
 use std::io;
@@ -22,23 +22,17 @@ use crate::index::SymbolIndex;
 use crate::parser::{parse, ParsedFile};
 use crate::rules::graph::{graph_passes, GraphCtx};
 use crate::rules::{passes, RuleCtx};
-use crate::{Config, Finding, Rule};
+use crate::{Finding, Rule};
 
 /// Applies the suppression protocol to one file's raw findings:
 ///
-/// 1. all passes ran, regardless of which rules are enabled (stale-
-///    suppression accounting must see the full raw finding set);
-/// 2. a marker on line *n* suppresses matching findings on lines *n*
+/// 1. a marker on line *n* suppresses matching findings on lines *n*
 ///    and *n + 1*, and is recorded as *used*;
-/// 3. every `allow(Lxxx)` entry that suppressed nothing becomes an L010
-///    finding at the marker's line — L010 itself cannot be suppressed;
-/// 4. findings are filtered to the enabled rules and sorted by
-///    (line, rule id).
-fn apply_suppressions(
-    file: &FileContext<'_>,
-    mut findings: Vec<Finding>,
-    config: &Config,
-) -> Vec<Finding> {
+/// 2. every `allow(Lxxx)` entry that suppressed nothing, or names no
+///    rule, becomes an L010 finding at the marker's line — L010 itself
+///    cannot be suppressed;
+/// 3. findings are sorted by (line, rule id).
+fn apply_suppressions(file: &FileContext<'_>, mut findings: Vec<Finding>) -> Vec<Finding> {
     let mut used: Vec<Vec<bool>> = file
         .suppressions
         .iter()
@@ -74,19 +68,22 @@ fn apply_suppressions(
                 ));
             }
         }
+        for id in &s.unknown {
+            findings.push(Finding::new(
+                file.path.clone(),
+                s.line,
+                Rule::StaleSuppression,
+                format!("`allow({id})` names no rule; fix the id or remove the marker"),
+            ));
+        }
     }
-    findings.retain(|f| config.rules.contains(&f.rule));
     findings.sort_by_key(|f| (f.line, f.rule.id()));
     findings
 }
 
 /// Runs the token passes over one file, returning raw findings.
-fn run_token_passes(file: &FileContext<'_>, index: &SymbolIndex, config: &Config) -> Vec<Finding> {
-    let ctx = RuleCtx {
-        file,
-        index,
-        config,
-    };
+fn run_token_passes(file: &FileContext<'_>, index: &SymbolIndex) -> Vec<Finding> {
+    let ctx = RuleCtx { file, index };
     let mut findings = Vec::new();
     for pass in passes() {
         pass.run(&ctx, &mut findings);
@@ -101,7 +98,7 @@ fn run_token_passes(file: &FileContext<'_>, index: &SymbolIndex, config: &Config
 /// [`analyze_source`] are thin adapters over it. Public so harnesses
 /// (golden fixtures, fuzzers) can drive multi-file analyses without
 /// touching the filesystem.
-pub fn analyze_sources(mut sources: Vec<(String, String)>, config: &Config) -> Vec<Finding> {
+pub fn analyze_sources(mut sources: Vec<(String, String)>) -> Vec<Finding> {
     sources.sort_by(|a, b| a.0.cmp(&b.0));
     let contexts: Vec<FileContext<'_>> = sources
         .iter()
@@ -121,7 +118,6 @@ pub fn analyze_sources(mut sources: Vec<(String, String)>, config: &Config) -> V
     let gctx = GraphCtx {
         graph: &graph,
         files: &inputs,
-        config,
     };
     let mut fresh = Vec::new();
     for pass in graph_passes() {
@@ -140,9 +136,9 @@ pub fn analyze_sources(mut sources: Vec<(String, String)>, config: &Config) -> V
     // stable, so ties on (path, line, rule) keep this order.
     let mut out = Vec::new();
     for (ctx, graph_found) in contexts.iter().zip(graph_findings) {
-        let mut merged = run_token_passes(ctx, &index, config);
+        let mut merged = run_token_passes(ctx, &index);
         merged.extend(graph_found);
-        out.extend(apply_suppressions(ctx, merged, config));
+        out.extend(apply_suppressions(ctx, merged));
     }
     out.sort_by(|a, b| (&a.path, a.line, a.rule.id()).cmp(&(&b.path, b.line, b.rule.id())));
     out
@@ -156,11 +152,14 @@ pub fn analyze_sources(mut sources: Vec<(String, String)>, config: &Config) -> V
 /// index is seeded with the workspace's built-in quantity catalog
 /// before folding in the file itself.
 #[must_use]
-pub fn analyze_source(path: &str, src: &str, config: &Config) -> Vec<Finding> {
-    analyze_sources(vec![(path.to_string(), src.to_string())], config)
+pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
+    analyze_sources(vec![(path.to_string(), src.to_string())])
 }
 
-/// Recursively collects `.rs` files under each path (files pass through).
+/// Recursively collects `.rs` files under each path (files pass
+/// through), sorted and deduplicated: a file reached through two roots
+/// (`crates crates/core`, or `./crates crates` once the leading `./`
+/// is dropped) is analyzed once.
 ///
 /// # Errors
 ///
@@ -194,6 +193,12 @@ pub fn collect_rust_files(roots: &[PathBuf]) -> io::Result<Vec<PathBuf>> {
             files.push(root.clone());
         }
     }
+    let mut files: Vec<PathBuf> = files
+        .into_iter()
+        .map(|f| f.strip_prefix(".").map(Path::to_path_buf).unwrap_or(f))
+        .collect();
+    files.sort();
+    files.dedup();
     Ok(files)
 }
 
@@ -215,8 +220,8 @@ fn read_sources(roots: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
 /// # Errors
 ///
 /// Propagates filesystem errors (unreadable file or directory).
-pub fn analyze_paths(roots: &[PathBuf], config: &Config) -> io::Result<Vec<Finding>> {
-    Ok(analyze_sources(read_sources(roots)?, config))
+pub fn analyze_paths(roots: &[PathBuf]) -> io::Result<Vec<Finding>> {
+    Ok(analyze_sources(read_sources(roots)?))
 }
 
 #[cfg(test)]
@@ -228,9 +233,8 @@ mod tests {
 
     #[test]
     fn inline_allow_suppresses_a_graph_finding() {
-        let config = Config::default_workspace();
         let path = "crates/battery/src/pack.rs";
-        let bare = analyze_source(path, ROOT_CALLS_PANIC, &config);
+        let bare = analyze_source(path, ROOT_CALLS_PANIC);
         assert!(
             bare.iter()
                 .any(|f| f.rule == Rule::TransitivePanic && f.line == 2),
@@ -240,7 +244,7 @@ mod tests {
             "pub fn entry",
             "// ins-lint: allow(L011) -- known, tracked in #42\npub fn entry",
         );
-        let findings = analyze_source(path, &allowed, &config);
+        let findings = analyze_source(path, &allowed);
         assert!(
             !findings.iter().any(|f| f.rule == Rule::TransitivePanic),
             "the marker suppresses the graph-pass finding: {findings:?}"

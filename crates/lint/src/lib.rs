@@ -28,7 +28,7 @@
 //! | L007 | ordering determinism: NaN-masking `partial_cmp(..).unwrap*()` comparators, unordered-collection iteration feeding serialized output |
 //! | L008 | unit flow: raw `.value()` extractions crossing dimension boundaries, truncating casts off typed quantities |
 //! | L009 | panic surface in production physics/fleet code: panicking macros, arithmetic indexing, narrowing casts |
-//! | L010 | stale suppressions: `ins-lint: allow(...)` markers that no longer suppress anything |
+//! | L010 | stale suppressions: `ins-lint: allow(...)` entries that no longer suppress anything or name no rule |
 //! | L011 | transitive panic reachability: a panic-surface `pub fn` (or any fn in a critical file) from which a panicking token is reachable through non-test calls — the finding carries the full call path |
 //! | L012 | determinism taint: serialization/telemetry roots transitively reaching nondeterminism sources or unordered-collection iteration |
 //! | L013 | interprocedural unit flow: a raw `f64` returned by one fn feeding a quantity-named parameter in another crate |
@@ -41,11 +41,10 @@
 //! ```
 //!
 //! Markers in doc comments are documentation, never suppressions, and a
-//! marker that stops matching any finding becomes an L010 error itself —
-//! suppressions cannot rot silently. L010 cannot be suppressed. Baseline
-//! entries ([`baseline`]) follow the same contract: an entry that no
-//! longer matches any finding is reported stale instead of being
-//! silently ignored.
+//! marker entry that stops matching any finding, or names no rule,
+//! becomes an L010 error itself — suppressions cannot rot silently.
+//! L010 cannot be suppressed. The marker is the only way to excuse a
+//! finding: the rule set and each rule's scope are fixed.
 //!
 //! Test code (a `#[cfg(test)]` / `#[test]` region, a `mod tests` block
 //! even without the attribute, or any file under a `tests/` directory)
@@ -59,10 +58,8 @@
 //! that exits non-zero when unsuppressed findings remain. Reports come
 //! in plain text, JSON ([`report_json`]) and SARIF 2.1.0
 //! ([`sarif::report_sarif`], with call paths as `codeFlows`) for CI
-//! annotations; [`baseline`] supports incremental adoption. Every run
-//! analyzes the whole linted set ([`engine`]).
+//! annotations. Every run analyzes the whole linted set ([`engine`]).
 
-pub mod baseline;
 pub mod callgraph;
 pub mod context;
 pub mod engine;
@@ -100,7 +97,8 @@ pub enum Rule {
     UnitFlow,
     /// Panicking constructs in production physics/fleet code.
     PanicSurface,
-    /// A suppression marker that no longer suppresses anything.
+    /// A suppression marker entry that no longer suppresses anything or
+    /// names no rule.
     StaleSuppression,
     /// A panic-surface root from which a panicking token is reachable
     /// through the call graph.
@@ -293,88 +291,59 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Analyzer configuration.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Enabled rules. The engine still *evaluates* every rule (stale-
-    /// suppression tracking needs the full picture) and filters to this
-    /// set at the end.
-    pub rules: Vec<Rule>,
-    /// Path fragments that mark a file as belonging to a *physics* crate
-    /// (L001/L008 only apply there — conversions and plumbing crates may
-    /// legitimately traffic in raw numbers).
-    pub physics_dirs: Vec<String>,
-    /// Path fragments in scope for the panic-surface rules (L009/L011):
-    /// physics plus the fleet and service layers, whose loops must
-    /// degrade, not abort.
-    pub panic_surface_dirs: Vec<String>,
-    /// Path suffixes of the sanctioned thread/atomics owners, exempt
-    /// from L006.
-    pub pool_files: Vec<String>,
-    /// Path suffixes of *critical* files: every fn defined there (pub or
-    /// not) is an L011 root — these paths must be statically panic-free.
-    /// The service supervisor, safe-mode policy and the sweep prefix
-    /// planner live here: the crash-isolation claim (DESIGN.md §11)
-    /// assumes the takeover path itself cannot panic, and the
-    /// incremental-sweep equivalence claim (DESIGN.md §12) assumes the
-    /// planner cannot abort a sweep mid-fan-out.
-    pub critical_files: Vec<String>,
-    /// Name fragments marking a `pub fn` as a serialization/telemetry
-    /// root for L012 (experiment output must be reproducible from the
-    /// seed, so nothing nondeterministic may feed it).
-    pub serialization_roots: Vec<String>,
-}
+/// Path fragments that mark a file as belonging to a *physics* crate
+/// (L001/L008 only apply there — conversions and plumbing crates may
+/// legitimately traffic in raw numbers).
+pub(crate) const PHYSICS_DIRS: &[&str] = &[
+    "crates/battery",
+    "crates/powernet",
+    "crates/solar",
+    "crates/core",
+    "crates/sim",
+    "crates/units",
+];
 
-impl Config {
-    /// Every rule enabled, with the workspace's physics crates.
-    #[must_use]
-    pub fn default_workspace() -> Self {
-        let physics_dirs: Vec<String> = [
-            "crates/battery",
-            "crates/powernet",
-            "crates/solar",
-            "crates/core",
-            "crates/sim",
-            "crates/units",
-        ]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-        let mut panic_surface_dirs = physics_dirs.clone();
-        panic_surface_dirs.push("crates/fleet".to_string());
-        panic_surface_dirs.push("crates/service".to_string());
-        Self {
-            rules: Rule::ALL.to_vec(),
-            physics_dirs,
-            panic_surface_dirs,
-            pool_files: vec![
-                "crates/sim/src/pool.rs".to_string(),
-                // The daemon is the sanctioned owner of the service's
-                // only threads: the crash-isolated engine worker.
-                "crates/service/src/daemon.rs".to_string(),
-            ],
-            critical_files: vec![
-                "crates/service/src/supervisor.rs".to_string(),
-                "crates/service/src/safe_mode.rs".to_string(),
-                "crates/sim/src/snapshot.rs".to_string(),
-            ],
-            serialization_roots: vec![
-                "json".to_string(),
-                "csv".to_string(),
-                "sarif".to_string(),
-                "telemetry".to_string(),
-                "serialize".to_string(),
-                "export".to_string(),
-            ],
-        }
-    }
-}
+/// Path fragments in scope for the panic-surface rules (L009/L011):
+/// physics plus the fleet and service layers, whose loops must
+/// degrade, not abort.
+pub(crate) const PANIC_SURFACE_DIRS: &[&str] = &[
+    "crates/battery",
+    "crates/powernet",
+    "crates/solar",
+    "crates/core",
+    "crates/sim",
+    "crates/units",
+    "crates/fleet",
+    "crates/service",
+];
 
-impl Default for Config {
-    fn default() -> Self {
-        Self::default_workspace()
-    }
-}
+/// Path suffixes of the sanctioned thread/atomics owners, exempt from
+/// L006.
+pub(crate) const POOL_FILES: &[&str] = &[
+    "crates/sim/src/pool.rs",
+    // The daemon is the sanctioned owner of the service's only
+    // threads: the crash-isolated engine worker.
+    "crates/service/src/daemon.rs",
+];
+
+/// Path suffixes of *critical* files: every fn defined there (pub or
+/// not) is an L011 root — these paths must be statically panic-free.
+/// The service supervisor, safe-mode policy and the sweep prefix
+/// planner live here: the crash-isolation claim (DESIGN.md §11)
+/// assumes the takeover path itself cannot panic, and the
+/// incremental-sweep equivalence claim (DESIGN.md §12) assumes the
+/// planner cannot abort a sweep mid-fan-out.
+pub const CRITICAL_FILES: &[&str] = &[
+    "crates/service/src/supervisor.rs",
+    "crates/service/src/safe_mode.rs",
+    "crates/sim/src/snapshot.rs",
+];
+
+/// Name fragments marking a `pub fn` as a serialization/telemetry root
+/// for L012 (experiment output must be reproducible from the seed, so
+/// nothing nondeterministic may feed it).
+pub(crate) const SERIALIZATION_ROOTS: &[&str] =
+    &["json", "csv", "sarif", "telemetry", "serialize", "export"];
 
 #[cfg(test)]
 mod tests {

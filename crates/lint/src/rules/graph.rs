@@ -15,7 +15,7 @@ use crate::callgraph::{CallGraph, FnNode};
 use crate::context::FileContext;
 use crate::parser::ParsedFile;
 use crate::rules::units::quantity_name;
-use crate::{Config, Finding, Rule, TraceHop};
+use crate::{Finding, Rule, TraceHop, CRITICAL_FILES, PANIC_SURFACE_DIRS, SERIALIZATION_ROOTS};
 
 /// Everything a graph pass can look at.
 pub struct GraphCtx<'a> {
@@ -24,8 +24,6 @@ pub struct GraphCtx<'a> {
     /// The analyzed files in the same path-sorted order the graph's
     /// file indices refer to.
     pub files: &'a [(&'a FileContext<'a>, &'a ParsedFile)],
-    /// The analyzer configuration.
-    pub config: &'a Config,
 }
 
 /// One interprocedural rule pass.
@@ -122,7 +120,7 @@ impl GraphPass for TransitivePanic {
 
     fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
         for (id, node) in ctx.graph.fns.iter().enumerate() {
-            if !is_panic_root(ctx.config, node) {
+            if !is_panic_root(node) {
                 continue;
             }
             let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.panic_sites.is_empty()) else {
@@ -154,22 +152,12 @@ impl GraphPass for TransitivePanic {
     }
 }
 
-fn is_panic_root(config: &Config, node: &FnNode) -> bool {
+fn is_panic_root(node: &FnNode) -> bool {
     if node.is_test || node.doc_panics {
         return false;
     }
-    if config
-        .critical_files
-        .iter()
-        .any(|f| node.path.ends_with(f.as_str()))
-    {
-        return true;
-    }
-    node.is_pub
-        && config
-            .panic_surface_dirs
-            .iter()
-            .any(|d| node.path.contains(d.as_str()))
+    CRITICAL_FILES.iter().any(|f| node.path.ends_with(f))
+        || (node.is_pub && PANIC_SURFACE_DIRS.iter().any(|d| node.path.contains(d)))
 }
 
 /// L012: a serialization/telemetry root (a `pub fn` whose name carries
@@ -189,12 +177,7 @@ impl GraphPass for DeterminismTaint {
                 continue;
             }
             let lname = node.name.to_ascii_lowercase();
-            if !ctx
-                .config
-                .serialization_roots
-                .iter()
-                .any(|frag| lname.contains(frag.as_str()))
-            {
+            if !SERIALIZATION_ROOTS.iter().any(|frag| lname.contains(frag)) {
                 continue;
             }
             let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.nondet_sites.is_empty())
@@ -342,11 +325,9 @@ mod tests {
         }
         let inputs: Vec<(&FileContext<'_>, &ParsedFile)> = ctxs.iter().zip(parsed.iter()).collect();
         let graph = CallGraph::build(&inputs, &index);
-        let config = Config::default_workspace();
         let ctx = GraphCtx {
             graph: &graph,
             files: &inputs,
-            config: &config,
         };
         let mut out = Vec::new();
         for pass in graph_passes() {

@@ -16,7 +16,7 @@ pub mod units;
 
 use crate::context::FileContext;
 use crate::index::SymbolIndex;
-use crate::{Config, Finding, Rule};
+use crate::{Finding, Rule, PANIC_SURFACE_DIRS, PHYSICS_DIRS, POOL_FILES};
 
 /// Everything a pass can look at while scanning one file.
 pub struct RuleCtx<'a> {
@@ -24,8 +24,6 @@ pub struct RuleCtx<'a> {
     pub file: &'a FileContext<'a>,
     /// The workspace symbol index.
     pub index: &'a SymbolIndex,
-    /// The analyzer configuration.
-    pub config: &'a Config,
 }
 
 /// One token-level rule pass. Implementations are stateless unit
@@ -60,19 +58,15 @@ impl RuleCtx<'_> {
     /// Whether this file belongs to a physics crate (L001/L008 scope).
     #[must_use]
     pub fn is_physics(&self) -> bool {
-        self.config
-            .physics_dirs
-            .iter()
-            .any(|d| self.file.path.contains(d.as_str()))
+        PHYSICS_DIRS.iter().any(|d| self.file.path.contains(d))
     }
 
     /// Whether this file is in the panic-surface scope (L009).
     #[must_use]
     pub fn is_panic_surface(&self) -> bool {
-        self.config
-            .panic_surface_dirs
+        PANIC_SURFACE_DIRS
             .iter()
-            .any(|d| self.file.path.contains(d.as_str()))
+            .any(|d| self.file.path.contains(d))
     }
 
     /// Whether this file is the worker-pool implementation, exempt from
@@ -80,10 +74,7 @@ impl RuleCtx<'_> {
     /// threads and atomics).
     #[must_use]
     pub fn is_pool_file(&self) -> bool {
-        self.config
-            .pool_files
-            .iter()
-            .any(|f| self.file.path.ends_with(f.as_str()))
+        POOL_FILES.iter().any(|f| self.file.path.ends_with(f))
     }
 
     /// Emits a finding anchored at byte `offset`.

@@ -8,7 +8,7 @@
 //! // lint-fixture-path: crates/powernet/src/demo.rs
 //! ```
 //!
-//! The file is analyzed with the default workspace configuration and the
+//! The file is analyzed under the analyzer's fixed rule scopes and the
 //! findings — rendered one per line as `<line>: <rule> <message>`, with
 //! interprocedural call paths indented below as `    via <path>:<line>:
 //! <note>` — are compared byte-for-byte against the sibling `.expected`
@@ -33,7 +33,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ins_lint::{analyze_source, analyze_sources, Config, Finding};
+use ins_lint::{analyze_source, analyze_sources, Finding};
 
 const PATH_MARKER: &str = "// lint-fixture-path: ";
 const FILE_MARKER: &str = "// lint-fixture-file: ";
@@ -96,7 +96,6 @@ fn fixtures_match_expected_findings() {
         dir.display()
     );
 
-    let config = Config::default_workspace();
     let mut failures = Vec::new();
     for fixture in &fixture_paths {
         let src = fs::read_to_string(fixture).expect("fixture is readable");
@@ -113,9 +112,9 @@ fn fixtures_match_expected_findings() {
         let files = split_fixture(virtual_path, &src);
         let multi = files.len() > 1;
         let findings = if multi {
-            analyze_sources(files, &config)
+            analyze_sources(files)
         } else {
-            analyze_source(virtual_path, &src, &config)
+            analyze_source(virtual_path, &src)
         };
         let actual = render(&findings, multi);
 

@@ -4,10 +4,10 @@
 //! they moved here unchanged when the rules split into `rules/`
 //! submodules, so the split is provably behavior-preserving.
 
-use ins_lint::{analyze_source, report_json, Config, Finding, Rule};
+use ins_lint::{analyze_source, report_json, Finding, Rule};
 
 fn run(path: &str, src: &str) -> Vec<Finding> {
-    analyze_source(path, src, &Config::default_workspace())
+    analyze_source(path, src)
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<Rule> {
@@ -388,16 +388,33 @@ fn suppression_covers_same_line_and_next_line() {
 }
 
 #[test]
-fn disabled_rules_are_filtered_but_still_feed_l010() {
-    let mut config = Config::default_workspace();
-    config.rules = vec![Rule::FloatEquality, Rule::StaleSuppression];
-    // The L002 suppression is *used* (an unwrap sits on the line),
-    // so no L010 fires even though L002 itself is disabled.
-    let src = "fn f(x: f64) { x.unwrap(); } // ins-lint: allow(L002)\n";
-    assert!(analyze_source("crates/core/src/x.rs", src, &config).is_empty());
-    // And disabled rules' findings never surface.
-    let src = "fn f(x: f64) { x.unwrap(); }\n";
-    assert!(analyze_source("crates/core/src/x.rs", src, &config).is_empty());
+fn l010_flags_marker_entries_that_name_no_rule() {
+    // A typo'd id can never suppress anything, so it must not pass
+    // silently: each such entry is an L010 at the marker's line.
+    let typo = "fn f() {} // ins-lint: allow(L099) -- typo\n";
+    let findings = run("crates/core/src/x.rs", typo);
+    assert_eq!(rules_of(&findings), vec![Rule::StaleSuppression]);
+    assert_eq!(
+        findings[0].message,
+        "`allow(L099)` names no rule; fix the id or remove the marker"
+    );
+    let empty = "fn f() {}\n// ins-lint: allow()\n";
+    let findings = run("crates/core/src/x.rs", empty);
+    assert_eq!(rules_of(&findings), vec![Rule::StaleSuppression]);
+    assert_eq!(findings[0].line, 2);
+    assert!(findings[0].message.starts_with("`allow()` names no rule"));
+    // A known id beside an unknown one still suppresses; only the
+    // unknown entry is reported.
+    let mixed = "fn f(x: f64) -> bool { x == 0.0 } // ins-lint: allow(L004, L0O4)\n";
+    let findings = run("crates/core/src/x.rs", mixed);
+    assert_eq!(rules_of(&findings), vec![Rule::StaleSuppression]);
+    assert!(
+        findings[0]
+            .message
+            .starts_with("`allow(L0O4)` names no rule"),
+        "{}",
+        findings[0].message
+    );
 }
 
 #[test]
