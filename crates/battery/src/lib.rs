@@ -14,7 +14,7 @@
 //!   losses, the basis for spatial (concentrated) charging,
 //! * [`wear`] — ampere-hour throughput lifetime accounting (Fig. 19),
 //! * [`mod@unit`] / [`pack`] — the switchable [`BatteryUnit`] façade and
-//!   pack-level aggregation.
+//!   the discharge current shared across parallel units.
 //!
 //! # Examples
 //!

@@ -1,13 +1,10 @@
 //! Multi-unit e-Buffer aggregation.
 //!
-//! Utilities for working with a set of [`BatteryUnit`]s as the paper's
-//! "energy buffer": splitting a common discharge current across the online
-//! subset the way parallel strings share load (stronger units carry more),
-//! and computing pack-level statistics (total stored energy, voltage σ —
-//! the balance indicator of Table 6).
+//! Working with a set of [`BatteryUnit`]s as the paper's "energy buffer":
+//! splitting a common discharge current across the online subset the way
+//! parallel strings share load (stronger units carry more).
 
-use ins_sim::stats::RunningStats;
-use ins_sim::units::{Amps, Volts, WattHours};
+use ins_sim::units::Amps;
 
 use crate::unit::BatteryUnit;
 
@@ -69,51 +66,6 @@ fn split_weight(u: &BatteryUnit) -> f64 {
     }
 }
 
-/// Summary of the e-Buffer's aggregate state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackSummary {
-    /// Sum of stored energy across units.
-    pub stored_energy: WattHours,
-    /// Mean open-circuit voltage.
-    pub mean_voltage: Volts,
-    /// Population standard deviation of open-circuit voltages — the
-    /// imbalance indicator the paper reports as "Battery Volt. σ".
-    pub voltage_std_dev: f64,
-    /// Mean state of charge.
-    pub mean_soc: f64,
-    /// Lowest state of charge of any unit.
-    pub min_soc: f64,
-}
-
-/// Computes the aggregate state of a set of units.
-///
-/// Returns a zeroed summary for an empty slice.
-#[must_use]
-pub fn summarize(units: &[BatteryUnit]) -> PackSummary {
-    if units.is_empty() {
-        return PackSummary {
-            stored_energy: WattHours::ZERO,
-            mean_voltage: Volts::ZERO,
-            voltage_std_dev: 0.0,
-            mean_soc: 0.0,
-            min_soc: 0.0,
-        };
-    }
-    let stored_energy = units.iter().map(BatteryUnit::stored_energy).sum();
-    let volt_stats: RunningStats = units
-        .iter()
-        .map(|u| u.open_circuit_voltage().value())
-        .collect();
-    let soc_stats: RunningStats = units.iter().map(|u| u.soc().value()).collect();
-    PackSummary {
-        stored_energy,
-        mean_voltage: Volts::new(volt_stats.mean()),
-        voltage_std_dev: volt_stats.population_std_dev(),
-        mean_soc: soc_stats.mean(),
-        min_soc: soc_stats.min(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,30 +116,5 @@ mod tests {
         assert!(shares(&[], 10.0).is_empty());
         let a = unit_at(0, 0.9);
         assert_eq!(shares(&[&a], 0.0), vec![Amps::ZERO]);
-    }
-
-    #[test]
-    fn summary_of_identical_units_has_zero_sigma() {
-        let units = vec![unit_at(0, 0.8), unit_at(1, 0.8), unit_at(2, 0.8)];
-        let s = summarize(&units);
-        assert!(s.voltage_std_dev < 1e-12);
-        assert!((s.mean_soc - 0.8).abs() < 1e-12);
-        assert!((s.min_soc - 0.8).abs() < 1e-12);
-        assert!(s.stored_energy.value() > 0.0);
-    }
-
-    #[test]
-    fn summary_detects_imbalance() {
-        let balanced = summarize(&[unit_at(0, 0.8), unit_at(1, 0.8)]);
-        let skewed = summarize(&[unit_at(0, 0.99), unit_at(1, 0.3)]);
-        assert!(skewed.voltage_std_dev > balanced.voltage_std_dev);
-        assert!((skewed.min_soc - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary_is_zeroed() {
-        let s = summarize(&[]);
-        assert_eq!(s.stored_energy, WattHours::ZERO);
-        assert_eq!(s.mean_voltage, Volts::ZERO);
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use ins_battery::charge::{acceptance_limit, gassing_current, split_applied_current};
 use ins_battery::kibam::KibamState;
-use ins_battery::pack::{split_discharge_current, summarize};
+use ins_battery::pack::split_discharge_current;
 use ins_battery::voltage::{open_circuit, terminal};
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_sim::units::{AmpHours, Amps, Hours, Soc};
@@ -107,23 +107,6 @@ proptest! {
             let sum: f64 = shares.iter().map(|s| s.value()).sum();
             prop_assert!((sum - total).abs() < 1e-6, "shares sum {sum} ≠ {total}");
         }
-    }
-
-    /// Pack summaries are consistent with their inputs.
-    #[test]
-    fn pack_summary_consistent(socs in proptest::collection::vec(0.0f64..=1.0, 1..6)) {
-        let units: Vec<BatteryUnit> = socs
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| BatteryUnit::with_soc(BatteryId(i), BatteryParams::cabinet_24v(), Soc::new(s)))
-            .collect();
-        let sum = summarize(&units);
-        let min = socs.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assert!((sum.min_soc - min).abs() < 1e-9);
-        let mean = socs.iter().sum::<f64>() / socs.len() as f64;
-        prop_assert!((sum.mean_soc - mean).abs() < 1e-9);
-        prop_assert!(sum.voltage_std_dev >= 0.0);
-        prop_assert!(sum.stored_energy.value() >= 0.0);
     }
 
     /// A discharge/charge round trip always loses energy (second law):

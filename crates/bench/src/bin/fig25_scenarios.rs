@@ -1,26 +1,24 @@
 //! Fig. 25: application-specific cost analysis.
 //!
 //! ```sh
-//! cargo run -p ins-bench --release --bin fig25_scenarios -- [--threads N]
+//! cargo run -p ins-bench --release --bin fig25_scenarios
 //! ```
 //!
-//! `--threads` fans the scenarios across a worker pool (`0` or omitted =
-//! available parallelism); the output is identical at any thread count.
+//! It takes no flags: any argument exits 2 with the usage line.
 
 use std::process::ExitCode;
 
-use ins_bench::experiments::costs::{fig25_with, render_fig25};
-use ins_bench::runner::{Flag, SweepArgs};
+use ins_bench::experiments::costs::{fig25, render_fig25};
+use ins_bench::runner::SweepArgs;
 
-const USAGE: &str = "usage: fig25_scenarios [--threads N]";
+const USAGE: &str = "usage: fig25_scenarios";
 
 fn main() -> ExitCode {
-    let threads = match SweepArgs::from_env(USAGE, &[Flag::Threads], |_, _| Ok(false)) {
-        Ok(args) => args.threads,
-        Err(code) => return code,
-    };
+    if let Err(code) = SweepArgs::from_env(USAGE, &[], |_, _| Ok(false)) {
+        return code;
+    }
     println!("Fig. 25 — per-application cost savings of InSURE over the cloud");
-    println!("{}", render_fig25(&fig25_with(threads)));
+    println!("{}", render_fig25(&fig25()));
     println!("(paper: application-dependent savings from 15 % to 97 %)");
     ExitCode::SUCCESS
 }

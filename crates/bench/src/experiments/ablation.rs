@@ -8,11 +8,12 @@ use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_core::config::InsureConfig;
 use ins_core::controller::InsureController;
 use ins_core::metrics::RunMetrics;
-use ins_core::system::{InSituSystem, WorkloadModel};
+use ins_core::system::WorkloadModel;
 use ins_powernet::charger::ChargeController;
-use ins_sim::time::{SimDuration, SimTime};
 use ins_sim::units::{Amps, Hours, Soc, Watts};
 use ins_solar::trace::low_generation_day;
+
+use super::{day, run_day};
 
 /// One point of the discharge-cap sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,17 +34,14 @@ pub fn discharge_cap_sweep(seed: u64, caps: &[f64]) -> Vec<CapSweepPoint> {
         .map(|&cap| {
             let mut config = InsureConfig::prototype();
             config.discharge_current_cap = Amps::new(cap);
-            let mut sys = InSituSystem::builder(
-                low_generation_day(seed),
-                Box::new(InsureController::new(config)),
-            )
-            .workload(WorkloadModel::seismic())
-            .time_step(SimDuration::from_secs(30))
-            .build();
-            sys.run_until(SimTime::from_hms(23, 59, 30));
+            let controller = Box::new(InsureController::new(config));
             CapSweepPoint {
                 cap_amps: cap,
-                metrics: RunMetrics::collect(&sys),
+                metrics: run_day(
+                    &mut day(low_generation_day(seed), controller)
+                        .workload(WorkloadModel::seismic())
+                        .build(),
+                ),
             }
         })
         .collect()
@@ -70,15 +68,12 @@ pub fn elastic_threshold_ablation(seed: u64) -> ElasticAblation {
         // within a single simulated day.
         config.lifetime_discharge = ins_sim::units::AmpHours::new(100.0);
         config.desired_lifetime_days = 1000.0;
-        let mut sys = InSituSystem::builder(
-            low_generation_day(seed),
-            Box::new(InsureController::new(config)),
+        let controller = Box::new(InsureController::new(config));
+        run_day(
+            &mut day(low_generation_day(seed), controller)
+                .workload(WorkloadModel::seismic())
+                .build(),
         )
-        .workload(WorkloadModel::seismic())
-        .time_step(SimDuration::from_secs(30))
-        .build();
-        sys.run_until(SimTime::from_hms(23, 59, 30));
-        RunMetrics::collect(&sys)
     };
     ElasticAblation {
         elastic: run(true),

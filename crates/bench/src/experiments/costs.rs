@@ -136,29 +136,20 @@ pub fn fig24() -> (Vec<Fig24Row>, Option<f64>) {
 /// Fig. 25 rows: per-scenario costs and savings.
 #[must_use]
 pub fn fig25() -> Vec<(Scenario, f64, f64, f64)> {
-    fig25_with(1)
-}
-
-/// [`fig25`] fanned across `threads` workers.
-///
-/// Each scenario's costs are a pure function of the scenario and the
-/// paper's cost parameters, and rows come back in scenario order, so the
-/// output is identical at any thread count. `threads == 0` uses
-/// available parallelism.
-#[must_use]
-pub fn fig25_with(threads: usize) -> Vec<(Scenario, f64, f64, f64)> {
     let (c, it, s) = (
         CommsCosts::paper(),
         ItCosts::paper(),
         SystemSizing::prototype(),
     );
-    let all = scenarios();
-    crate::runner::run_cells(threads, &all, |_, sc| {
-        let cloud = cloud_cost(sc, &c);
-        let insitu = insitu_cost(sc, &c, &it, &s);
-        let save = saving(sc, &c, &it, &s);
-        (sc.clone(), cloud, insitu, save)
-    })
+    scenarios()
+        .into_iter()
+        .map(|sc| {
+            let cloud = cloud_cost(&sc, &c);
+            let insitu = insitu_cost(&sc, &c, &it, &s);
+            let save = saving(&sc, &c, &it, &s);
+            (sc, cloud, insitu, save)
+        })
+        .collect()
 }
 
 /// Renders the Fig. 25 table.

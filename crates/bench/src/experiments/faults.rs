@@ -12,21 +12,14 @@
 //! and the same fault arrivals, so controller columns differ only by
 //! policy.
 
-use ins_core::controller::{BaselineController, InsureController, PowerController};
-use ins_core::metrics::RunMetrics;
 use ins_core::system::{InSituSystem, SystemEvent, SystemSnapshot};
-use ins_sim::fault::{FaultEvent, FaultSchedule, FaultTargets};
-use ins_sim::time::{SimDuration, SimTime};
+use ins_sim::fault::{FaultEvent, FaultSchedule};
+use ins_sim::time::SimDuration;
 use ins_solar::trace::high_generation_day;
-use ins_solar::SolarTrace;
 
+use super::{controller, day, run_day, STEP, TARGETS};
+use crate::runner::{run_cells, run_cells_incremental};
 use crate::table::TextTable;
-
-/// Shape of the prototype system the schedules target.
-const TARGETS: FaultTargets = FaultTargets {
-    units: 3,
-    servers: 4,
-};
 
 /// One controller × fault-rate cell of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,33 +86,6 @@ pub fn late_window_schedule_for(seed: u64, mean_hours: Option<f64>) -> FaultSche
     FaultSchedule::from_events(seed, events)
 }
 
-fn controller_by_name(name: &str) -> Box<dyn PowerController> {
-    if name == "insure" {
-        Box::new(InsureController::default())
-    } else {
-        Box::new(BaselineController::new())
-    }
-}
-
-/// Runs one full day on `solar` under the given controller and fault
-/// schedule.
-fn run_day_on(
-    solar: SolarTrace,
-    controller: Box<dyn PowerController>,
-    schedule: FaultSchedule,
-) -> (RunMetrics, usize) {
-    let mut sys = InSituSystem::builder(solar, controller)
-        .unit_count(TARGETS.units)
-        .time_step(SimDuration::from_secs(30))
-        .fault_schedule(schedule)
-        .build();
-    sys.run_until(SimTime::from_hms(23, 59, 30));
-    let injected = sys
-        .events()
-        .count(|e| matches!(e, SystemEvent::FaultInjected(_)));
-    (RunMetrics::collect(&sys), injected)
-}
-
 /// Sweeps fault rate × {InSURE, baseline}; two rows per rate. Uses the
 /// default [`RATES_HOURS`] grid.
 #[must_use]
@@ -143,7 +109,7 @@ pub fn sweep_rates(seed: u64, rates: &[Option<f64>]) -> Vec<FaultSweepRow> {
 /// parallelism.
 #[must_use]
 pub fn sweep_rates_with(seed: u64, rates: &[Option<f64>], threads: usize) -> Vec<FaultSweepRow> {
-    sweep_schedules_scratch(seed, rates, threads, |rate| schedule_for(seed, rate))
+    sweep_schedules(seed, rates, threads, false, |rate| schedule_for(seed, rate))
 }
 
 /// [`sweep_rates_with`] on the incremental shared-prefix path.
@@ -161,7 +127,7 @@ pub fn sweep_rates_incremental(
     rates: &[Option<f64>],
     threads: usize,
 ) -> Vec<FaultSweepRow> {
-    sweep_schedules_incremental(seed, rates, threads, |rate| schedule_for(seed, rate))
+    sweep_schedules(seed, rates, threads, true, |rate| schedule_for(seed, rate))
 }
 
 /// Sweeps the late-window benchmark grid (`[18 h, 24 h)` fault windows,
@@ -175,76 +141,56 @@ pub fn sweep_shared_window(
     threads: usize,
     incremental: bool,
 ) -> Vec<FaultSweepRow> {
-    if incremental {
-        sweep_schedules_incremental(seed, rates, threads, |rate| {
-            late_window_schedule_for(seed, rate)
-        })
-    } else {
-        sweep_schedules_scratch(seed, rates, threads, |rate| {
-            late_window_schedule_for(seed, rate)
-        })
-    }
-}
-
-fn grid_cells(rates: &[Option<f64>]) -> Vec<(Option<f64>, &'static str)> {
-    rates
-        .iter()
-        .flat_map(|&rate| [(rate, "insure"), (rate, "baseline")])
-        .collect()
-}
-
-fn row_from(
-    rate: Option<f64>,
-    name: &'static str,
-    metrics: &RunMetrics,
-    injected: usize,
-) -> FaultSweepRow {
-    FaultSweepRow {
-        mean_interarrival_hours: rate.unwrap_or(f64::INFINITY),
-        controller: name,
-        faults_injected: injected,
-        uptime: metrics.uptime,
-        gb_per_hour: metrics.throughput_gb_per_hour,
-        energy_availability_wh: metrics.mean_stored_energy_wh,
-        brownouts: metrics.brownouts,
-    }
-}
-
-fn sweep_schedules_scratch<F>(
-    seed: u64,
-    rates: &[Option<f64>],
-    threads: usize,
-    schedule_of: F,
-) -> Vec<FaultSweepRow>
-where
-    F: Fn(Option<f64>) -> FaultSchedule + Sync,
-{
-    let cells = grid_cells(rates);
-    let solar = high_generation_day(seed);
-    crate::runner::run_cells(threads, &cells, |_, &(rate, name)| {
-        let (metrics, injected) =
-            run_day_on(solar.clone(), controller_by_name(name), schedule_of(rate));
-        row_from(rate, name, &metrics, injected)
+    sweep_schedules(seed, rates, threads, incremental, |rate| {
+        late_window_schedule_for(seed, rate)
     })
 }
 
-fn sweep_schedules_incremental<F>(
+/// Runs fault rate × {InSURE, baseline} under `schedule_of(rate)`, from
+/// scratch or, when `incremental`, forked from each controller's shared
+/// fault-free prefix.
+fn sweep_schedules<F>(
     seed: u64,
     rates: &[Option<f64>],
     threads: usize,
+    incremental: bool,
     schedule_of: F,
 ) -> Vec<FaultSweepRow>
 where
     F: Fn(Option<f64>) -> FaultSchedule + Sync,
 {
-    let cells = grid_cells(rates);
+    let cells: Vec<(Option<f64>, &'static str)> = rates
+        .iter()
+        .flat_map(|&rate| [(rate, "insure"), (rate, "baseline")])
+        .collect();
     let solar = high_generation_day(seed);
-    let step = SimDuration::from_secs(30);
-    let end = SimTime::from_hms(23, 59, 30);
-    crate::runner::run_cells_incremental(
+    let run = |&(rate, name): &(Option<f64>, &'static str), snap: Option<&SystemSnapshot>| {
+        let mut sys = match snap {
+            Some(snapshot) => InSituSystem::fork_from(snapshot, schedule_of(rate)),
+            None => day(solar.clone(), controller(name))
+                .fault_schedule(schedule_of(rate))
+                .build(),
+        };
+        let metrics = run_day(&mut sys);
+        FaultSweepRow {
+            mean_interarrival_hours: rate.unwrap_or(f64::INFINITY),
+            controller: name,
+            faults_injected: sys
+                .events()
+                .count(|e| matches!(e, SystemEvent::FaultInjected(_))),
+            uptime: metrics.uptime,
+            gb_per_hour: metrics.throughput_gb_per_hour,
+            energy_availability_wh: metrics.mean_stored_energy_wh,
+            brownouts: metrics.brownouts,
+        }
+    };
+    if !incremental {
+        return run_cells(threads, &cells, |_, cell| run(cell, None));
+    }
+    run_cells_incremental(
         threads,
         &cells,
-        step,
+        STEP,
         |&(rate, name)| (name, schedule_of(rate).first_event_at()),
         |name: &&'static str, fork_at| {
             // The prefix replays every cell's fault-free warm-up: same
@@ -252,28 +198,13 @@ where
             // irrelevant here — the sensor RNG it feeds is only consumed
             // inside noise windows, and a fault-free prefix has none;
             // the fork re-derives it from the cell's own schedule.
-            let mut sys = InSituSystem::builder(solar.clone(), controller_by_name(name))
-                .unit_count(TARGETS.units)
-                .time_step(step)
+            let mut sys = day(solar.clone(), controller(name))
                 .fault_schedule(FaultSchedule::from_events(seed, Vec::new()))
                 .build();
             sys.run_until(fork_at);
             sys.snapshot().ok()
         },
-        |_, &(rate, name), snap: Option<&SystemSnapshot>| {
-            let (metrics, injected) = match snap {
-                Some(snapshot) => {
-                    let mut sys = InSituSystem::fork_from(snapshot, schedule_of(rate));
-                    sys.run_until(end);
-                    let injected = sys
-                        .events()
-                        .count(|e| matches!(e, SystemEvent::FaultInjected(_)));
-                    (RunMetrics::collect(&sys), injected)
-                }
-                None => run_day_on(solar.clone(), controller_by_name(name), schedule_of(rate)),
-            };
-            row_from(rate, name, &metrics, injected)
-        },
+        |_, cell, snap| run(cell, snap),
     )
 }
 
@@ -336,6 +267,7 @@ pub fn to_json(rows: &[FaultSweepRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ins_sim::time::SimTime;
 
     fn row<'a>(
         rows: &'a [FaultSweepRow],

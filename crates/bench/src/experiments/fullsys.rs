@@ -7,12 +7,11 @@
 //! (service-related); e-Buffer availability, service life, performance
 //! per Ah (system-related).
 
-use ins_core::controller::{BaselineController, InsureController, PowerController};
 use ins_core::metrics::RunMetrics;
-use ins_core::system::{InSituSystem, WorkloadModel};
-use ins_sim::time::{SimDuration, SimTime};
+use ins_core::system::WorkloadModel;
 use ins_solar::trace::{high_generation_day, low_generation_day};
 
+use super::{controller, day, run_day};
 use crate::table::TextTable;
 
 /// The six Fig. 20/21 metrics.
@@ -41,48 +40,24 @@ pub struct FullSystemImprovement {
     pub baseline: RunMetrics,
 }
 
-fn run_day(
-    workload: WorkloadModel,
-    high_solar: bool,
-    controller: Box<dyn PowerController>,
-    seed: u64,
-) -> RunMetrics {
-    let solar = if high_solar {
-        high_generation_day(seed)
-    } else {
-        low_generation_day(seed)
-    };
-    let mut sys = InSituSystem::builder(solar, controller)
-        .workload(workload)
-        .time_step(SimDuration::from_secs(30))
-        .build();
-    sys.run_until(SimTime::from_hms(23, 59, 30));
-    RunMetrics::collect(&sys)
-}
-
 /// Runs one workload × solar-level comparison.
 #[must_use]
 pub fn compare(workload: &'static str, high_solar: bool, seed: u64) -> FullSystemImprovement {
-    let make = || -> WorkloadModel {
-        match workload {
+    let run = |name| {
+        let solar = if high_solar {
+            high_generation_day(seed)
+        } else {
+            low_generation_day(seed)
+        };
+        let model = match workload {
             "seismic" => WorkloadModel::seismic(),
             "video" => WorkloadModel::video(),
             other => panic!("unknown workload {other}"),
-        }
+        };
+        run_day(&mut day(solar, controller(name)).workload(model).build())
     };
-    let insure = run_day(
-        make(),
-        high_solar,
-        Box::new(InsureController::default()),
-        seed,
-    );
-    let baseline = run_day(
-        make(),
-        high_solar,
-        Box::new(BaselineController::new()),
-        seed,
-    );
-    let rel = |a: f64, b: f64| if b.abs() < 1e-12 { 0.0 } else { (a - b) / b };
+    let (insure, baseline) = (run("insure"), run("baseline"));
+    let improvement = |metric: fn(&RunMetrics) -> f64| insure.improvement_over(&baseline, metric);
     // Latency: improvement is the reduction relative to the baseline.
     let latency_improvement = if baseline.mean_latency_minutes > 1e-9 {
         (baseline.mean_latency_minutes - insure.mean_latency_minutes)
@@ -94,18 +69,12 @@ pub fn compare(workload: &'static str, high_solar: bool, seed: u64) -> FullSyste
         workload,
         high_solar,
         improvements: [
-            rel(insure.uptime, baseline.uptime),
-            rel(
-                insure.throughput_gb_per_hour,
-                baseline.throughput_gb_per_hour,
-            ),
+            improvement(|m| m.uptime),
+            improvement(|m| m.throughput_gb_per_hour),
             latency_improvement,
-            rel(insure.mean_stored_energy_wh, baseline.mean_stored_energy_wh),
-            rel(
-                insure.expected_service_life_days,
-                baseline.expected_service_life_days,
-            ),
-            rel(insure.gb_per_amp_hour, baseline.gb_per_amp_hour),
+            improvement(|m| m.mean_stored_energy_wh),
+            improvement(|m| m.expected_service_life_days),
+            improvement(|m| m.gb_per_amp_hour),
         ],
         insure,
         baseline,

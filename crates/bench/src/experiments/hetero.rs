@@ -10,14 +10,14 @@
 
 use ins_cluster::profiles::ServerProfile;
 use ins_cluster::rack::Rack;
-use ins_core::controller::InsureController;
 use ins_core::metrics::RunMetrics;
-use ins_core::system::{InSituSystem, WorkloadModel};
-use ins_sim::time::{SimDuration, SimTime};
+use ins_core::system::WorkloadModel;
 use ins_solar::trace::high_generation_day;
 use ins_workload::benchmark::{by_name, MicroBenchmark};
 use ins_workload::scaling::ScalingModel;
 use ins_workload::stream::{StreamSpec, StreamWorkload};
+
+use super::{controller, day, run_day};
 
 /// Result of one rack-profile run.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,16 +50,12 @@ fn workload_for(bench: &MicroBenchmark, profile: &ServerProfile) -> WorkloadMode
 fn run_profile(bench: &MicroBenchmark, profile: ServerProfile, seed: u64) -> HeteroRun {
     let name = profile.name.clone();
     let workload = workload_for(bench, &profile);
-    let mut sys = InSituSystem::builder(
-        high_generation_day(seed),
-        Box::new(InsureController::default()),
-    )
-    .rack(Rack::new(profile, 4))
-    .workload(workload)
-    .time_step(SimDuration::from_secs(30))
-    .build();
-    sys.run_until(SimTime::from_hms(23, 59, 30));
-    let metrics = RunMetrics::collect(&sys);
+    let metrics = run_day(
+        &mut day(high_generation_day(seed), controller("insure"))
+            .rack(Rack::new(profile, 4))
+            .workload(workload)
+            .build(),
+    );
     let gb_per_kwh = if metrics.load_kwh > 1e-9 {
         metrics.processed_gb / metrics.load_kwh
     } else {

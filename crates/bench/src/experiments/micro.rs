@@ -8,15 +8,14 @@
 //! low-generation days.
 
 use ins_cluster::profiles::ServerProfile;
-use ins_core::controller::{BaselineController, InsureController, PowerController};
 use ins_core::metrics::RunMetrics;
-use ins_core::system::{InSituSystem, WorkloadModel};
-use ins_sim::time::{SimDuration, SimTime};
+use ins_core::system::WorkloadModel;
 use ins_solar::trace::{high_generation_day, low_generation_day};
 use ins_workload::benchmark::{by_name, MicroBenchmark};
 use ins_workload::scaling::ScalingModel;
 use ins_workload::stream::{StreamSpec, StreamWorkload};
 
+use super::{controller, day, run_day};
 use crate::table::TextTable;
 
 /// The benchmark suite of Figs. 17–19.
@@ -56,51 +55,27 @@ pub struct MicroImprovement {
     pub service_life: f64,
 }
 
-fn run_day(
-    bench: &MicroBenchmark,
-    high_solar: bool,
-    controller: Box<dyn PowerController>,
-    seed: u64,
-) -> RunMetrics {
-    let solar = if high_solar {
-        high_generation_day(seed)
-    } else {
-        low_generation_day(seed)
-    };
-    let mut sys = InSituSystem::builder(solar, controller)
-        .workload(saturating_workload(bench))
-        .time_step(SimDuration::from_secs(30))
-        .build();
-    sys.run_until(SimTime::from_hms(23, 59, 30));
-    RunMetrics::collect(&sys)
-}
-
 /// Runs one benchmark × solar-level comparison.
 #[must_use]
 pub fn compare(benchmark: &'static str, high_solar: bool, seed: u64) -> MicroImprovement {
     let bench = by_name(benchmark).unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-    let insure = run_day(
-        &bench,
-        high_solar,
-        Box::new(InsureController::default()),
-        seed,
-    );
-    let baseline = run_day(
-        &bench,
-        high_solar,
-        Box::new(BaselineController::new()),
-        seed,
-    );
-    let rel = |a: f64, b: f64| if b.abs() < 1e-12 { 0.0 } else { (a - b) / b };
+    let run = |name| {
+        let solar = if high_solar {
+            high_generation_day(seed)
+        } else {
+            low_generation_day(seed)
+        };
+        let workload = saturating_workload(&bench);
+        run_day(&mut day(solar, controller(name)).workload(workload).build())
+    };
+    let (insure, baseline) = (run("insure"), run("baseline"));
+    let improvement = |metric: fn(&RunMetrics) -> f64| insure.improvement_over(&baseline, metric);
     MicroImprovement {
         benchmark,
         high_solar,
-        service_availability: rel(insure.uptime, baseline.uptime),
-        energy_availability: rel(insure.mean_stored_energy_wh, baseline.mean_stored_energy_wh),
-        service_life: rel(
-            insure.expected_service_life_days,
-            baseline.expected_service_life_days,
-        ),
+        service_availability: improvement(|m| m.uptime),
+        energy_availability: improvement(|m| m.mean_stored_energy_wh),
+        service_life: improvement(|m| m.expected_service_life_days),
     }
 }
 

@@ -29,3 +29,45 @@ pub mod micro;
 pub mod recovery;
 pub mod sizing;
 pub mod traces;
+
+use ins_core::controller::{BaselineController, InsureController, PowerController};
+use ins_core::metrics::RunMetrics;
+use ins_core::system::{InSituSystem, SystemBuilder};
+use ins_sim::fault::FaultTargets;
+use ins_sim::time::{SimDuration, SimTime};
+use ins_solar::SolarTrace;
+
+/// The step of the one-day evaluation runs.
+pub(crate) const STEP: SimDuration = SimDuration::from_secs(30);
+
+/// The prototype's shape, which the fault schedules target: three
+/// battery units and four servers.
+pub(crate) const TARGETS: FaultTargets = FaultTargets {
+    units: 3,
+    servers: 4,
+};
+
+/// The controller an experiment names: `"insure"`, else the
+/// unified-buffer baseline.
+pub(crate) fn controller(name: &str) -> Box<dyn PowerController> {
+    if name == "insure" {
+        Box::new(InsureController::default())
+    } else {
+        Box::new(BaselineController::new())
+    }
+}
+
+/// The evaluation day's system: the prototype's units on `solar` under
+/// `controller`, stepped every 30 s. Run it with [`run_day`].
+pub(crate) fn day(solar: SolarTrace, controller: Box<dyn PowerController>) -> SystemBuilder {
+    InSituSystem::builder(solar, controller)
+        .unit_count(TARGETS.units)
+        .time_step(STEP)
+}
+
+/// Runs `sys` to the end of the evaluation day, 23:59:30, and collects
+/// its metrics.
+pub(crate) fn run_day(sys: &mut InSituSystem) -> RunMetrics {
+    sys.run_until(SimTime::from_hms(23, 59, 30));
+    RunMetrics::collect(sys)
+}

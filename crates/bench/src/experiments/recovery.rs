@@ -13,23 +13,16 @@
 //! and the same fault arrivals, so cells differ only by checkpoint
 //! interval and controller policy.
 
-use ins_core::controller::{BaselineController, InsureController, PowerController};
-use ins_core::metrics::RunMetrics;
 use ins_core::system::{InSituSystem, SystemEvent, SystemSnapshot};
-use ins_sim::fault::{FaultSchedule, FaultTargets};
-use ins_sim::time::{SimDuration, SimTime};
+use ins_sim::fault::FaultSchedule;
+use ins_sim::time::SimDuration;
 use ins_solar::trace::high_generation_day;
-use ins_solar::SolarTrace;
 use ins_workload::checkpoint::CheckpointPolicy;
 
+use super::{controller, day, run_day, STEP, TARGETS};
 use crate::export::{json_escape, json_number};
+use crate::runner::{run_cells, run_cells_incremental};
 use crate::table::TextTable;
-
-/// Shape of the prototype system the schedules target.
-const TARGETS: FaultTargets = FaultTargets {
-    units: 3,
-    servers: 4,
-};
 
 /// The swept checkpoint intervals (hours).
 pub const CHECKPOINT_INTERVALS_HOURS: [f64; 3] = [0.5, 1.0, 2.0];
@@ -79,44 +72,6 @@ fn schedule_for(seed: u64, mean_interarrival_hours: f64) -> FaultSchedule {
     )
 }
 
-fn builder_for(
-    solar: SolarTrace,
-    controller: Box<dyn PowerController>,
-    checkpoint_interval_hours: f64,
-    schedule: FaultSchedule,
-) -> InSituSystem {
-    InSituSystem::builder(solar, controller)
-        .unit_count(TARGETS.units)
-        .time_step(SimDuration::from_secs(30))
-        .fault_schedule(schedule)
-        .checkpoints(CheckpointPolicy::with_interval(interval(
-            checkpoint_interval_hours,
-        )))
-        .build()
-}
-
-fn finish(sys: &InSituSystem) -> (RunMetrics, usize) {
-    let injected = sys
-        .events()
-        .count(|e| matches!(e, SystemEvent::FaultInjected(_)));
-    (RunMetrics::collect(sys), injected)
-}
-
-/// Runs one day on `solar` with checkpointing under the extended fault
-/// menu.
-fn run_cell_on(
-    solar: SolarTrace,
-    controller: Box<dyn PowerController>,
-    checkpoint_interval_hours: f64,
-    mean_interarrival_hours: f64,
-    seed: u64,
-) -> (RunMetrics, usize) {
-    let schedule = schedule_for(seed, mean_interarrival_hours);
-    let mut sys = builder_for(solar, controller, checkpoint_interval_hours, schedule);
-    sys.run_until(SimTime::from_hms(23, 59, 30));
-    finish(&sys)
-}
-
 /// Sweeps checkpoint interval × fault rate × {InSURE, baseline}.
 #[must_use]
 pub fn sweep(seed: u64) -> Vec<RecoveryRow> {
@@ -144,18 +99,7 @@ pub fn sweep_grid_with(
     rates_hours: &[f64],
     threads: usize,
 ) -> Vec<RecoveryRow> {
-    let mut cells: Vec<(f64, f64, &'static str)> = Vec::new();
-    for &ckpt in intervals_hours {
-        for &rate in rates_hours {
-            cells.push((ckpt, rate, "insure"));
-            cells.push((ckpt, rate, "baseline"));
-        }
-    }
-    let solar = high_generation_day(seed);
-    crate::runner::run_cells(threads, &cells, |_, &(ckpt, rate, name)| {
-        let (m, injected) = run_cell_on(solar.clone(), controller_by_name(name), ckpt, rate, seed);
-        row_from(ckpt, rate, name, &m, injected)
-    })
+    sweep_cells(seed, intervals_hours, rates_hours, threads, false)
 }
 
 /// [`sweep_grid_with`] on the incremental shared-prefix path.
@@ -175,6 +119,19 @@ pub fn sweep_grid_incremental(
     rates_hours: &[f64],
     threads: usize,
 ) -> Vec<RecoveryRow> {
+    sweep_cells(seed, intervals_hours, rates_hours, threads, true)
+}
+
+/// Runs checkpoint interval × fault rate × {InSURE, baseline}, from
+/// scratch or, when `incremental`, forked from each (interval,
+/// controller) group's shared fault-free prefix.
+fn sweep_cells(
+    seed: u64,
+    intervals_hours: &[f64],
+    rates_hours: &[f64],
+    threads: usize,
+    incremental: bool,
+) -> Vec<RecoveryRow> {
     let mut cells: Vec<(f64, f64, &'static str)> = Vec::new();
     for &ckpt in intervals_hours {
         for &rate in rates_hours {
@@ -183,66 +140,51 @@ pub fn sweep_grid_incremental(
         }
     }
     let solar = high_generation_day(seed);
-    let step = SimDuration::from_secs(30);
-    let end = SimTime::from_hms(23, 59, 30);
-    crate::runner::run_cells_incremental(
+    let build = |ckpt: f64, name: &str, schedule: FaultSchedule| {
+        day(solar.clone(), controller(name))
+            .fault_schedule(schedule)
+            .checkpoints(CheckpointPolicy::with_interval(interval(ckpt)))
+            .build()
+    };
+    let run = |&(ckpt, rate, name): &(f64, f64, &'static str), snap: Option<&SystemSnapshot>| {
+        let schedule = schedule_for(seed, rate);
+        let mut sys = match snap {
+            Some(snapshot) => InSituSystem::fork_from(snapshot, schedule),
+            None => build(ckpt, name, schedule),
+        };
+        let m = run_day(&mut sys);
+        RecoveryRow {
+            checkpoint_interval_hours: ckpt,
+            mean_interarrival_hours: rate,
+            controller: name,
+            faults_injected: sys
+                .events()
+                .count(|e| matches!(e, SystemEvent::FaultInjected(_))),
+            throughput_gb_per_hour: m.throughput_gb_per_hour,
+            goodput_gb_per_hour: m.goodput_gb_per_hour,
+            lost_work_hours: m.lost_work_hours,
+            mttr_minutes: m.mttr_minutes,
+            recoveries: m.recoveries,
+            data_loss_events: m.data_loss_events,
+            checkpoints_written: m.checkpoints_written,
+            checkpoints_torn: m.checkpoints_torn,
+        }
+    };
+    if !incremental {
+        return run_cells(threads, &cells, |_, cell| run(cell, None));
+    }
+    run_cells_incremental(
         threads,
         &cells,
-        step,
+        STEP,
         |&(ckpt, rate, name)| ((ckpt, name), schedule_for(seed, rate).first_event_at()),
         |&(ckpt, name): &(f64, &'static str), fork_at| {
-            let mut sys = builder_for(
-                solar.clone(),
-                controller_by_name(name),
-                ckpt,
-                FaultSchedule::from_events(seed, Vec::new()),
-            );
+            let mut sys = build(ckpt, name, FaultSchedule::from_events(seed, Vec::new()));
             sys.run_until(fork_at);
             sys.snapshot().ok()
         },
-        |_, &(ckpt, rate, name), snap: Option<&SystemSnapshot>| {
-            let (m, injected) = match snap {
-                Some(snapshot) => {
-                    let mut sys = InSituSystem::fork_from(snapshot, schedule_for(seed, rate));
-                    sys.run_until(end);
-                    finish(&sys)
-                }
-                None => run_cell_on(solar.clone(), controller_by_name(name), ckpt, rate, seed),
-            };
-            row_from(ckpt, rate, name, &m, injected)
-        },
+        |_, cell, snap| run(cell, snap),
     )
-}
-
-fn controller_by_name(name: &str) -> Box<dyn PowerController> {
-    if name == "insure" {
-        Box::new(InsureController::default())
-    } else {
-        Box::new(BaselineController::new())
-    }
-}
-
-fn row_from(
-    ckpt: f64,
-    rate: f64,
-    name: &'static str,
-    m: &RunMetrics,
-    injected: usize,
-) -> RecoveryRow {
-    RecoveryRow {
-        checkpoint_interval_hours: ckpt,
-        mean_interarrival_hours: rate,
-        controller: name,
-        faults_injected: injected,
-        throughput_gb_per_hour: m.throughput_gb_per_hour,
-        goodput_gb_per_hour: m.goodput_gb_per_hour,
-        lost_work_hours: m.lost_work_hours,
-        mttr_minutes: m.mttr_minutes,
-        recoveries: m.recoveries,
-        data_loss_events: m.data_loss_events,
-        checkpoints_written: m.checkpoints_written,
-        checkpoints_torn: m.checkpoints_torn,
-    }
 }
 
 /// Renders the sweep as a text table.

@@ -88,21 +88,6 @@ pub fn fig05(seed: u64) -> SwitchOutRun {
     }
 }
 
-/// The annotated regions of Fig. 16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Region {
-    /// A: initial battery charging after dawn.
-    InitialCharging,
-    /// B: P&O power tracking surges.
-    PowerTracking,
-    /// C: temporal capping under deficit (checkpoint/suspend).
-    TemporalControl,
-    /// D: abundant solar, supply-demand matched.
-    Abundant,
-    /// E: severely fluctuating budget.
-    Fluctuating,
-}
-
 /// One full-day InSURE trace with the samples needed to identify the
 /// paper's regions.
 #[derive(Debug, Clone, PartialEq)]

@@ -39,7 +39,8 @@
 //! |---|---|
 //! | `fault_sweep` | `[--seed N] [--rates H1,H2,...] [--threads N] [--json] [--incremental\|--no-incremental]` |
 //! | `recovery`, `fleet_resilience` | `[--seed N] [--threads N] [--json] [--incremental\|--no-incremental]` |
-//! | `all_experiments`, `endurance_weeks`, `fig25_scenarios` | `[--threads N]` |
+//! | `all_experiments`, `endurance_weeks` | `[--threads N]` |
+//! | `fig25_scenarios` | no flags |
 //! | `bench_report` | `[--threads N] [--out DIR]` |
 //!
 //! `--threads N` may also be written `--threads=N`.

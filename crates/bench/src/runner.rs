@@ -2,16 +2,17 @@
 //!
 //! Every sweep in this crate is an embarrassingly parallel grid: a list of
 //! independent experiment *cells* (one fault rate, one checkpoint
-//! interval × fault rate pair, one sunshine fraction) each simulated from
-//! its own seed. [`run_cells`] fans those cells across an
-//! [`ins_sim::pool::scoped_map`] worker pool while preserving the
-//! determinism contract the regression suite depends on:
+//! interval × fault rate pair, one sunshine fraction). [`run_cells`] fans
+//! those cells across an [`ins_sim::pool::scoped_map`] worker pool while
+//! preserving the determinism contract the regression suite depends on:
 //!
 //! * each cell's output is a pure function of `(cell index, payload)` —
 //!   cells never share mutable state or consume a common RNG stream;
-//! * per-cell seeds come from [`cell_seed`], which forks the experiment's
-//!   base seed by cell index, so adding threads never re-orders or
-//!   re-splits any random stream;
+//! * a cell seeds its streams from the experiment's base seed and its
+//!   payload, so adding threads never re-orders or re-splits any random
+//!   stream. Both controllers of a grid point share the base seed on
+//!   purpose, so they face the same faults; [`cell_seed`] forks the base
+//!   seed by cell index for a sweep that needs distinct streams per cell;
 //! * results are collected in input order, so serial (`--threads 1`) and
 //!   parallel runs produce byte-identical reports.
 //!

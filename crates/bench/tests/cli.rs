@@ -31,6 +31,11 @@ fn misspelt_flags_exit_2_with_the_usage_line() {
             &["--thread", "2"],
         ),
         (
+            "fig25_scenarios",
+            env!("CARGO_BIN_EXE_fig25_scenarios"),
+            &["--threads", "2"],
+        ),
+        (
             "endurance_weeks",
             env!("CARGO_BIN_EXE_endurance_weeks"),
             &["3"],

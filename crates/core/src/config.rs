@@ -12,8 +12,6 @@ use ins_sim::units::{AmpHours, Amps, Soc, Watts};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
-    /// The TPM control period is zero.
-    ZeroControlPeriod,
     /// The SPM screening interval is zero.
     ZeroScreeningInterval,
     /// The charge target lies outside `(0, 1]`.
@@ -39,7 +37,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
-            Self::ZeroControlPeriod => "control period must be non-zero",
             Self::ZeroScreeningInterval => "screening interval must be non-zero",
             Self::ChargeTargetOutOfRange => "charge target must lie in (0, 1]",
             Self::LowSocThresholdOutOfRange => "low-SoC threshold must lie in [0, 1)",
@@ -60,8 +57,6 @@ impl std::error::Error for ConfigError {}
 /// Tunables of the spatio-temporal power manager.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InsureConfig {
-    /// Fine-grained control period (TPM current check, Fig. 11).
-    pub control_period: SimDuration,
     /// Coarse-grained SPM screening interval (Fig. 9's interval `T`).
     pub screening_interval: SimDuration,
     /// State of charge at which a charging unit is considered charged and
@@ -88,13 +83,14 @@ pub struct InsureConfig {
 }
 
 impl InsureConfig {
-    /// The prototype's configuration: 1-minute TPM period, hourly SPM
-    /// screening, 90 % charge target, 30 % low-SoC emergency threshold,
-    /// 0.5 C discharge cap, and a 4-year design life for the 35 Ah units.
+    /// The prototype's configuration: hourly SPM screening, 90 % charge
+    /// target, 30 % low-SoC emergency threshold, 0.5 C discharge cap, and
+    /// a 4-year design life for the 35 Ah units. The TPM runs at the
+    /// plant's control period, which [`crate::SystemBuilder::control_period`]
+    /// sets (1 minute by default).
     #[must_use]
     pub fn prototype() -> Self {
         Self {
-            control_period: SimDuration::from_minutes(1),
             screening_interval: SimDuration::from_hours(1),
             charge_target_soc: Soc::saturating(0.90),
             soc_low_threshold: Soc::saturating(0.30),
@@ -113,9 +109,6 @@ impl InsureConfig {
     ///
     /// Returns the first violated constraint as a typed [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.control_period.is_zero() {
-            return Err(ConfigError::ZeroControlPeriod);
-        }
         if self.screening_interval.is_zero() {
             return Err(ConfigError::ZeroScreeningInterval);
         }
@@ -184,8 +177,8 @@ mod tests {
 
     #[test]
     fn errors_render_human_readable_messages() {
-        let text = ConfigError::ZeroControlPeriod.to_string();
-        assert!(text.contains("control period"), "got {text:?}");
+        let text = ConfigError::ZeroScreeningInterval.to_string();
+        assert!(text.contains("screening interval"), "got {text:?}");
         // And they interoperate with the std error machinery.
         let boxed: Box<dyn std::error::Error> = Box::new(ConfigError::ThresholdsInverted);
         assert!(boxed.to_string().contains("charge target"));
@@ -193,9 +186,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_periods() {
-        let mut c = InsureConfig::prototype();
-        c.control_period = SimDuration::ZERO;
-        assert!(c.validate().is_err());
         let mut c = InsureConfig::prototype();
         c.screening_interval = SimDuration::ZERO;
         assert!(c.validate().is_err());

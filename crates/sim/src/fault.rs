@@ -11,9 +11,9 @@
 //! instants.
 //!
 //! The schedule is pure data — it never touches the component being
-//! broken. The system layer drains [`FaultSchedule::due`] each step and
-//! applies the events to the battery array, switch matrix, charge
-//! controller, telemetry path, or server rack.
+//! broken. The system layer drains it with [`FaultSchedule::pop_due`]
+//! each step and applies the events to the battery array, switch matrix,
+//! charge controller, telemetry path, or server rack.
 //!
 //! # Examples
 //!
@@ -323,7 +323,8 @@ pub struct FaultTargets {
 /// fixed scripted scenarios) or stochastic
 /// ([`FaultSchedule::stochastic`], a Poisson-like arrival process driven
 /// by [`SimRng`]). Either way the result is a sorted event list with a
-/// drain cursor; the consumer calls [`FaultSchedule::due`] once per step.
+/// drain cursor; the consumer calls [`FaultSchedule::pop_due`] each step
+/// until it returns `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     seed: u64,
@@ -369,26 +370,9 @@ impl FaultSchedule {
         mean_interarrival: SimDuration,
         targets: FaultTargets,
     ) -> Self {
-        assert!(
-            !mean_interarrival.is_zero(),
-            "mean inter-arrival time must be positive"
-        );
-        let mut rng = SimRng::seed(seed).fork("fault-arrivals");
-        let mean_secs = mean_interarrival.as_secs() as f64;
-        let horizon_secs = horizon.as_secs() as f64;
-        let mut events = Vec::new();
-        let mut t = 0.0_f64;
-        loop {
-            t += rng.exponential(mean_secs);
-            if t >= horizon_secs {
-                break;
-            }
-            let at = SimTime::from_secs(t as u64);
-            if let Some(kind) = draw_kind(&mut rng, targets) {
-                events.push(FaultEvent { at, kind });
-            }
-        }
-        Self::from_events(seed, events)
+        Self::arrivals(seed, horizon, mean_interarrival, "fault-arrivals", |rng| {
+            draw_kind(rng, targets, 10)
+        })
     }
 
     /// Like [`FaultSchedule::stochastic`], but drawing from the *extended*
@@ -411,26 +395,13 @@ impl FaultSchedule {
         mean_interarrival: SimDuration,
         targets: FaultTargets,
     ) -> Self {
-        assert!(
-            !mean_interarrival.is_zero(),
-            "mean inter-arrival time must be positive"
-        );
-        let mut rng = SimRng::seed(seed).fork("fault-arrivals-extended");
-        let mean_secs = mean_interarrival.as_secs() as f64;
-        let horizon_secs = horizon.as_secs() as f64;
-        let mut events = Vec::new();
-        let mut t = 0.0_f64;
-        loop {
-            t += rng.exponential(mean_secs);
-            if t >= horizon_secs {
-                break;
-            }
-            let at = SimTime::from_secs(t as u64);
-            if let Some(kind) = draw_kind_extended(&mut rng, targets) {
-                events.push(FaultEvent { at, kind });
-            }
-        }
-        Self::from_events(seed, events)
+        Self::arrivals(
+            seed,
+            horizon,
+            mean_interarrival,
+            "fault-arrivals-extended",
+            |rng| draw_kind(rng, targets, 13),
+        )
     }
 
     /// A stochastic schedule over the *fleet-level* menu only
@@ -454,11 +425,35 @@ impl FaultSchedule {
         mean_interarrival: SimDuration,
         sites: usize,
     ) -> Self {
+        Self::arrivals(
+            seed,
+            horizon,
+            mean_interarrival,
+            "fault-arrivals-fleet",
+            |rng| draw_kind_fleet(rng, sites),
+        )
+    }
+
+    /// The arrival process behind the stochastic constructors:
+    /// exponential inter-arrival times on the `label` fork of `seed`, up
+    /// to `horizon`. Each arrival draws its kind with `draw`, which
+    /// returns `None` when the drawn class has nothing to target.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean_interarrival` is zero.
+    fn arrivals(
+        seed: u64,
+        horizon: SimDuration,
+        mean_interarrival: SimDuration,
+        label: &str,
+        mut draw: impl FnMut(&mut SimRng) -> Option<FaultKind>,
+    ) -> Self {
         assert!(
             !mean_interarrival.is_zero(),
             "mean inter-arrival time must be positive"
         );
-        let mut rng = SimRng::seed(seed).fork("fault-arrivals-fleet");
+        let mut rng = SimRng::seed(seed).fork(label);
         let mean_secs = mean_interarrival.as_secs() as f64;
         let horizon_secs = horizon.as_secs() as f64;
         let mut events = Vec::new();
@@ -469,7 +464,7 @@ impl FaultSchedule {
                 break;
             }
             let at = SimTime::from_secs(t as u64);
-            if let Some(kind) = draw_kind_fleet(&mut rng, sites) {
+            if let Some(kind) = draw(&mut rng) {
                 events.push(FaultEvent { at, kind });
             }
         }
@@ -567,65 +562,16 @@ impl FaultSchedule {
     }
 }
 
-/// Draws one fault kind with severity parameters; `None` when `targets`
-/// offers nothing for the drawn class (e.g. server fault with no servers).
-fn draw_kind(rng: &mut SimRng, targets: FaultTargets) -> Option<FaultKind> {
-    // The menu is fixed so the stream layout never shifts: a draw always
-    // consumes the same number of RNG values regardless of targets.
-    let class = rng.next_index(10);
-    let unit = if targets.units > 0 {
-        rng.next_index(targets.units)
-    } else {
-        0
-    };
-    let server = if targets.servers > 0 {
-        rng.next_index(targets.servers)
-    } else {
-        0
-    };
-    let severity = rng.next_f64();
-    let minutes = 5 + rng.next_index(56) as u64; // 5–60 min outages
-    let duration = SimDuration::from_minutes(minutes);
-    let role = if rng.chance(0.5) {
-        RelayRole::Charge
-    } else {
-        RelayRole::Discharge
-    };
-
-    let needs_unit = matches!(class, 0..=4 | 7);
-    let needs_server = matches!(class, 8 | 9);
-    if (needs_unit && targets.units == 0) || (needs_server && targets.servers == 0) {
-        return None;
-    }
-    Some(match class {
-        0 => FaultKind::BatteryOpenCircuit { unit },
-        1 => FaultKind::BatteryCapacityFade {
-            unit,
-            // Keep 30–80 % of capacity: severe but not an open circuit.
-            fraction: 0.3 + 0.5 * severity,
-        },
-        2 => FaultKind::BatteryHighResistance {
-            unit,
-            factor: 1.5 + 2.5 * severity,
-        },
-        3 => FaultKind::RelayStuckOpen { unit, role },
-        4 => FaultKind::RelayStuckClosed { unit, role },
-        5 => FaultKind::ChargerDropout { duration },
-        6 => FaultKind::SensorNoise {
-            sigma: 0.05 + 0.25 * severity,
-            duration,
-        },
-        7 => FaultKind::StaleTelemetry { unit, duration },
-        8 => FaultKind::ServerCrash { server },
-        _ => FaultKind::CheckpointWriteFailure { server, duration },
-    })
-}
-
-/// The extended draw: the legacy ten classes plus the three recovery
-/// faults. Same fixed-layout discipline — a draw always consumes the same
-/// number of RNG values regardless of targets or drawn class.
-fn draw_kind_extended(rng: &mut SimRng, targets: FaultTargets) -> Option<FaultKind> {
-    let class = rng.next_index(13);
+/// Draws one single-site fault kind with severity parameters from the
+/// first `classes` classes of the menu: 10 for the base process, 13 for
+/// the extended one, whose three recovery classes come last. `None` when
+/// `targets` offers nothing for the drawn class (e.g. a server fault with
+/// no servers).
+fn draw_kind(rng: &mut SimRng, targets: FaultTargets, classes: usize) -> Option<FaultKind> {
+    // The layout is fixed so the stream never shifts: a draw always
+    // consumes the same number of RNG values regardless of targets, drawn
+    // class or menu length.
+    let class = rng.next_index(classes);
     let unit = if targets.units > 0 {
         rng.next_index(targets.units)
     } else {
@@ -654,6 +600,7 @@ fn draw_kind_extended(rng: &mut SimRng, targets: FaultTargets) -> Option<FaultKi
         0 => FaultKind::BatteryOpenCircuit { unit },
         1 => FaultKind::BatteryCapacityFade {
             unit,
+            // Keep 30–80 % of capacity: severe but not an open circuit.
             fraction: 0.3 + 0.5 * severity,
         },
         2 => FaultKind::BatteryHighResistance {
@@ -1089,6 +1036,54 @@ mod tests {
                 e.kind
             );
         }
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn stochastic_streams_are_pinned() {
+        // Seed-pinned experiments replay these streams: a change to the
+        // arrival loop, a menu or a fork label moves a digest.
+        let (days, hours) = (SimDuration::from_days, SimDuration::from_hours);
+        let targets = |units, servers| FaultTargets { units, servers };
+        let cases = [
+            (7, days(2), hours(2), TARGETS, 4),
+            (11, days(1), hours(1), TARGETS, 4),
+            (13, days(20), hours(1), targets(1, 2), 2),
+            (5, days(20), hours(1), targets(0, 0), 0),
+        ];
+        let digests: Vec<u64> = cases
+            .iter()
+            .flat_map(|&(seed, horizon, mean, targets, sites)| {
+                [
+                    FaultSchedule::stochastic(seed, horizon, mean, targets),
+                    FaultSchedule::stochastic_extended(seed, horizon, mean, targets),
+                    FaultSchedule::stochastic_fleet(seed, horizon, mean, sites),
+                ]
+                .map(|s| fnv1a(&format!("{s:?}")))
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x44c6_52c0_6a61_9749,
+                0x1597_c1f6_4d01_dffd,
+                0xb8ba_46f2_9ade_05cc,
+                0x8e1b_aedb_9ade_362c,
+                0xa664_ab74_ce30_54a4,
+                0x79dd_1f6f_06c5_9976,
+                0x7f5b_0067_8392_12c1,
+                0x4d7c_1991_4039_8920,
+                0xa1e1_9c80_4822_adad,
+                0xdb1e_558e_4c25_f991,
+                0x826c_2c61_35eb_1153,
+                0x6397_29f6_fe38_e09a,
+            ]
+        );
     }
 
     #[test]
