@@ -12,13 +12,13 @@
 //! output is byte-identical at any thread count. `--json` emits the rows
 //! as a JSON array instead of the text table. Incremental shared-prefix
 //! forking is on by default; `--no-incremental` selects the from-scratch
-//! path (the equivalence oracle) — both produce identical output.
+//! path (the equivalence oracle) — both produce identical output. The
+//! text is `ins_bench::report`'s, the same `all_experiments` prints.
 
 use std::process::ExitCode;
 
-use ins_bench::experiments::faults::{
-    render, sweep_rates_incremental, sweep_rates_with, to_json, RATES_HOURS,
-};
+use ins_bench::experiments::faults::RATES_HOURS;
+use ins_bench::report;
 use ins_bench::runner::{SweepArgs, SWEEP_FLAGS};
 
 const USAGE: &str = "usage: fault_sweep [--seed N] [--rates H1,H2,...] [--threads N] [--json] \
@@ -51,24 +51,11 @@ fn main() -> ExitCode {
         }
         _ => Ok(false),
     });
-    let args = match parsed {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
-    let rows = if args.incremental {
-        sweep_rates_incremental(args.seed, &rates, args.threads)
-    } else {
-        sweep_rates_with(args.seed, &rates, args.threads)
-    };
-    if args.json {
-        println!("{}", to_json(&rows));
-    } else {
-        println!(
-            "Fault sweep — one day, stochastic fault schedule per rate (seed {})",
-            args.seed
-        );
-        println!("{}", render(&rows));
-        println!("(same seed per rate: both controllers face identical fault arrivals)");
+    match parsed {
+        Ok(args) => {
+            print!("{}", report::fault_sweep(&args, &rates));
+            ExitCode::SUCCESS
+        }
+        Err(code) => code,
     }
-    ExitCode::SUCCESS
 }

@@ -1,19 +1,12 @@
 //! Fig. 1: the overhead associated with bulk data movement.
-use ins_bench::experiments::costs::{fig1a, fig1b};
-use ins_bench::table::TextTable;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig01_transfer
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 1-a — transfer time for 1 TB by link class");
-    let mut t = TextTable::new(vec!["link", "hours per TB"]);
-    for (name, hours) in fig1a() {
-        t.row(vec![name.to_string(), format!("{hours:.1}")]);
-    }
-    println!("{}", t.render());
-
-    println!("Fig. 1-b — average $/TB transferred out of AWS (Jan 2014 tiers)");
-    let mut t = TextTable::new(vec!["volume (TB)", "avg $/TB"]);
-    for (tb, cost) in fig1b() {
-        t.row(vec![format!("{tb:.0}"), format!("{cost:.2}")]);
-    }
-    println!("{}", t.render());
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig01_transfer", &[])
 }

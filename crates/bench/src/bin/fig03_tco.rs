@@ -1,31 +1,12 @@
 //! Fig. 3: cost benefits of deploying standalone in-situ systems.
-use ins_bench::experiments::costs::{fig3a, fig3b};
-use ins_bench::table::{dollars, TextTable};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig03_tco
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 3-a — IT-related TCO (cumulative, years 1–5)");
-    let mut t = TextTable::new(vec!["strategy", "1 yr", "2 yr", "3 yr", "4 yr", "5 yr"]);
-    for (strategy, series) in fig3a() {
-        let mut row = vec![strategy.to_string()];
-        row.extend(series.iter().map(|&v| dollars(v)));
-        t.row(row);
-    }
-    println!("{}", t.render());
-
-    println!("Fig. 3-b — energy-related TCO (cumulative, years 1–11)");
-    let mut t = TextTable::new(vec![
-        "technology",
-        "1 yr",
-        "3 yr",
-        "5 yr",
-        "7 yr",
-        "9 yr",
-        "11 yr",
-    ]);
-    for (tech, series) in fig3b() {
-        let mut row = vec![tech.to_string()];
-        row.extend(series.iter().map(|&v| dollars(v)));
-        t.row(row);
-    }
-    println!("{}", t.render());
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig03_tco", &[])
 }

@@ -1,41 +1,12 @@
 //! Fig. 4: key properties of the energy buffer in standalone systems.
-use ins_bench::experiments::buffer::{fig4a, fig4b};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig04_buffer
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 4-a — individual (sequential) vs batch charging, 100 W solar budget");
-    let (seq, batch) = fig4a();
-    for run in [&seq, &batch] {
-        println!(
-            "  {:<22} time to 80 % on all 3 cabinets: {}",
-            run.strategy,
-            if run.hours_to_target.is_finite() {
-                format!("{:.1} h", run.hours_to_target)
-            } else {
-                "did not complete".to_string()
-            }
-        );
-    }
-    println!(
-        "  → sequential completes in {:.0} % of the batch time (paper: ≈ 50 %)",
-        seq.hours_to_target / batch.hours_to_target * 100.0
-    );
-    println!();
-
-    println!("Fig. 4-b — high-load capacity drop and recovery effect");
-    let (high, low) = fig4b();
-    for run in [&high, &low] {
-        println!(
-            "  {:<16} {:>5.1} A: delivered {:>5.1} Ah before switch-out at {:>5.2} V; {:>5.2} V after 1 h rest",
-            run.label,
-            run.current.value(),
-            run.delivered_ah,
-            run.voltage_at_switchout,
-            run.voltage_after_rest
-        );
-    }
-    println!(
-        "  → high current delivered {:.0} % of low-current capacity; rest recovered {:+.2} V",
-        high.delivered_ah / low.delivered_ah * 100.0,
-        high.voltage_after_rest - high.voltage_at_switchout
-    );
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig04_buffer", &[])
 }

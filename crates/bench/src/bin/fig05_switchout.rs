@@ -1,19 +1,12 @@
 //! Fig. 5: a 2-hour seismic trace on a unified buffer.
-use ins_bench::experiments::traces::fig05;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig05_switchout
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 5 — two-hour seismic snapshot, unified (baseline) buffer, low solar");
-    let run = fig05(5);
-    println!("time        pack V    load W");
-    for (v, l) in run.voltage_series.iter().zip(&run.load_series) {
-        println!("{}   {:6.2}   {:7.0}", v.time, v.value, l.value);
-    }
-    println!();
-    println!(
-        "service interruptions (buffer switched out): {}",
-        run.interruptions.len()
-    );
-    for t in run.interruptions.iter().take(8) {
-        println!("  batteries switched out at {t}");
-    }
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig05_switchout", &[])
 }

@@ -1,27 +1,12 @@
 //! Fig. 14: demonstration of InSURE power behaviour.
-use ins_bench::experiments::buffer::{fig14a, fig14b};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig14_behavior
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 14-a — fast-charging priority (lowest SoC first)");
-    let run = fig14a();
-    println!("  starting SoC per unit : {:?}", run.start_soc);
-    println!(
-        "  completion order      : {:?} (unit indices)",
-        run.completion_order
-    );
-    println!();
-
-    println!("Fig. 14-b — discharge balancing across cabinets");
-    let run = fig14b(240);
-    println!(
-        "  lifetime Ah per unit  : {:?}",
-        run.throughput_ah
-            .iter()
-            .map(|t| (t * 10.0).round() / 10.0)
-            .collect::<Vec<_>>()
-    );
-    println!(
-        "  max/min imbalance     : {:.2}× (1.0 = perfectly balanced)",
-        run.imbalance
-    );
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig14_behavior", &[])
 }

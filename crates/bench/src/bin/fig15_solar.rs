@@ -1,18 +1,12 @@
 //! Fig. 15: the two solar evaluation traces.
-use ins_bench::experiments::traces::fig15;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig15_solar
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    let (high, low) = fig15(1);
-    for day in [&high, &low] {
-        println!(
-            "Fig. 15 — {} : daytime mean {:.0} W, total {:.1} kWh",
-            day.label, day.daytime_mean_w, day.energy_kwh
-        );
-        println!("time        solar W");
-        for s in &day.series {
-            println!("{}   {:7.0}", s.time, s.value);
-        }
-        println!();
-    }
-    println!("(paper: 1114 W and 427 W daytime means on the 1.6 kW array)");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig15_solar", &[])
 }

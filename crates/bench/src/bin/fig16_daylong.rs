@@ -1,26 +1,12 @@
 //! Fig. 16: a full-day InSURE operation trace.
-use ins_bench::experiments::traces::fig16;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig16_daylong
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 16 — full-day InSURE trace (regions A–E)");
-    let run = fig16(3);
-    println!("time        solar W    load W    pack V");
-    for ((s, l), v) in run
-        .solar_series
-        .iter()
-        .zip(&run.load_series)
-        .zip(&run.voltage_series)
-    {
-        println!(
-            "{}   {:7.0}   {:7.0}   {:6.2}",
-            s.time, s.value, l.value, v.value
-        );
-    }
-    println!();
-    println!(
-        "region A (initial charging): stored {:.0} Wh at dawn → {:.0} Wh by 10:00",
-        run.stored_dawn_wh, run.stored_mid_morning_wh
-    );
-    println!("control interventions over the day: {}", run.interventions);
-    println!("data processed: {:.1} GB", run.processed_gb);
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig16_daylong", &[])
 }

@@ -1,23 +1,12 @@
 //! Figs. 17–19: power-management effectiveness on micro-benchmarks.
-use ins_bench::experiments::micro::{averages, fig17_19, render};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig17_19_micro
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Figs. 17–19 — InSURE improvement over the baseline, micro-benchmarks");
-    println!("(6 benchmarks × high/low solar; this takes a minute)");
-    println!();
-    let rows = fig17_19(3);
-    println!("{}", render(&rows));
-    for high in [true, false] {
-        let (avail, energy, life) = averages(&rows, high);
-        println!(
-            "averages ({} solar): availability {:+.0}%, e-Buffer energy {:+.0}%, life {:+.0}%",
-            if high { "high" } else { "low" },
-            avail * 100.0,
-            energy * 100.0,
-            life * 100.0
-        );
-    }
-    println!();
-    println!("(paper: ≈ +41 % availability at high solar, up to +51 % at low; +41 %");
-    println!(" energy availability; +21–24 % service life)");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig17_19_micro", &[])
 }

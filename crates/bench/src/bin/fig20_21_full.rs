@@ -1,10 +1,12 @@
 //! Figs. 20–21: full-system evaluation on the in-situ workloads.
-use ins_bench::experiments::fullsys::{figure, render};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig20_21_full
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 20 — seismic batch job: InSURE improvement over baseline");
-    println!("{}", render(&figure("seismic", 7)));
-    println!("Fig. 21 — video stream: InSURE improvement over baseline");
-    println!("{}", render(&figure("video", 7)));
-    println!("(paper: 20 % to over 60 % improvements across the six metrics)");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig20_21_full", &[])
 }

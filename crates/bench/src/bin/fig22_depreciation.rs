@@ -1,19 +1,12 @@
 //! Fig. 22: annual depreciation cost breakdown.
-use ins_bench::experiments::costs::fig22;
-use ins_bench::table::dollars;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig22_depreciation
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 22 — annual depreciation by configuration");
-    let (comparison, breakdown) = fig22();
-    println!("{breakdown}");
-    for c in comparison {
-        println!(
-            "{:<28} {:>9}   ({:.2}× InSURE)",
-            c.tech.to_string(),
-            dollars(c.annual),
-            c.vs_insure
-        );
-    }
-    println!();
-    println!("(paper: diesel ≈ +20 %, fuel cell ≈ +24 % over InSURE)");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig22_depreciation", &[])
 }

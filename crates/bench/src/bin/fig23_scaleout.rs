@@ -1,21 +1,12 @@
 //! Fig. 23: scale-out vs cloud cost by sunshine fraction.
-use ins_bench::experiments::costs::fig23;
-use ins_bench::table::{dollars, TextTable};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig23_scaleout
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Fig. 23 — amortized annual cost vs average sunshine fraction");
-    let mut t = TextTable::new(vec![
-        "sunshine fraction",
-        "scaling out InSURE",
-        "relying on cloud",
-    ]);
-    for row in fig23() {
-        t.row(vec![
-            format!("{:.0}%", row.sunshine_fraction * 100.0),
-            dollars(row.scale_out),
-            dollars(row.cloud),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("(paper: scaling out stays below the cloud, with up to 60 % savings)");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig23_scaleout", &[])
 }

@@ -1,34 +1,12 @@
 //! Fig. 24: TCO vs data rate and the cloud/in-situ crossover.
-use std::process::ExitCode;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin fig24_crossover
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-use ins_bench::experiments::costs::fig24;
-use ins_bench::table::{dollars, TextTable};
-
-fn main() -> ExitCode {
-    println!("Fig. 24 — 5-year TCO vs data generation rate");
-    let (rows, crossover) = fig24();
-    let mut t = TextTable::new(vec![
-        "GB/day",
-        "cloud",
-        "insitu-40%",
-        "insitu-60%",
-        "insitu-80%",
-        "insitu-100%",
-    ]);
-    for (rate, cloud, insitu) in rows {
-        let mut row = vec![format!("{rate}"), dollars(cloud)];
-        row.extend(insitu.iter().map(|&v| dollars(v)));
-        t.row(row);
-    }
-    println!("{}", t.render());
-    match crossover {
-        Some(rate) => {
-            println!("crossover (60 % sunshine): {rate:.2} GB/day  (paper: ≈ 0.9 GB/day)");
-            ExitCode::SUCCESS
-        }
-        None => {
-            eprintln!("error: no cloud/in-situ crossover found in the searched rate range");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("fig24_crossover", &[])
 }

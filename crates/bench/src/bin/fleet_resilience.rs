@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cargo run -p ins-bench --release --bin fleet_resilience -- \
-//!     [--seed N] [--threads N] [--json]
+//!     [--seed N] [--threads N] [--json] [--incremental|--no-incremental]
 //! ```
 //!
 //! Each cell runs a federated fleet of in-situ sites for one day under
@@ -13,52 +13,23 @@
 //! pool (`0` or omitted = available parallelism); the output is
 //! byte-identical at any thread count. Incremental shared-prefix forking
 //! is on by default; `--no-incremental` selects the from-scratch
-//! equivalence oracle.
+//! equivalence oracle. The text is `ins_bench::report`'s, the same
+//! `all_experiments` prints.
 
 use std::process::ExitCode;
 
-use ins_bench::experiments::fleet::{
-    render, sweep_grid_incremental, sweep_grid_with, to_json, BREAKER_POLICIES, FAULT_RATES_HOURS,
-    FLEET_SIZES,
-};
+use ins_bench::report;
 use ins_bench::runner::{SweepArgs, SWEEP_FLAGS};
 
 const USAGE: &str = "usage: fleet_resilience [--seed N] [--threads N] [--json] \
                      [--incremental|--no-incremental]";
 
 fn main() -> ExitCode {
-    let SweepArgs {
-        seed,
-        threads,
-        json,
-        incremental,
-    } = match SweepArgs::from_env(USAGE, SWEEP_FLAGS, |_, _| Ok(false)) {
-        Ok(args) => args,
-        Err(code) => return code,
-    };
-    let rows = if incremental {
-        sweep_grid_incremental(
-            seed,
-            &FLEET_SIZES,
-            &FAULT_RATES_HOURS,
-            &BREAKER_POLICIES,
-            threads,
-        )
-    } else {
-        sweep_grid_with(
-            seed,
-            &FLEET_SIZES,
-            &FAULT_RATES_HOURS,
-            &BREAKER_POLICIES,
-            threads,
-        )
-    };
-    if json {
-        println!("{}", to_json(&rows));
-    } else {
-        println!("Fleet resilience — sites × fault rate × breaker policy (seed {seed})");
-        println!("{}", render(&rows));
-        println!("(goodput = served/offered volume; every request resolves: no silent drops)");
+    match SweepArgs::from_env(USAGE, SWEEP_FLAGS, |_, _| Ok(false)) {
+        Ok(args) => {
+            print!("{}", report::fleet_resilience(&args));
+            ExitCode::SUCCESS
+        }
+        Err(code) => code,
     }
-    ExitCode::SUCCESS
 }

@@ -1,11 +1,12 @@
 //! Table 2: seismic data analysis under the same 2 kWh energy budget.
-use ins_bench::experiments::sizing::{render_table2, table2};
-use ins_sim::units::WattHours;
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin table02_seismic
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Table 2 — data throughput of seismic analysis, 2 kWh budget");
-    let rows = table2(WattHours::from_kilowatt_hours(2.0), 2.5);
-    println!("{}", render_table2(&rows));
-    println!("The lower (4 VM) configuration delivers more data: the high-power");
-    println!("configuration exhausts the budget early and pays checkpoint churn.");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("table02_seismic", &[])
 }

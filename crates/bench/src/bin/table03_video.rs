@@ -1,9 +1,12 @@
 //! Table 3: Hadoop video analysis throughput by VM count.
-use ins_bench::experiments::sizing::{render_table3, table3};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin table03_video
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Table 3 — video stream service by compute capability (4 h window)");
-    let rows = table3(4);
-    println!("{}", render_table3(&rows));
-    println!("Cutting VMs from 8 to 2 drops throughput ≈ 66 % and delay grows unbounded.");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("table03_video", &[])
 }

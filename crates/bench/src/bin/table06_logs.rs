@@ -1,10 +1,12 @@
 //! Table 6: day-long operation log statistics.
-use ins_bench::experiments::logs::{render_table6, table6};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin table06_logs
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Table 6 — key log statistics, Opt (InSURE) vs Non-Opt, three day types");
-    let rows = table6(2);
-    println!("{}", render_table6(&rows));
-    println!("Expected relations (paper): Opt takes far more control actions, uses");
-    println!("slightly less effective energy, and keeps battery voltage steadier (lower σ).");
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("table06_logs", &[])
 }

@@ -1,30 +1,12 @@
 //! Table 7: legacy Xeon node vs low-power Core i7 node.
-use ins_bench::experiments::hetero;
-use ins_bench::experiments::sizing::{render_table7, table7, table7_efficiency_ratios};
+//!
+//! ```sh
+//! cargo run -p ins-bench --release --bin table07_hetero
+//! ```
+//!
+//! It takes no flags: any argument exits 2 with the usage line. The text
+//! is `ins_bench::report`'s, the same `all_experiments` prints.
 
-fn main() {
-    println!("Table 7 — heterogeneous server comparison (measured node points)");
-    println!("{}", render_table7(&table7()));
-    println!("energy-efficiency ratio (i7 / Xeon):");
-    for (name, ratio) in table7_efficiency_ratios() {
-        println!("  {name:<8} {ratio:.1}×");
-    }
-    println!("(paper: low-power nodes improve data throughput per energy by 5×–15×)");
-    println!();
-    println!("§6.2 system-level comparison — full InSURE day on each rack (dedup):");
-    let (xeon, i7) = hetero::compare("dedup", 3);
-    for run in [&xeon, &i7] {
-        println!(
-            "  {:<38} {:>8.1} GB  {:>8.2} kWh  {:>9.0} GB/kWh  {:>3} on/off",
-            run.server,
-            run.metrics.processed_gb,
-            run.metrics.load_kwh,
-            run.gb_per_kwh,
-            run.metrics.on_off_cycles
-        );
-    }
-    println!(
-        "  → system-level efficiency ratio {:.1}× (paper: 5×–15×)",
-        i7.gb_per_kwh / xeon.gb_per_kwh
-    );
+fn main() -> std::process::ExitCode {
+    ins_bench::report::main("table07_hetero", &[])
 }

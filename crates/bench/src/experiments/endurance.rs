@@ -72,13 +72,8 @@ pub struct SunshinePoint {
 
 /// Sweeps the sunshine fraction over `days`-long campaigns — the premise
 /// Figs. 23–24 amortize ("In places that have lower solar energy
-/// resources… InSURE has decreased average throughput", §6.5).
-#[must_use]
-pub fn sunshine_sweep(fractions: &[f64], days: usize, seed: u64) -> Vec<SunshinePoint> {
-    sunshine_sweep_with(fractions, days, seed, 1)
-}
-
-/// [`sunshine_sweep`] fanned across `threads` workers.
+/// resources… InSURE has decreased average throughput", §6.5) — fanned
+/// across `threads` workers.
 ///
 /// Every point is a pure function of `(seed, fraction, days)` — each
 /// builds its own weather RNG from the base seed — and points come back
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn parallel_sunshine_sweep_matches_serial_exactly() {
-        let serial = sunshine_sweep(&[1.0, 0.5], 1, 4);
+        let serial = sunshine_sweep_with(&[1.0, 0.5], 1, 4, 1);
         for threads in [0, 2] {
             assert_eq!(sunshine_sweep_with(&[1.0, 0.5], 1, 4, threads), serial);
         }
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn throughput_scales_with_sunshine_fraction() {
-        let points = sunshine_sweep(&[1.0, 0.4], 5, 4);
+        let points = sunshine_sweep_with(&[1.0, 0.4], 5, 4, 1);
         let sunny = &points[0];
         let dark = &points[1];
         assert!(

@@ -86,21 +86,9 @@ pub fn late_window_schedule_for(seed: u64, mean_hours: Option<f64>) -> FaultSche
     FaultSchedule::from_events(seed, events)
 }
 
-/// Sweeps fault rate × {InSURE, baseline}; two rows per rate. Uses the
-/// default [`RATES_HOURS`] grid.
-#[must_use]
-pub fn sweep(seed: u64) -> Vec<FaultSweepRow> {
-    sweep_rates(seed, &RATES_HOURS)
-}
-
-/// Sweeps an arbitrary fault-rate grid × {InSURE, baseline}; two rows
-/// per rate. `None` entries are fault-free reference rows.
-#[must_use]
-pub fn sweep_rates(seed: u64, rates: &[Option<f64>]) -> Vec<FaultSweepRow> {
-    sweep_rates_with(seed, rates, 1)
-}
-
-/// [`sweep_rates`] fanned across `threads` workers.
+/// Sweeps a fault-rate grid × {InSURE, baseline} across `threads`
+/// workers; two rows per rate. `None` entries are fault-free reference
+/// rows.
 ///
 /// Every cell is a pure function of `(seed, rate, controller)` — both
 /// controllers at a rate deliberately replay the *same* seeded fault
@@ -282,7 +270,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_every_rate_and_controller() {
-        let rows = sweep(11);
+        let rows = sweep_rates_with(11, &RATES_HOURS, 1);
         assert_eq!(rows.len(), RATES_HOURS.len() * 2);
         // Fault-free rows inject nothing; faulty rows inject something at
         // the aggressive end.
@@ -299,7 +287,7 @@ mod tests {
 
     #[test]
     fn insure_outperforms_baseline_under_faults() {
-        let rows = sweep(11);
+        let rows = sweep_rates_with(11, &RATES_HOURS, 1);
         for rate in RATES_HOURS {
             let i = row(&rows, "insure", rate);
             let b = row(&rows, "baseline", rate);
@@ -349,7 +337,7 @@ mod tests {
 
     #[test]
     fn insure_degrades_gracefully_not_catastrophically() {
-        let rows = sweep(11);
+        let rows = sweep_rates_with(11, &RATES_HOURS, 1);
         let clean = row(&rows, "insure", None);
         let worst = row(&rows, "insure", Some(1.0));
         // Faults cost performance (they should: this is a fault sweep)…
@@ -365,15 +353,15 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_in_the_seed() {
-        let a = sweep(5);
-        let b = sweep(5);
+        let a = sweep_rates_with(5, &RATES_HOURS, 1);
+        let b = sweep_rates_with(5, &RATES_HOURS, 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_sweep_matches_serial_exactly() {
         let rates = [None, Some(2.0)];
-        let serial = sweep_rates(11, &rates);
+        let serial = sweep_rates_with(11, &rates, 1);
         for threads in [0, 2, 4] {
             assert_eq!(sweep_rates_with(11, &rates, threads), serial);
         }
@@ -416,7 +404,7 @@ mod tests {
 
     #[test]
     fn render_mentions_every_rate() {
-        let rows = sweep(3);
+        let rows = sweep_rates_with(3, &RATES_HOURS, 1);
         let text = render(&rows);
         assert!(text.contains("no faults"));
         assert!(text.contains("1 h"));
@@ -426,7 +414,7 @@ mod tests {
 
     #[test]
     fn custom_rate_grid_is_honoured() {
-        let rows = sweep_rates(7, &[Some(6.0), Some(3.0)]);
+        let rows = sweep_rates_with(7, &[Some(6.0), Some(3.0)], 1);
         assert_eq!(rows.len(), 4);
         assert!(rows
             .iter()
@@ -435,7 +423,7 @@ mod tests {
 
     #[test]
     fn json_rows_are_well_formed() {
-        let rows = sweep_rates(7, &[None, Some(2.0)]);
+        let rows = sweep_rates_with(7, &[None, Some(2.0)], 1);
         let json = to_json(&rows);
         assert!(json.starts_with('['));
         assert!(json.ends_with(']'));

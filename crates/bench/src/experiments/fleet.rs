@@ -117,13 +117,8 @@ pub fn run_cell(seed: u64, sites: usize, rate_hours: f64, breaker: &'static str)
     row_from(sites, rate_hours, breaker, &fleet.metrics())
 }
 
-/// Sweeps the full sites × fault-rate × breaker grid.
-#[must_use]
-pub fn sweep(seed: u64) -> Vec<FleetRow> {
-    sweep_grid_with(seed, &FLEET_SIZES, &FAULT_RATES_HOURS, &BREAKER_POLICIES, 1)
-}
-
-/// Sweeps arbitrary grids, fanned across `threads` workers.
+/// Sweeps sites × fault rate × breaker grids, fanned across `threads`
+/// workers.
 ///
 /// Every cell is a pure function of its grid coordinates and `seed`,
 /// and rows come back in grid order, so the output is byte-identical

@@ -72,20 +72,8 @@ fn schedule_for(seed: u64, mean_interarrival_hours: f64) -> FaultSchedule {
     )
 }
 
-/// Sweeps checkpoint interval × fault rate × {InSURE, baseline}.
-#[must_use]
-pub fn sweep(seed: u64) -> Vec<RecoveryRow> {
-    sweep_grid(seed, &CHECKPOINT_INTERVALS_HOURS, &FAULT_RATES_HOURS)
-}
-
-/// Sweeps arbitrary checkpoint-interval and fault-rate grids; two rows
-/// (one per controller) per grid cell.
-#[must_use]
-pub fn sweep_grid(seed: u64, intervals_hours: &[f64], rates_hours: &[f64]) -> Vec<RecoveryRow> {
-    sweep_grid_with(seed, intervals_hours, rates_hours, 1)
-}
-
-/// [`sweep_grid`] fanned across `threads` workers.
+/// Sweeps checkpoint interval × fault rate × {InSURE, baseline} across
+/// `threads` workers; two rows (one per controller) per grid cell.
 ///
 /// Every cell is a pure function of `(seed, interval, rate, controller)`
 /// — both controllers at a grid point deliberately replay the *same*
@@ -267,7 +255,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_full_grid() {
-        let rows = sweep(11);
+        let rows = sweep_grid_with(11, &CHECKPOINT_INTERVALS_HOURS, &FAULT_RATES_HOURS, 1);
         assert_eq!(
             rows.len(),
             CHECKPOINT_INTERVALS_HOURS.len() * FAULT_RATES_HOURS.len() * 2
@@ -290,7 +278,7 @@ mod tests {
 
     #[test]
     fn goodput_never_exceeds_throughput() {
-        for r in sweep(11) {
+        for r in sweep_grid_with(11, &CHECKPOINT_INTERVALS_HOURS, &FAULT_RATES_HOURS, 1) {
             assert!(
                 r.goodput_gb_per_hour <= r.throughput_gb_per_hour + 1e-9,
                 "{} ckpt {:.1} h rate {:.0} h: goodput {:.2} > throughput {:.2}",
@@ -307,7 +295,7 @@ mod tests {
 
     #[test]
     fn the_system_still_does_useful_work_under_faults() {
-        let rows = sweep(11);
+        let rows = sweep_grid_with(11, &CHECKPOINT_INTERVALS_HOURS, &FAULT_RATES_HOURS, 1);
         // Mean goodput stays positive at every checkpoint interval — the
         // recovery path keeps the cluster serving rather than thrashing.
         for &ckpt in &CHECKPOINT_INTERVALS_HOURS {
@@ -325,7 +313,7 @@ mod tests {
 
     #[test]
     fn insure_preserves_more_goodput_than_baseline() {
-        let rows = sweep(11);
+        let rows = sweep_grid_with(11, &CHECKPOINT_INTERVALS_HOURS, &FAULT_RATES_HOURS, 1);
         let i = mean(&rows, "insure", |r| r.goodput_gb_per_hour);
         let b = mean(&rows, "baseline", |r| r.goodput_gb_per_hour);
         assert!(
@@ -336,14 +324,14 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_in_the_seed() {
-        let a = sweep_grid(5, &[1.0], &[2.0]);
-        let b = sweep_grid(5, &[1.0], &[2.0]);
+        let a = sweep_grid_with(5, &[1.0], &[2.0], 1);
+        let b = sweep_grid_with(5, &[1.0], &[2.0], 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_sweep_matches_serial_exactly() {
-        let serial = sweep_grid(11, &[1.0], &[2.0]);
+        let serial = sweep_grid_with(11, &[1.0], &[2.0], 1);
         for threads in [0, 2, 4] {
             assert_eq!(sweep_grid_with(11, &[1.0], &[2.0], threads), serial);
         }
@@ -365,7 +353,7 @@ mod tests {
 
     #[test]
     fn render_and_json_cover_every_cell() {
-        let rows = sweep_grid(3, &[0.5, 1.0], &[2.0]);
+        let rows = sweep_grid_with(3, &[0.5, 1.0], &[2.0], 1);
         let text = render(&rows);
         assert!(text.contains("goodput GB/h"));
         assert!(text.contains("MTTR min"));

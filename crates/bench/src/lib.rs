@@ -29,7 +29,12 @@
 //! | `fault_sweep` | fault-rate sweep: degradation under injected faults |
 //! | `recovery` | checkpoint interval × fault rate: goodput, lost work, MTTR |
 //! | `fleet_resilience` | sites × fault rate × breaker policy |
-//! | `all_experiments` | everything above, in order |
+//! | `all_experiments` | everything above, in order: each binary's full output under a heading |
+//!
+//! Each binary's text is rendered once, in [`report`]: a figure or table
+//! binary is a call to [`report::main`], and `all_experiments` prints
+//! every [`report::REPORTS`] body, so its sections are byte for byte the
+//! binaries' output.
 //!
 //! The binaries that take flags share one parser,
 //! [`runner::SweepArgs`]. Each accepts exactly the flags its usage line
@@ -40,7 +45,7 @@
 //! | `fault_sweep` | `[--seed N] [--rates H1,H2,...] [--threads N] [--json] [--incremental\|--no-incremental]` |
 //! | `recovery`, `fleet_resilience` | `[--seed N] [--threads N] [--json] [--incremental\|--no-incremental]` |
 //! | `all_experiments`, `endurance_weeks` | `[--threads N]` |
-//! | `fig25_scenarios` | no flags |
+//! | `fig01_transfer`, `fig03_tco`, `fig04_buffer`, `table02_seismic`, `table03_video`, `fig05_switchout`, `fig14_behavior`, `fig15_solar`, `fig16_daylong`, `table06_logs`, `table07_hetero`, `fig17_19_micro`, `fig20_21_full`, `fig22_depreciation`, `fig23_scaleout`, `fig24_crossover`, `fig25_scenarios` | no flags |
 //! | `bench_report` | `[--threads N] [--out DIR]` |
 //!
 //! `--threads N` may also be written `--threads=N`.
@@ -54,5 +59,6 @@
 
 pub mod experiments;
 pub mod export;
+pub mod report;
 pub mod runner;
 pub mod table;

@@ -10,9 +10,9 @@
 //!   cells never share mutable state or consume a common RNG stream;
 //! * a cell seeds its streams from the experiment's base seed and its
 //!   payload, so adding threads never re-orders or re-splits any random
-//!   stream. Both controllers of a grid point share the base seed on
-//!   purpose, so they face the same faults; [`cell_seed`] forks the base
-//!   seed by cell index for a sweep that needs distinct streams per cell;
+//!   stream. Every grid seeds from its base seed on purpose: both
+//!   controllers of a grid point face the same faults, and every rate
+//!   or interval of a grid the same weather;
 //! * results are collected in input order, so serial (`--threads 1`) and
 //!   parallel runs produce byte-identical reports.
 //!
@@ -26,7 +26,6 @@
 use std::process::ExitCode;
 
 use ins_sim::pool;
-use ins_sim::rng::SimRng;
 use ins_sim::snapshot::{plan_prefix_groups, CellPlan, PrefixGroup};
 use ins_sim::time::{SimDuration, SimTime};
 
@@ -139,17 +138,6 @@ where
     })
 }
 
-/// Derives the seed for sweep cell `index` from the experiment's base
-/// seed.
-///
-/// Uses [`SimRng::fork_seed`] keyed by the cell index, so the per-cell
-/// stream depends only on `(base, index)` — never on which worker ran the
-/// cell or in what order.
-#[must_use]
-pub fn cell_seed(base: u64, index: usize) -> u64 {
-    SimRng::seed(base).fork_seed(&format!("cell-{index}"))
-}
-
 /// A flag several bench binaries take. Each binary passes the ones its
 /// usage line lists to [`SweepArgs::parse`], which rejects the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,6 +170,19 @@ pub struct SweepArgs {
     pub incremental: bool,
 }
 
+impl Default for SweepArgs {
+    /// Every flag absent: seed 11, available parallelism, text,
+    /// incremental.
+    fn default() -> Self {
+        Self {
+            seed: 11,
+            threads: 0,
+            json: false,
+            incremental: true,
+        }
+    }
+}
+
 impl SweepArgs {
     /// Parses `argv` in order, taking the shared flags listed in `flags`.
     /// Any other argument is handed to `own` with the remaining ones, so
@@ -198,12 +199,7 @@ impl SweepArgs {
         flags: &[Flag],
         mut own: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, String>,
     ) -> Result<Self, String> {
-        let mut args = Self {
-            seed: 11,
-            threads: 0,
-            json: false,
-            incremental: true,
-        };
+        let mut args = Self::default();
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
             let (name, inline) = match arg.split_once('=') {
@@ -272,18 +268,6 @@ mod tests {
         for threads in [0, 2, 4, 9] {
             assert_eq!(run_cells(threads, &cells, |i, c| (i, c * 3)), serial);
         }
-    }
-
-    #[test]
-    fn cell_seeds_are_distinct_and_stable() {
-        let seeds: Vec<u64> = (0..64).map(|i| cell_seed(42, i)).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len(), "cell seeds must not collide");
-        // Stability: the derivation is part of the determinism contract.
-        assert_eq!(cell_seed(42, 0), cell_seed(42, 0));
-        assert_ne!(cell_seed(42, 0), cell_seed(43, 0));
     }
 
     #[test]

@@ -17,9 +17,33 @@ fn run_in_temp_dir(name: &str, bin: &str, args: &[&str]) -> (Output, PathBuf) {
     (out, dir)
 }
 
+/// The figure and table binaries: none of them takes a flag.
+const FIGURE_AND_TABLE_BINARIES: [(&str, &str); 17] = [
+    ("fig01_transfer", env!("CARGO_BIN_EXE_fig01_transfer")),
+    ("fig03_tco", env!("CARGO_BIN_EXE_fig03_tco")),
+    ("fig04_buffer", env!("CARGO_BIN_EXE_fig04_buffer")),
+    ("table02_seismic", env!("CARGO_BIN_EXE_table02_seismic")),
+    ("table03_video", env!("CARGO_BIN_EXE_table03_video")),
+    ("fig05_switchout", env!("CARGO_BIN_EXE_fig05_switchout")),
+    ("fig14_behavior", env!("CARGO_BIN_EXE_fig14_behavior")),
+    ("fig15_solar", env!("CARGO_BIN_EXE_fig15_solar")),
+    ("fig16_daylong", env!("CARGO_BIN_EXE_fig16_daylong")),
+    ("table06_logs", env!("CARGO_BIN_EXE_table06_logs")),
+    ("table07_hetero", env!("CARGO_BIN_EXE_table07_hetero")),
+    ("fig17_19_micro", env!("CARGO_BIN_EXE_fig17_19_micro")),
+    ("fig20_21_full", env!("CARGO_BIN_EXE_fig20_21_full")),
+    (
+        "fig22_depreciation",
+        env!("CARGO_BIN_EXE_fig22_depreciation"),
+    ),
+    ("fig23_scaleout", env!("CARGO_BIN_EXE_fig23_scaleout")),
+    ("fig24_crossover", env!("CARGO_BIN_EXE_fig24_crossover")),
+    ("fig25_scenarios", env!("CARGO_BIN_EXE_fig25_scenarios")),
+];
+
 #[test]
 fn misspelt_flags_exit_2_with_the_usage_line() {
-    let cases = [
+    let mut cases = vec![
         (
             "all_experiments",
             env!("CARGO_BIN_EXE_all_experiments"),
@@ -51,6 +75,11 @@ fn misspelt_flags_exit_2_with_the_usage_line() {
             &["--ot", "out"],
         ),
     ];
+    cases.extend(
+        FIGURE_AND_TABLE_BINARIES
+            .iter()
+            .map(|&(name, bin)| (name, bin, &["--seed", "5"][..])),
+    );
     for (name, bin, args) in cases {
         let (out, dir) = run_in_temp_dir(name, bin, args);
         let wrote_bench_files = dir.join("BENCH_sweep.json").exists();

@@ -9,7 +9,6 @@
 use core::fmt;
 
 use ins_battery::BatteryUnit;
-use ins_sim::units::{AmpHours, WattHours};
 
 use crate::system::{InSituSystem, SystemEvent};
 
@@ -251,18 +250,6 @@ pub fn mean_service_life(units: &[BatteryUnit]) -> f64 {
         / units.len() as f64
 }
 
-/// Energy stored in the units right now, Wh.
-#[must_use]
-pub fn stored_energy(units: &[BatteryUnit]) -> WattHours {
-    units.iter().map(BatteryUnit::stored_energy).sum()
-}
-
-/// Total discharge throughput across units.
-#[must_use]
-pub fn total_throughput(units: &[BatteryUnit]) -> AmpHours {
-    units.iter().map(BatteryUnit::discharge_throughput).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,7 +356,5 @@ mod tests {
     #[test]
     fn helpers_on_empty_sets() {
         assert_eq!(mean_service_life(&[]), 0.0);
-        assert_eq!(stored_energy(&[]), WattHours::ZERO);
-        assert_eq!(total_throughput(&[]), AmpHours::ZERO);
     }
 }

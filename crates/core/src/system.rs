@@ -708,12 +708,7 @@ impl InSituSystem {
             // time to land. A broken checkpoint path on any serving
             // machine means the save cannot happen — the job will fall
             // back to its last durable state on restart.
-            let path_broken = self
-                .plant
-                .rack
-                .servers()
-                .iter()
-                .any(|s| s.checkpoint_broken() && s.is_on());
+            let path_broken = self.checkpoint_path_broken();
             if let Some(c) = &mut self.plant.checkpointer {
                 let progress = self.plant.workload.processed_gb();
                 if !path_broken {
@@ -762,6 +757,8 @@ impl InSituSystem {
             self.plant.outage_started = Some(now);
         }
         if let Some(c) = &mut self.plant.checkpointer {
+            // A write caught mid-flight is torn and discarded; the
+            // durable checkpoint (if any) survives the crash.
             if c.store.crash() {
                 self.plant.events.push(now, SystemEvent::CheckpointTorn);
             }
@@ -928,19 +925,23 @@ impl InSituSystem {
         // The attempt is paced regardless of outcome, so a broken
         // checkpoint path is retried next interval, not every step.
         self.plant.last_checkpoint_attempt = Some(now);
-        let path_broken = self
-            .plant
-            .rack
-            .servers()
-            .iter()
-            .any(|s| s.checkpoint_broken() && s.is_on());
-        if path_broken {
+        if self.checkpoint_path_broken() {
             return;
         }
         let progress = self.plant.workload.processed_gb();
         if let Some(c) = &mut self.plant.checkpointer {
             c.store.begin_write(now, write_duration, progress);
         }
+    }
+
+    /// Whether a serving machine's checkpoint path is broken, so no
+    /// checkpoint write can land.
+    fn checkpoint_path_broken(&self) -> bool {
+        self.plant
+            .rack
+            .servers()
+            .iter()
+            .any(|s| s.checkpoint_broken() && s.is_on())
     }
 
     /// Attempts the pending job-state restore once the rack serves again.
@@ -1086,20 +1087,7 @@ impl InSituSystem {
         if browned_out {
             // The supply actually collapsed: machines crash off instantly
             // (no orderly checkpoint window) and must cold-boot later.
-            self.plant.rack.force_shutdown_all();
-            self.plant.events.push(now, SystemEvent::BrownOut);
-            self.plant.brownouts += 1;
-            if self.plant.outage_started.is_none() {
-                self.plant.outage_started = Some(now);
-            }
-            if let Some(c) = &mut self.plant.checkpointer {
-                // A write caught mid-flight is torn and discarded; the
-                // durable checkpoint (if any) survives the crash.
-                if c.store.crash() {
-                    self.plant.events.push(now, SystemEvent::CheckpointTorn);
-                }
-                self.plant.needs_recovery = true;
-            }
+            self.force_outage();
         }
         // Cutoff trips while discharging.
         for (unit, attachment) in self.plant.units.iter().zip(&self.scratch.attachments) {
