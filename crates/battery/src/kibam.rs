@@ -86,6 +86,7 @@ impl KibamState {
     /// The operands were validated at construction, so the ratio is
     /// finite; `saturating` only absorbs float round-off at the rails.
     #[must_use]
+    #[inline]
     pub fn soc(&self) -> Soc {
         Soc::saturating((self.available + self.bound) / self.capacity)
     }
@@ -93,6 +94,7 @@ impl KibamState {
     /// Fill level of the available well — the head `h1` that terminal
     /// voltage and exhaustion depend on.
     #[must_use]
+    #[inline]
     pub fn available_fraction(&self) -> Soc {
         Soc::saturating(self.available.value() / (self.c * self.capacity.value()))
     }
@@ -111,6 +113,7 @@ impl KibamState {
 
     /// Total stored charge.
     #[must_use]
+    #[inline]
     pub fn stored_charge(&self) -> AmpHours {
         self.available + self.bound
     }
@@ -155,6 +158,7 @@ impl KibamState {
     /// Returns the charge actually moved through the terminals, which may
     /// be less than `current × dt` if the available well empties (on
     /// discharge) or both wells fill (on charge) mid-step.
+    #[inline]
     pub fn step(&mut self, current: Amps, dt: Hours) -> AmpHours {
         let mut remaining = dt.value().max(0.0);
         let mut moved = 0.0f64;
@@ -169,6 +173,7 @@ impl KibamState {
     /// One forward-Euler sub-step; returns charge moved (signed like the
     /// current: positive when discharging). Takes the dimensioned
     /// current so raw amperes never cross a function boundary.
+    #[inline]
     fn substep(&mut self, current: Amps, dt_h: f64) -> f64 {
         let current = current.value();
         let cap = self.capacity.value();

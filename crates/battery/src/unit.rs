@@ -130,12 +130,14 @@ impl BatteryUnit {
 
     /// The unit's identifier.
     #[must_use]
+    #[inline]
     pub fn id(&self) -> BatteryId {
         self.id
     }
 
     /// The unit's parameter set.
     #[must_use]
+    #[inline]
     pub fn params(&self) -> &BatteryParams {
         &self.params
     }
@@ -148,6 +150,7 @@ impl BatteryUnit {
 
     /// `true` when the unit has failed open-circuit.
     #[must_use]
+    #[inline]
     pub fn is_failed(&self) -> bool {
         self.health == UnitHealth::FailedOpen
     }
@@ -184,18 +187,21 @@ impl BatteryUnit {
 
     /// Total state of charge.
     #[must_use]
+    #[inline]
     pub fn soc(&self) -> Soc {
         self.kibam.soc()
     }
 
     /// Fill level of the KiBaM available well.
     #[must_use]
+    #[inline]
     pub fn available_fraction(&self) -> Soc {
         self.kibam.available_fraction()
     }
 
     /// Stored charge across both wells.
     #[must_use]
+    #[inline]
     pub fn stored_charge(&self) -> AmpHours {
         self.kibam.stored_charge()
     }
@@ -204,6 +210,7 @@ impl BatteryUnit {
     /// used by Fig. 18. A failed-open unit reports zero: its charge is
     /// physically present but unreachable.
     #[must_use]
+    #[inline]
     pub fn stored_energy(&self) -> WattHours {
         if self.is_failed() {
             return WattHours::ZERO;
@@ -214,6 +221,7 @@ impl BatteryUnit {
     /// Open-circuit (rest) terminal voltage. Dead (zero) when failed open:
     /// this is the observable a health monitor keys on.
     #[must_use]
+    #[inline]
     pub fn open_circuit_voltage(&self) -> Volts {
         if self.is_failed() {
             return Volts::ZERO;
@@ -224,6 +232,7 @@ impl BatteryUnit {
     /// Terminal voltage under a signed current (positive = discharge).
     /// Dead (zero) when failed open.
     #[must_use]
+    #[inline]
     pub fn terminal_voltage(&self, current: Amps) -> Volts {
         if self.is_failed() {
             return Volts::ZERO;
@@ -238,6 +247,7 @@ impl BatteryUnit {
     /// `true` when the unit cannot sustain `current` without dropping to
     /// the protection cutoff voltage. Always `true` once failed open.
     #[must_use]
+    #[inline]
     pub fn at_cutoff(&self, current: Amps) -> bool {
         if self.is_failed() {
             return true;
@@ -263,6 +273,7 @@ impl BatteryUnit {
 
     /// Total lifetime discharge throughput (the paper's `AhT[i]`).
     #[must_use]
+    #[inline]
     pub fn discharge_throughput(&self) -> AmpHours {
         self.wear.discharge_throughput()
     }
@@ -373,6 +384,7 @@ impl BatteryUnit {
     }
 
     /// Rests the unit for `dt` (no terminal current; recovery continues).
+    #[inline]
     pub fn rest(&mut self, dt: Hours) {
         self.time_in_service += dt;
         self.direction = FlowDirection::Idle;
@@ -382,6 +394,7 @@ impl BatteryUnit {
     /// Maximum charging current the unit will currently accept.
     /// Zero once failed open.
     #[must_use]
+    #[inline]
     pub fn acceptance_limit(&self) -> Amps {
         if self.is_failed() {
             return Amps::ZERO;

@@ -18,6 +18,7 @@ use crate::params::BatteryParams;
 /// sustained load and creep back during recovery, matching observed
 /// lead-acid behaviour.
 #[must_use]
+#[inline]
 pub fn open_circuit(params: &BatteryParams, available_fraction: f64) -> Volts {
     let x = available_fraction.clamp(0.0, 1.0);
     // Steep collapse as the available well empties: negligible above ~15 %
@@ -34,6 +35,7 @@ pub fn open_circuit(params: &BatteryParams, available_fraction: f64) -> Volts {
 /// charge adds the drop across [`BatteryParams::r_charge`], clamped at the
 /// constant-voltage limit the charger enforces.
 #[must_use]
+#[inline]
 pub fn terminal(params: &BatteryParams, available_fraction: f64, current: Amps) -> Volts {
     let ocv = open_circuit(params, available_fraction);
     if current.value() >= 0.0 {
@@ -46,6 +48,7 @@ pub fn terminal(params: &BatteryParams, available_fraction: f64, current: Amps) 
 /// `true` when the terminal voltage under the given load has fallen to the
 /// protection cutoff — the condition that forces a unit offline (§2.3).
 #[must_use]
+#[inline]
 pub fn at_cutoff(params: &BatteryParams, available_fraction: f64, current: Amps) -> bool {
     terminal(params, available_fraction, current) <= params.cutoff_voltage
 }

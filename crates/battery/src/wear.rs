@@ -44,6 +44,7 @@ impl WearLedger {
 
     /// Total ampere-hours discharged over the unit's life so far.
     #[must_use]
+    #[inline]
     pub fn discharge_throughput(&self) -> AmpHours {
         self.discharge_throughput
     }

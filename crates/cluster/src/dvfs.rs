@@ -43,6 +43,7 @@ impl DutyCycle {
 
     /// The raw fraction in `[0, 1]`.
     #[must_use]
+    #[inline]
     pub const fn fraction(self) -> f64 {
         self.0
     }

@@ -103,6 +103,7 @@ impl ServerProfile {
     /// Power drawn at the given utilization (`[0, 1]`) and clock duty
     /// cycle (`[0, 1]`): idle floor plus a dynamic part scaling with both.
     #[must_use]
+    #[inline]
     pub fn power_at(&self, utilization: f64, duty: f64) -> Watts {
         let u = utilization.clamp(0.0, 1.0);
         let d = duty.clamp(0.0, 1.0);

@@ -67,18 +67,21 @@ impl Rack {
 
     /// The physical machines.
     #[must_use]
+    #[inline]
     pub fn servers(&self) -> &[Server] {
         &self.servers
     }
 
     /// Total VM slots across all machines.
     #[must_use]
+    #[inline]
     pub fn total_vm_slots(&self) -> u32 {
         self.servers.iter().map(|s| s.profile().vm_slots).sum()
     }
 
     /// The VM count currently requested.
     #[must_use]
+    #[inline]
     pub fn target_vms(&self) -> u32 {
         self.target_vms
     }
@@ -86,6 +89,7 @@ impl Rack {
     /// VMs actually running right now (bounded by machines that finished
     /// booting).
     #[must_use]
+    #[inline]
     pub fn active_vms(&self) -> u32 {
         let slots = self
             .servers
@@ -98,6 +102,7 @@ impl Rack {
 
     /// Current duty cycle.
     #[must_use]
+    #[inline]
     pub fn duty(&self) -> DutyCycle {
         self.duty
     }
@@ -223,6 +228,7 @@ impl Rack {
 
     /// Power the rack would draw right now at the given utilization.
     #[must_use]
+    #[inline]
     pub fn power_demand(&self, utilization: f64) -> Watts {
         self.servers
             .iter()
@@ -232,6 +238,7 @@ impl Rack {
 
     /// Advances all machines by `dt` at the given utilization; returns the
     /// rack's power draw during the step.
+    #[inline]
     pub fn step(&mut self, dt: SimDuration, utilization: f64) -> Watts {
         let duty = self.duty;
         self.servers
@@ -286,6 +293,7 @@ impl Rack {
 
     /// `true` when at least one machine is serving.
     #[must_use]
+    #[inline]
     pub fn any_serving(&self) -> bool {
         self.servers.iter().any(Server::is_on)
     }

@@ -106,6 +106,7 @@ impl Server {
 
     /// The server's hardware profile.
     #[must_use]
+    #[inline]
     pub fn profile(&self) -> &ServerProfile {
         &self.profile
     }
@@ -118,6 +119,7 @@ impl Server {
 
     /// `true` while serving VMs.
     #[must_use]
+    #[inline]
     pub fn is_on(&self) -> bool {
         self.state == PowerState::On
     }
@@ -257,6 +259,7 @@ impl Server {
 
     /// `true` when orderly shutdowns cannot save state.
     #[must_use]
+    #[inline]
     pub fn checkpoint_broken(&self) -> bool {
         self.checkpoint_broken
     }
@@ -271,6 +274,7 @@ impl Server {
     /// Transitional states draw the idle floor (disks and fans spin, no
     /// useful work); serving draws the profile's interpolated power.
     #[must_use]
+    #[inline]
     pub fn power_draw(&self, utilization: f64, duty: DutyCycle) -> Watts {
         match self.state {
             PowerState::Off | PowerState::CrashedCoolingDown { .. } => Watts::ZERO,
@@ -283,6 +287,7 @@ impl Server {
 
     /// Advances the state machine by `dt` under the given load, recording
     /// energy. Returns the power drawn during the step.
+    #[inline]
     pub fn step(&mut self, dt: SimDuration, utilization: f64, duty: DutyCycle) -> Watts {
         let draw = self.power_draw(utilization, duty);
         let dt_h = dt.as_hours();

@@ -241,18 +241,11 @@ impl InsureController {
             self.unused_budget = AmpHours::new(leftover);
         }
     }
-}
 
-impl PowerController for InsureController {
-    fn name(&self) -> &'static str {
-        "InSURE (spatio-temporal)"
-    }
-
-    fn fork_controller(&self) -> Option<Box<dyn SnapshotController>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn control(&mut self, obs: &SystemObservation) -> ControlAction {
+    /// One control period. With `dark_exit` unset, a dark, idle period
+    /// runs the full SPM decision too: that is the oracle the exit is
+    /// tested against.
+    fn decide_period(&mut self, obs: &SystemObservation, dark_exit: bool) -> ControlAction {
         self.maybe_screen(obs);
         // Health before everything: quarantine gates every selection
         // below, so a failed-open unit drops out of SPM's world the same
@@ -261,15 +254,6 @@ impl PowerController for InsureController {
         // Recovery lifecycle: notice brownouts we did not order and
         // advance the black-start ramp; its cap is applied at the end.
         self.recovery.observe(obs);
-        let health = &self.health;
-        let survivors = &mut self.survivors;
-        survivors.clear();
-        survivors.extend(
-            self.eligible
-                .iter()
-                .copied()
-                .filter(|id| !health.is_quarantined(*id)),
-        );
         let total_units = obs.units.len();
         let usable_units = self.health.usable_count(total_units);
         let degraded = usable_units < total_units;
@@ -352,8 +336,37 @@ impl PowerController for InsureController {
         let deficit = (demand - obs.solar_power).max(Watts::ZERO);
         let surplus = (obs.solar_power - demand).max(Watts::ZERO);
         self.smoothed_surplus += 0.2 * (surplus.value() - self.smoothed_surplus);
+        let night = NightTerms::of(obs);
+        let raise = if allow_raise {
+            self.capacity_raise(obs, &night, target_vms, surplus)
+        } else {
+            None
+        };
+
+        // --- Dark, idle exit. -------------------------------------------
+        // No deficit to discharge for, no surplus to charge from, no VM
+        // target and every unit isolated (at night: 0 W of sun, the rack
+        // off): the TPM held, and every order below would be "stay
+        // isolated". Only the raise rule can still act; unless it fires,
+        // nothing changes.
+        let idle = deficit.value() <= 0.0
+            && surplus.value() <= 0.0
+            && obs.target_vms == 0
+            && obs.attachments.iter().all(|a| *a == Attachment::Isolated);
+        if dark_exit && idle && raise.is_none() {
+            return ControlAction::default();
+        }
 
         // --- Spatial decision: who charges, who discharges. ------------
+        let health = &self.health;
+        let survivors = &mut self.survivors;
+        survivors.clear();
+        survivors.extend(
+            self.eligible
+                .iter()
+                .copied()
+                .filter(|id| !health.is_quarantined(*id)),
+        );
         // Every unit gets exactly one order.
         let mut assigned: Vec<(BatteryId, Attachment)> = Vec::with_capacity(obs.units.len());
         // Discharge selection: cover the deficit under the per-unit cap.
@@ -419,52 +432,26 @@ impl PowerController for InsureController {
         // reduced footprint only while there is a backlog to chew through,
         // and wind all the way down at the emergency-handling reserve
         // (§6.3's energy availability).
-        let mean_soc = if obs.units.is_empty() {
-            0.0
-        } else {
-            obs.units.iter().map(|u| u.soc.value()).sum::<f64>() / obs.units.len() as f64
-        };
-        let night = obs.solar_power.value() < 5.0;
-        let night_cap = if night {
-            obs.total_vm_slots / 2
-        } else {
-            obs.total_vm_slots
-        };
-        let backlog = obs.pending_gb > 25.0;
-        if night
+        if night.night
             && !action.emergency_shutdown
             && action.target_vms.is_none()
             && target_vms > 0
-            && (target_vms > night_cap || mean_soc < 0.50 || !backlog)
+            && (target_vms > night.cap || night.mean_soc < 0.50 || !night.backlog)
         {
             action.target_vms = Some(target_vms - 1);
         }
 
         // --- Capacity raise when healthy. -------------------------------
-        if allow_raise && !action.emergency_shutdown && action.target_vms.is_none() {
-            let charged_buffer = obs
-                .units
-                .iter()
-                .filter(|u| u.soc.value() >= cfg.charge_target_soc.value() * 0.8)
-                .count();
-            // Raising the duty cycle is cheap; adding a VM may power a
-            // machine on, so it needs either a solar surplus covering the
-            // increment or a solidly charged buffer.
-            let vm_increment = Watts::new(250.0);
-            let night_ok = !night || (mean_soc > 0.55 && backlog);
-            if obs.duty.fraction() < 1.0 && action.duty.is_none() {
-                if surplus.value() > 0.0 || charged_buffer >= 2 {
-                    action.duty = Some(obs.duty.raised());
+        if !action.emergency_shutdown && action.target_vms.is_none() {
+            match raise {
+                Some(Raise::Duty(duty)) => action.duty = Some(duty),
+                Some(Raise::Vms(vms)) => {
+                    // Block further raises until this one has had time to
+                    // boot and show up in the measured demand.
+                    action.target_vms = Some(vms);
+                    self.raise_blocked_until = Some(obs.now + SimDuration::from_minutes(6));
                 }
-            } else if target_vms < night_cap
-                && night_ok
-                && (self.smoothed_surplus > vm_increment.value() || charged_buffer >= 2)
-            {
-                // Grow one VM at a time; the rack maps VMs to PMs. Block
-                // further raises until this one has had time to boot and
-                // show up in the measured demand.
-                action.target_vms = Some(target_vms + 1);
-                self.raise_blocked_until = Some(obs.now + SimDuration::from_minutes(6));
+                None => {}
             }
         }
 
@@ -496,6 +483,93 @@ impl PowerController for InsureController {
             }
         }
         action
+    }
+
+    /// The capacity-raise rule, for a period in which the TPM allows a
+    /// raise: one notch more duty, or one more VM. It reads the period
+    /// and the smoothed surplus and changes nothing, so the dark, idle
+    /// exit and the full decision share its verdict.
+    fn capacity_raise(
+        &self,
+        obs: &SystemObservation,
+        night: &NightTerms,
+        target_vms: u32,
+        surplus: Watts,
+    ) -> Option<Raise> {
+        let charged_buffer = obs
+            .units
+            .iter()
+            .filter(|u| u.soc.value() >= self.config.charge_target_soc.value() * 0.8)
+            .count();
+        // Raising the duty cycle is cheap; adding a VM may power a
+        // machine on, so it needs either a solar surplus covering the
+        // increment or a solidly charged buffer.
+        let vm_increment = Watts::new(250.0);
+        let night_ok = !night.night || (night.mean_soc > 0.55 && night.backlog);
+        if obs.duty.fraction() < 1.0 {
+            (surplus.value() > 0.0 || charged_buffer >= 2).then(|| Raise::Duty(obs.duty.raised()))
+        } else if target_vms < night.cap
+            && night_ok
+            && (self.smoothed_surplus > vm_increment.value() || charged_buffer >= 2)
+        {
+            // Grow one VM at a time; the rack maps VMs to PMs.
+            Some(Raise::Vms(target_vms + 1))
+        } else {
+            None
+        }
+    }
+}
+
+impl PowerController for InsureController {
+    fn name(&self) -> &'static str {
+        "InSURE (spatio-temporal)"
+    }
+
+    fn fork_controller(&self) -> Option<Box<dyn SnapshotController>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn control(&mut self, obs: &SystemObservation) -> ControlAction {
+        self.decide_period(obs, true)
+    }
+}
+
+/// What the capacity-raise rule orders.
+#[derive(Debug, Clone, Copy)]
+enum Raise {
+    Duty(DutyCycle),
+    Vms(u32),
+}
+
+/// The night economy's reading of one observation.
+struct NightTerms {
+    /// Solar under 5 W.
+    night: bool,
+    /// The VM ceiling: half the slots at night, all of them by day.
+    cap: u32,
+    /// Mean state of charge over the units (0 with none).
+    mean_soc: f64,
+    /// More than 25 GB waiting.
+    backlog: bool,
+}
+
+impl NightTerms {
+    fn of(obs: &SystemObservation) -> Self {
+        let night = obs.solar_power.value() < 5.0;
+        Self {
+            night,
+            cap: if night {
+                obs.total_vm_slots / 2
+            } else {
+                obs.total_vm_slots
+            },
+            mean_soc: if obs.units.is_empty() {
+                0.0
+            } else {
+                obs.units.iter().map(|u| u.soc.value()).sum::<f64>() / obs.units.len() as f64
+            },
+            backlog: obs.pending_gb > 25.0,
+        }
     }
 }
 
@@ -754,6 +828,8 @@ impl SnapshotController for NoOptController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ins_sim::rng::SimRng;
+    use proptest::prelude::*;
 
     fn obs() -> SystemObservation {
         SystemObservation {
@@ -995,6 +1071,144 @@ mod tests {
             let _ = c.control(&o);
         }
         assert!(!c.health().is_quarantined(BatteryId(0)));
+    }
+
+    /// A random view of unit `i`: any SoC and fill, a sense voltage that
+    /// has sometimes collapsed, and telemetry that is sometimes stale.
+    fn random_unit(rng: &mut SimRng, i: usize) -> UnitView {
+        let terminal_voltage = if rng.chance(0.2) {
+            Volts::new(rng.uniform(0.0, 12.0))
+        } else {
+            Volts::new(rng.uniform(22.0, 26.0))
+        };
+        UnitView {
+            id: BatteryId(i),
+            soc: Soc::new(rng.next_f64()),
+            available_fraction: rng.next_f64(),
+            discharge_throughput: AmpHours::new(rng.uniform(0.0, 50.0)),
+            at_cutoff: terminal_voltage.value() < 21.0,
+            terminal_voltage,
+            telemetry_age: if rng.chance(0.2) {
+                SimDuration::from_secs(rng.uniform(0.0, 900.0) as u64)
+            } else {
+                SimDuration::ZERO
+            },
+        }
+    }
+
+    /// A dark observation: no solar, no demand, no VM target, a backlog
+    /// near the 25 GB night threshold, a duty cycle below or at full, and
+    /// now and then a unit left on a bus.
+    fn dark(rng: &mut SimRng, now: SimTime, brownouts: usize) -> SystemObservation {
+        let mut o = obs();
+        o.now = now;
+        o.elapsed_days = now.as_hours() / 24.0;
+        o.solar_power = Watts::ZERO;
+        o.units = (0..3).map(|i| random_unit(rng, i)).collect();
+        o.attachments = (0..3)
+            .map(|_| match rng.next_index(20) {
+                0 => Attachment::ChargeBus,
+                1 => Attachment::DischargeBus,
+                _ => Attachment::Isolated,
+            })
+            .collect();
+        o.discharge_current = Amps::ZERO;
+        o.active_vms = 0;
+        o.target_vms = 0;
+        o.duty = if rng.chance(0.5) {
+            DutyCycle::FULL
+        } else {
+            DutyCycle::new(rng.uniform(0.4, 0.95))
+        };
+        o.rack_demand = Watts::ZERO;
+        o.rack_demand_target = Watts::ZERO;
+        o.pending_gb = rng.uniform(20.0, 30.0);
+        o.brownouts = brownouts;
+        o
+    }
+
+    /// What `action` leaves the plant with: each unit's attachment after
+    /// the orders (an omitted unit keeps its own), and the rack orders.
+    fn effect(
+        o: &SystemObservation,
+        action: &ControlAction,
+    ) -> (Vec<Attachment>, Option<u32>, Option<DutyCycle>, bool) {
+        let mut attachments = o.attachments.clone();
+        for (id, to) in &action.attachments {
+            attachments[id.0] = *to;
+        }
+        (
+            attachments,
+            action.target_vms,
+            action.duty,
+            action.emergency_shutdown,
+        )
+    }
+
+    /// Every field a later control call reads; the working lists are
+    /// refilled before each use.
+    fn carried_state(c: &InsureController) -> String {
+        format!(
+            "{:?}",
+            (
+                &c.eligible,
+                c.last_screening,
+                c.unused_budget,
+                c.raise_blocked_until,
+                c.smoothed_surplus,
+                &c.health,
+                &c.recovery,
+            )
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The dark, idle exit is exact. Sunny periods build up smoothed
+        /// surplus and a raise block; then, through a night of random
+        /// dark observations, the controller taking the exit and the one
+        /// running the full decision order the same effect on the plant
+        /// and keep every field a later call reads equal, and at dawn
+        /// they give equal actions.
+        #[test]
+        fn dark_idle_exit_matches_the_full_decision(seed in 0u64..u64::MAX) {
+            let mut rng = SimRng::seed(seed);
+            let mut exiting = InsureController::default();
+            let mut full = exiting.clone();
+            let mut now = SimTime::from_hms(15, 0, 0);
+            // Four or more sunny minutes: the smoothed surplus passes
+            // 250 W, so a VM raise sets a raise block.
+            for _ in 0..4 + rng.next_index(12) {
+                let mut o = obs();
+                o.now = now;
+                o.solar_power = Watts::new(rng.uniform(1000.0, 1600.0));
+                o.units = (0..3).map(|i| random_unit(&mut rng, i)).collect();
+                o.target_vms = rng.next_index(3) as u32;
+                o.rack_demand = Watts::new(rng.uniform(200.0, 500.0));
+                o.rack_demand_target = o.rack_demand;
+                prop_assert_eq!(exiting.control(&o), full.decide_period(&o, false));
+                now += SimDuration::from_minutes(1);
+            }
+            prop_assert!(full.smoothed_surplus > 0.0 && full.raise_blocked_until.is_some());
+            // The first dark call lands inside or after the raise block.
+            now += SimDuration::from_minutes(rng.next_index(8) as u64);
+            let mut brownouts = 0;
+            for _ in 0..rng.next_index(120) + 1 {
+                if rng.chance(0.02) {
+                    brownouts += 1;
+                }
+                let o = dark(&mut rng, now, brownouts);
+                let (a, b) = (exiting.control(&o), full.decide_period(&o, false));
+                prop_assert_eq!(effect(&o, &a), effect(&o, &b), "at {}", now);
+                prop_assert_eq!(carried_state(&exiting), carried_state(&full), "at {}", now);
+                // Screening (hourly) is due at some calls and not at others.
+                now += SimDuration::from_secs(60 * (1 + rng.next_index(15) as u64));
+            }
+            let mut dawn = dark(&mut rng, now, brownouts);
+            dawn.solar_power = Watts::new(rng.uniform(50.0, 400.0));
+            prop_assert_eq!(exiting.control(&dawn), full.decide_period(&dawn, false));
+        }
     }
 
     #[test]

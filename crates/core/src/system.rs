@@ -9,7 +9,7 @@
 
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_cluster::rack::Rack;
-use ins_powernet::bus::LoadBus;
+use ins_powernet::bus::{LoadBus, LoadSettlement};
 use ins_powernet::charger::{ChargeController, ChargeStep};
 use ins_powernet::matrix::{Attachment, SwitchMatrix};
 use ins_powernet::relay::RelayFault;
@@ -1059,15 +1059,21 @@ impl InSituSystem {
             _ => Watts::ZERO,
         };
         let demand = self.plant.rack.power_demand(util) + checkpoint_power;
-        let scratch = &mut self.scratch;
-        let settlement = scratch.members.lend(
-            on_bus(
-                &mut self.plant.units,
-                &scratch.attachments,
-                Attachment::DischargeBus,
-            ),
-            |members| self.plant.bus.settle(demand, solar, members, dt_h),
-        );
+        // Without demand, `settle` returns the idle settlement untouched
+        // by its members, so the member list is not built.
+        let settlement = if demand.value() > 0.0 {
+            let scratch = &mut self.scratch;
+            scratch.members.lend(
+                on_bus(
+                    &mut self.plant.units,
+                    &scratch.attachments,
+                    Attachment::DischargeBus,
+                ),
+                |members| self.plant.bus.settle(demand, solar, members, dt_h),
+            )
+        } else {
+            LoadSettlement::idle(demand)
+        };
         let pack_v = self
             .plant
             .units
@@ -1103,7 +1109,9 @@ impl InSituSystem {
         // units simply rest through it.
         let solar_left = (solar - settlement.solar_used).max(Watts::ZERO);
         let charger_down = self.plant.charger_dropout_until.is_some_and(|t| now < t);
-        let charge_step = if charger_down {
+        // With no solar left, `charge` returns the idle step untouched by
+        // its members, so again no list is built.
+        let charge_step = if charger_down || solar_left.value() <= 0.0 {
             ChargeStep::idle()
         } else {
             let scratch = &mut self.scratch;

@@ -27,6 +27,20 @@ pub struct LoadSettlement {
 }
 
 impl LoadSettlement {
+    /// The settlement of a step with no positive demand: nothing served,
+    /// drawn or short. [`LoadBus::settle`] returns it without touching a
+    /// unit.
+    #[must_use]
+    pub fn idle(demand: Watts) -> Self {
+        Self {
+            demand,
+            served: Watts::ZERO,
+            solar_used: Watts::ZERO,
+            battery_used: Watts::ZERO,
+            shortfall: Watts::ZERO,
+        }
+    }
+
     /// `true` when the full demand was served.
     #[must_use]
     pub fn fully_served(&self) -> bool {
@@ -94,13 +108,11 @@ impl LoadBus {
     ) -> LoadSettlement {
         let demand = demand.max(Watts::ZERO);
         if demand.value() <= 0.0 {
-            return LoadSettlement {
-                demand,
-                served: Watts::ZERO,
-                solar_used: Watts::ZERO,
-                battery_used: Watts::ZERO,
-                shortfall: Watts::ZERO,
-            };
+            // The member units are left unstepped, as they are below
+            // whenever solar covers the demand: their wells do not relax
+            // and their service time stops for the step. That is a known
+            // defect; a unit on a bus that moves nothing should rest.
+            return LoadSettlement::idle(demand);
         }
         // Bus-side power needed to push `demand` through the PDU.
         let bus_needed = self.pdu.input_for(demand);

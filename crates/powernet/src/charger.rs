@@ -89,6 +89,9 @@ impl ChargeController {
     /// overhead and faster net charging.
     pub fn charge(&self, units: &mut [&mut BatteryUnit], budget: Watts, dt: Hours) -> ChargeStep {
         if units.is_empty() || budget.value() <= 0.0 {
+            // Without a budget the units are left unstepped, like the
+            // load bus's members when no current flows (a known defect:
+            // they should rest).
             return ChargeStep::idle();
         }
         let per_channel_input = budget / units.len() as f64;

@@ -519,6 +519,7 @@ impl FaultSchedule {
     /// Each event comes out by value, so the caller may apply it to state
     /// that owns this schedule without copying the due set first, and a
     /// fault-free step costs one comparison.
+    #[inline]
     pub fn pop_due(&mut self, now: SimTime) -> Option<FaultEvent> {
         let event = *self.events.get(self.cursor).filter(|e| e.at <= now)?;
         self.cursor += 1;

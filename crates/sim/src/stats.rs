@@ -39,6 +39,7 @@ impl RunningStats {
     }
 
     /// Adds one observation.
+    #[inline]
     pub fn push(&mut self, value: f64) {
         self.count += 1;
         let delta = value - self.mean;

@@ -51,18 +51,21 @@ impl SimTime {
 
     /// Seconds elapsed since the epoch.
     #[must_use]
+    #[inline]
     pub const fn as_secs(self) -> u64 {
         self.0
     }
 
     /// Hours elapsed since the epoch, as a float.
     #[must_use]
+    #[inline]
     pub fn as_hours(self) -> f64 {
         self.0 as f64 / 3600.0
     }
 
     /// The day index this instant falls on (0-based).
     #[must_use]
+    #[inline]
     pub const fn day(self) -> u64 {
         self.0 / SECONDS_PER_DAY
     }
@@ -71,6 +74,7 @@ impl SimTime {
     ///
     /// This is what the solar model consumes: `12.0` is solar noon.
     #[must_use]
+    #[inline]
     pub fn time_of_day_hours(self) -> f64 {
         (self.0 % SECONDS_PER_DAY) as f64 / 3600.0
     }
@@ -80,6 +84,7 @@ impl SimTime {
     /// Returns [`SimDuration::ZERO`] if `earlier` is in the future, rather
     /// than underflowing.
     #[must_use]
+    #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -134,6 +139,7 @@ impl SimDuration {
 
     /// The duration in whole seconds.
     #[must_use]
+    #[inline]
     pub const fn as_secs(self) -> u64 {
         self.0
     }
@@ -141,6 +147,7 @@ impl SimDuration {
     /// The duration as fractional hours — the unit used by the battery and
     /// energy integration code.
     #[must_use]
+    #[inline]
     pub fn as_hours(self) -> Hours {
         Hours::new(self.0 as f64 / 3600.0)
     }
@@ -153,12 +160,14 @@ impl SimDuration {
 
     /// `true` when the duration is zero.
     #[must_use]
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Subtracts `other`, saturating at zero.
     #[must_use]
+    #[inline]
     pub const fn saturating_sub(self, other: Self) -> Self {
         Self(self.0.saturating_sub(other.0))
     }
@@ -263,17 +272,20 @@ impl SimClock {
 
     /// The current instant.
     #[must_use]
+    #[inline]
     pub const fn now(&self) -> SimTime {
         self.now
     }
 
     /// The step width.
     #[must_use]
+    #[inline]
     pub const fn dt(&self) -> SimDuration {
         self.dt
     }
 
     /// Advances the clock one step and returns the new instant.
+    #[inline]
     pub fn tick(&mut self) -> SimTime {
         self.now += self.dt;
         self.now

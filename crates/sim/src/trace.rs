@@ -81,6 +81,7 @@ impl Trace {
     ///
     /// Panics in debug builds if `time` is earlier than the last recorded
     /// sample — traces must be recorded in chronological order.
+    #[inline]
     pub fn record(&mut self, time: SimTime, value: f64) {
         debug_assert!(
             self.last().is_none_or(|s| s.time <= time),
@@ -130,6 +131,7 @@ impl Trace {
 
     /// The most recent sample, if any. O(1).
     #[must_use]
+    #[inline]
     pub fn last(&self) -> Option<Sample> {
         self.tail
             .last()
@@ -201,6 +203,7 @@ fn stride_indices(len: usize, max_points: usize) -> impl Iterator<Item = usize> 
 /// trace) the lookup is O(1); otherwise it is a binary search. Both find
 /// the same bracketing samples.
 #[must_use]
+#[inline]
 pub fn interpolate(samples: &[Sample], time: SimTime) -> Option<f64> {
     let (first, last) = (*samples.first()?, *samples.last()?);
     if time <= first.time {

@@ -3,7 +3,8 @@
 //! §6.2 / Table 7: on InSURE, low-power servers deliver 5–15× more data
 //! per unit of energy and ride through solar dips with fewer on/off
 //! cycles. This example runs the same solar day on both rack types and
-//! writes the power traces to CSV for plotting.
+//! prints five evenly spaced rows of the i7 rack's solar and load traces
+//! as CSV, built inline.
 //!
 //! ```sh
 //! cargo run --example low_power_station
@@ -42,7 +43,7 @@ fn run_rack(profile: ServerProfile) -> (String, RunMetrics, String) {
     .build();
     sys.run_until(SimTime::from_hms(23, 59, 30));
     let csv_head: String = {
-        // First few rows of the aligned trace CSV, to show the format.
+        // Five evenly spaced rows of the aligned traces, to show the format.
         let mut out = String::from("seconds,solar_w,load_w\n");
         for (s, l) in sys
             .trace_solar()
@@ -80,6 +81,6 @@ fn main() {
         (i7.processed_gb / i7.load_kwh.max(1e-9)) / (xeon.processed_gb / xeon.load_kwh.max(1e-9)),
         i7.processed_gb - xeon.processed_gb
     );
-    println!("\nsample of the exported trace CSV (see ins_bench::export):");
+    println!("\nfive evenly spaced rows of the {i7_name} rack's traces, as CSV:");
     print!("{csv}");
 }

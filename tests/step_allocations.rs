@@ -14,6 +14,10 @@
 //! * Control steps must average at most 1.1: the order list the
 //!   controller returns, and nothing else. The SPM selections, the rack's
 //!   power mapping and the observation all reuse their lists.
+//! * Under InSURE at a 60 s step, control steps whose solar sample and
+//!   rack draw are both 0 W must average below 0.01: a dark, idle period
+//!   returns an empty action without building an order list, and the
+//!   step builds no member list for its empty buses.
 //!
 //! A fleet tick (4 sites, each running its 1-minute control period once
 //! per 1-minute routing tick) must average at most 1.1 allocations per
@@ -39,6 +43,7 @@ use insure::core::system::InSituSystem;
 use insure::fleet::{Fleet, FleetConfig};
 use insure::sim::fault::FaultSchedule;
 use insure::sim::time::{SimDuration, SimTime};
+use insure::sim::trace::Trace;
 use insure::solar::trace::SolarTraceBuilder;
 use insure::solar::weather::DayWeather;
 
@@ -107,9 +112,16 @@ impl<C: PowerController> PowerController for Counted<C> {
     }
 }
 
-/// Mean allocations per step, split into steps without and with a
-/// control call: `((steps, mean), (steps, mean))`.
-type Budget = ((u64, f64), (u64, f64));
+/// Mean allocations per step over three sets of steps, each as
+/// `(steps, mean)`.
+struct Budget {
+    /// Steps without a control call.
+    quiet: (u64, f64),
+    /// Steps with a control call.
+    control: (u64, f64),
+    /// The control steps whose solar sample and rack draw are both 0 W.
+    dark_control: (u64, f64),
+}
 
 fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
     let solar = SolarTraceBuilder::new().seed(11).build_days(&[
@@ -128,26 +140,40 @@ fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
         .build();
     sys.run_until(SimTime::from_hms(12, 0, 0));
     let end = sys.now() + SimDuration::from_hours(72);
-    let (mut quiet, mut control) = ((0u64, 0u64), (0u64, 0u64));
+    let (mut quiet, mut control, mut dark_control) = ((0u64, 0u64), (0u64, 0u64), (0u64, 0u64));
     while sys.now() < end {
         let (before, calls_before) = (allocations(), calls.get());
         sys.step();
         let allocated = allocations() - before;
-        let bucket = if calls.get() == calls_before {
-            &mut quiet
-        } else {
-            &mut control
+        let count = |bucket: &mut (u64, u64)| {
+            bucket.0 += 1;
+            bucket.1 += allocated;
         };
-        bucket.0 += 1;
-        bucket.1 += allocated;
+        if calls.get() == calls_before {
+            count(&mut quiet);
+            continue;
+        }
+        count(&mut control);
+        let dark = |trace: &Trace| trace.last().is_some_and(|s| s.value == 0.0);
+        if dark(sys.trace_solar()) && dark(sys.trace_load()) {
+            count(&mut dark_control);
+        }
     }
     let mean = |(steps, allocs): (u64, u64)| (steps, allocs as f64 / steps.max(1) as f64);
-    (mean(quiet), mean(control))
+    Budget {
+        quiet: mean(quiet),
+        control: mean(control),
+        dark_control: mean(dark_control),
+    }
 }
 
 fn assert_budget(controller: impl PowerController + 'static, dt_s: u64) {
     let name = controller.name();
-    let ((quiet_steps, quiet), (control_steps, control)) = measure(controller, dt_s);
+    let Budget {
+        quiet: (quiet_steps, quiet),
+        control: (control_steps, control),
+        ..
+    } = measure(controller, dt_s);
     eprintln!(
         "{name}, dt={dt_s}s: {quiet:.4} allocations over {quiet_steps} steps without control, \
          {control:.3} over {control_steps} control steps"
@@ -175,6 +201,20 @@ fn step_loop_allocation_budget_at_60s() {
     assert_budget(InsureController::default(), 60);
     assert_budget(BaselineController::new(), 60);
     assert_budget(NoOptController::new(), 60);
+}
+
+#[test]
+fn dark_idle_control_steps_do_not_allocate_under_insure() {
+    let Budget {
+        dark_control: (steps, mean),
+        ..
+    } = measure(InsureController::default(), 60);
+    eprintln!("InSURE, dt=60s: {mean:.4} allocations over {steps} dark control steps");
+    assert!(steps > 0, "the plant never had a dark control step");
+    assert!(
+        mean < 0.01,
+        "dark control steps with the rack off allocate {mean:.4} times on average"
+    );
 }
 
 #[test]
