@@ -42,11 +42,16 @@ pub struct DailyLog {
 }
 
 /// Slices a finished run into per-day logs. Days with no recorded samples
-/// (beyond the simulated horizon) are omitted.
+/// (beyond the simulated horizon) are omitted. A plant built with
+/// [`SystemBuilder::latest_samples_only`](crate::system::SystemBuilder::latest_samples_only)
+/// keeps no sample history to slice, so it yields no logs at all rather
+/// than days summed from its one retained sample.
 #[must_use]
 pub fn daily_logs(system: &InSituSystem) -> Vec<DailyLog> {
     let solar = system.trace_solar();
-    let Some(last_sample) = solar.last() else {
+    // A latest-only trace has recorded more samples than it retains.
+    let kept_every_sample = solar.len() as u64 == solar.stats().count();
+    let Some(last_sample) = solar.last().filter(|_| kept_every_sample) else {
         return Vec::new();
     };
     let load = system.trace_load();
@@ -207,6 +212,18 @@ mod tests {
             "per-day checkpoint audit must sum to the run total"
         );
         assert!(written > 0, "two sunny days must produce checkpoints");
+    }
+
+    #[test]
+    fn latest_only_run_yields_no_logs() {
+        let solar = SolarTraceBuilder::new().seed(6).build_day();
+        let mut sys = InSituSystem::builder(solar, Box::new(InsureController::default()))
+            .time_step(SimDuration::from_secs(60))
+            .latest_samples_only()
+            .build();
+        sys.run_until(SimTime::from_secs(SECONDS_PER_DAY));
+        assert_eq!(sys.trace_solar().len(), 1);
+        assert!(daily_logs(&sys).is_empty());
     }
 
     #[test]

@@ -477,7 +477,9 @@ impl InSituSystem {
         &self.plant.events
     }
 
-    /// Solar power trace as replayed (one sample per step).
+    /// Solar power trace as replayed (one sample per step). This and the
+    /// three traces below hold only their latest sample on a plant built
+    /// with [`SystemBuilder::latest_samples_only`].
     #[must_use]
     pub fn trace_solar(&self) -> &Trace {
         &self.plant.trace_solar
@@ -1312,6 +1314,7 @@ pub struct SystemBuilder {
     start: SimTime,
     faults: FaultSchedule,
     checkpoint: Option<CheckpointPolicy>,
+    keep_trace_history: bool,
 }
 
 impl SystemBuilder {
@@ -1332,6 +1335,7 @@ impl SystemBuilder {
             start: SimTime::ZERO,
             faults: FaultSchedule::empty(),
             checkpoint: None,
+            keep_trace_history: true,
         }
     }
 
@@ -1422,6 +1426,19 @@ impl SystemBuilder {
         self
     }
 
+    /// Keeps only the latest sample of the four output traces
+    /// ([`InSituSystem::trace_solar`] and its siblings): each is built
+    /// with [`Trace::latest_only`]. Their statistics, their last sample,
+    /// [`RunMetrics`](crate::metrics::RunMetrics) and everything else the
+    /// plant reports are unchanged; only the sample history is gone, so
+    /// memory no longer grows with the horizon. Off by default, because
+    /// figures, daily logs and fixtures read that history.
+    #[must_use]
+    pub fn latest_samples_only(mut self) -> Self {
+        self.keep_trace_history = false;
+        self
+    }
+
     /// Assembles the system.
     ///
     /// # Panics
@@ -1431,6 +1448,11 @@ impl SystemBuilder {
     /// crate's `presets_validate` test pins that they pass.
     #[must_use]
     pub fn build(self) -> InSituSystem {
+        let trace = if self.keep_trace_history {
+            Trace::new
+        } else {
+            Trace::latest_only
+        };
         let params = BatteryParams::cabinet_24v();
         let units: Vec<BatteryUnit> = (0..self.unit_count)
             .map(|i| BatteryUnit::with_soc(BatteryId(i), params, self.initial_soc))
@@ -1463,10 +1485,10 @@ impl SystemBuilder {
             lost_work_gb: 0.0,
             data_loss_events: 0,
             brownouts: 0,
-            trace_solar: Trace::new("solar W"),
-            trace_load: Trace::new("load W"),
-            trace_stored: Trace::new("stored Wh"),
-            trace_pack_voltage: Trace::new("pack V"),
+            trace_solar: trace("solar W"),
+            trace_load: trace("load W"),
+            trace_stored: trace("stored Wh"),
+            trace_pack_voltage: trace("pack V"),
             events: EventLog::new(),
             solar_harvested: WattHours::ZERO,
             solar_used_load: WattHours::ZERO,

@@ -33,6 +33,13 @@ pub const CHUNK_LEN: usize = 1 << 10;
 /// and copies only the tail. The tail grows like a `Vec`, so a short
 /// trace never allocates a whole chunk.
 ///
+/// A trace built with [`Trace::latest_only`] keeps no history: every
+/// sample still feeds [`Trace::stats`], but only the newest one is
+/// retained, so [`Trace::last`] answers as above while [`Trace::len`],
+/// [`Trace::iter`], [`Trace::downsample`] and [`Trace::sealed_chunks`]
+/// see at most that one sample. It never allocates after its first
+/// sample and clones in O(1).
+///
 /// # Examples
 ///
 /// ```
@@ -54,6 +61,8 @@ pub struct Trace {
     /// [`CHUNK_LEN`].
     tail: Vec<Sample>,
     stats: RunningStats,
+    /// `false` for a [`Trace::latest_only`] trace.
+    keep_history: bool,
 }
 
 impl Trace {
@@ -66,6 +75,30 @@ impl Trace {
             sealed: Vec::new(),
             tail: Vec::new(),
             stats: RunningStats::new(),
+            keep_history: true,
+        }
+    }
+
+    /// Creates an empty trace that keeps only its newest sample, for
+    /// runs that read a trace's [`stats`](Trace::stats) and
+    /// [`last`](Trace::last) but never its history.
+    ///
+    /// ```
+    /// use ins_sim::trace::Trace;
+    /// use ins_sim::time::SimTime;
+    ///
+    /// let mut t = Trace::latest_only("solar W");
+    /// t.record(SimTime::from_secs(0), 0.0);
+    /// t.record(SimTime::from_secs(60), 850.0);
+    /// assert_eq!(t.len(), 1);
+    /// assert_eq!(t.last().map(|s| s.value), Some(850.0));
+    /// assert_eq!(t.stats().mean(), 425.0);
+    /// ```
+    #[must_use]
+    pub fn latest_only(name: impl Into<String>) -> Self {
+        Self {
+            keep_history: false,
+            ..Self::new(name)
         }
     }
 
@@ -75,7 +108,8 @@ impl Trace {
         &self.name
     }
 
-    /// Appends a sample.
+    /// Appends a sample; a [`Trace::latest_only`] trace replaces its
+    /// retained one.
     ///
     /// # Panics
     ///
@@ -88,6 +122,9 @@ impl Trace {
             "trace '{}' recorded out of order",
             self.name
         );
+        if !self.keep_history {
+            self.tail.clear();
+        }
         self.tail.push(Sample { time, value });
         if self.tail.len() == CHUNK_LEN {
             // Copy the full tail into a shared chunk and keep its buffer
@@ -98,7 +135,7 @@ impl Trace {
         self.stats.push(value);
     }
 
-    /// Number of samples.
+    /// Number of samples retained.
     #[must_use]
     pub fn len(&self) -> usize {
         self.sealed.len() * CHUNK_LEN + self.tail.len()

@@ -299,6 +299,35 @@ proptest! {
             check_against_vec(&trace, &reference, max_points);
         }
     }
+
+    /// A latest-only trace summarizes exactly what a full trace does:
+    /// after every sample of a random time-ordered run (long enough for
+    /// the full trace to seal chunks), both report the same `stats()` and
+    /// `last()`, and the latest-only one retains that last sample alone.
+    #[test]
+    fn latest_only_trace_summarizes_like_a_full_trace(
+        steps in proptest::collection::vec((0u64..600, -1e6f64..1e6), 0..(3 * CHUNK_LEN)),
+        max_points in 1usize..64
+    ) {
+        let mut full = Trace::new("full");
+        let mut latest = Trace::latest_only("latest");
+        let mut now = SimTime::ZERO;
+        for (gap_s, value) in steps {
+            now += SimDuration::from_secs(gap_s);
+            full.record(now, value);
+            latest.record(now, value);
+            prop_assert_eq!(latest.stats(), full.stats());
+            prop_assert_eq!(latest.last(), full.last());
+            prop_assert!(latest.len() <= 1);
+        }
+        let last: Vec<Sample> = full.last().into_iter().collect();
+        prop_assert_eq!(latest.len(), last.len());
+        prop_assert!(latest.iter().eq(last.iter()), "iteration sees only the last sample");
+        prop_assert_eq!(latest.downsample(max_points), last);
+        prop_assert!(latest.sealed_chunks().is_empty());
+        let copy = latest.clone();
+        prop_assert_eq!(&copy, &latest);
+    }
 }
 
 /// Checks every read of `trace` against the same reads of `samples`.

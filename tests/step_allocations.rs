@@ -10,7 +10,11 @@
 //! and split the steps by whether the controller ran in them.
 //!
 //! * Steps without a control call must average below 0.01 allocations
-//!   (what remains is trace growth, amortized).
+//!   (what remains is trace growth, amortized). On a plant built with
+//!   `latest_samples_only` they must allocate exactly 0 times, except in
+//!   the few steps that append to one of the plant's logs (its events,
+//!   recoveries, batch queue or completed jobs), whose `Vec`s still grow
+//!   by doubling: its traces replace their one sample and seal no chunks.
 //! * Control steps must average at most 1.1: the order list the
 //!   controller returns, and nothing else. The SPM selections, the rack's
 //!   power mapping and the observation all reuse their lists.
@@ -39,7 +43,7 @@ use insure::core::controller::{
     BaselineController, ControlAction, InsureController, NoOptController, PowerController,
     SystemObservation,
 };
-use insure::core::system::InSituSystem;
+use insure::core::system::{InSituSystem, WorkloadModel};
 use insure::fleet::{Fleet, FleetConfig};
 use insure::sim::fault::FaultSchedule;
 use insure::sim::time::{SimDuration, SimTime};
@@ -117,13 +121,33 @@ impl<C: PowerController> PowerController for Counted<C> {
 struct Budget {
     /// Steps without a control call.
     quiet: (u64, f64),
+    /// The steps without a control call that append to none of the
+    /// plant's logs ([`log_lengths`]).
+    quiet_unlogged: (u64, f64),
     /// Steps with a control call.
     control: (u64, f64),
     /// The control steps whose solar sample and rack draw are both 0 W.
     dark_control: (u64, f64),
 }
 
-fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
+/// The lengths of the plant's append-only logs: events, recoveries, and
+/// the batch workload's queue and completed jobs.
+fn log_lengths(sys: &InSituSystem) -> [usize; 4] {
+    let (queued, completed) = match sys.workload() {
+        WorkloadModel::Batch { workload, .. } => {
+            (workload.queued_jobs(), workload.completed().len())
+        }
+        WorkloadModel::Stream { .. } => (0, 0),
+    };
+    [
+        sys.events().len(),
+        sys.recovery_durations().len(),
+        queued,
+        completed,
+    ]
+}
+
+fn measure(inner: impl PowerController + 'static, dt_s: u64, latest_only: bool) -> Budget {
     let solar = SolarTraceBuilder::new().seed(11).build_days(&[
         DayWeather::Sunny,
         DayWeather::Cloudy,
@@ -135,14 +159,17 @@ fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
         inner,
         calls: Rc::clone(&calls),
     };
-    let mut sys = InSituSystem::builder(solar, Box::new(controller))
-        .time_step(SimDuration::from_secs(dt_s))
-        .build();
+    let mut builder =
+        InSituSystem::builder(solar, Box::new(controller)).time_step(SimDuration::from_secs(dt_s));
+    if latest_only {
+        builder = builder.latest_samples_only();
+    }
+    let mut sys = builder.build();
     sys.run_until(SimTime::from_hms(12, 0, 0));
     let end = sys.now() + SimDuration::from_hours(72);
-    let (mut quiet, mut control, mut dark_control) = ((0u64, 0u64), (0u64, 0u64), (0u64, 0u64));
+    let [mut quiet, mut quiet_unlogged, mut control, mut dark_control] = [(0u64, 0u64); 4];
     while sys.now() < end {
-        let (before, calls_before) = (allocations(), calls.get());
+        let (before, calls_before, logs_before) = (allocations(), calls.get(), log_lengths(&sys));
         sys.step();
         let allocated = allocations() - before;
         let count = |bucket: &mut (u64, u64)| {
@@ -151,6 +178,13 @@ fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
         };
         if calls.get() == calls_before {
             count(&mut quiet);
+            if log_lengths(&sys)
+                .iter()
+                .zip(logs_before)
+                .all(|(&n, m)| n <= m)
+            {
+                count(&mut quiet_unlogged);
+            }
             continue;
         }
         count(&mut control);
@@ -162,6 +196,7 @@ fn measure(inner: impl PowerController + 'static, dt_s: u64) -> Budget {
     let mean = |(steps, allocs): (u64, u64)| (steps, allocs as f64 / steps.max(1) as f64);
     Budget {
         quiet: mean(quiet),
+        quiet_unlogged: mean(quiet_unlogged),
         control: mean(control),
         dark_control: mean(dark_control),
     }
@@ -173,7 +208,7 @@ fn assert_budget(controller: impl PowerController + 'static, dt_s: u64) {
         quiet: (quiet_steps, quiet),
         control: (control_steps, control),
         ..
-    } = measure(controller, dt_s);
+    } = measure(controller, dt_s, false);
     eprintln!(
         "{name}, dt={dt_s}s: {quiet:.4} allocations over {quiet_steps} steps without control, \
          {control:.3} over {control_steps} control steps"
@@ -203,12 +238,43 @@ fn step_loop_allocation_budget_at_60s() {
     assert_budget(NoOptController::new(), 60);
 }
 
+/// At a 10 s step, five of every six steps run without the 1-minute
+/// control call; at 60 s every step runs it.
+fn assert_latest_only_quiet_steps_do_not_allocate(controller: impl PowerController + 'static) {
+    let name = controller.name();
+    let Budget {
+        quiet: (quiet_steps, quiet),
+        quiet_unlogged: (steps, mean),
+        ..
+    } = measure(controller, 10, true);
+    eprintln!(
+        "{name}, dt=10s, latest only: {mean:.4} allocations over {steps} steps without \
+         control or log growth, {quiet:.4} over all {quiet_steps} steps without control"
+    );
+    assert!(
+        steps > 0,
+        "{name}: every step ran the controller or grew a log"
+    );
+    assert!(
+        mean == 0.0,
+        "{name}: a latest-only plant's steps without a control call or log growth \
+         allocate {mean:.4} times on average"
+    );
+}
+
+#[test]
+fn latest_only_steps_without_control_do_not_allocate() {
+    assert_latest_only_quiet_steps_do_not_allocate(InsureController::default());
+    assert_latest_only_quiet_steps_do_not_allocate(BaselineController::new());
+    assert_latest_only_quiet_steps_do_not_allocate(NoOptController::new());
+}
+
 #[test]
 fn dark_idle_control_steps_do_not_allocate_under_insure() {
     let Budget {
         dark_control: (steps, mean),
         ..
-    } = measure(InsureController::default(), 60);
+    } = measure(InsureController::default(), 60, false);
     eprintln!("InSURE, dt=60s: {mean:.4} allocations over {steps} dark control steps");
     assert!(steps > 0, "the plant never had a dark control step");
     assert!(
