@@ -6,7 +6,7 @@
 
 use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_core::config::InsureConfig;
-use ins_core::controller::InsureController;
+use ins_core::controller::{InsureController, CHARGE_TARGET_SOC, PEAK_CHARGE_POWER};
 use ins_core::metrics::RunMetrics;
 use ins_core::system::WorkloadModel;
 use ins_powernet::charger::ChargeController;
@@ -105,13 +105,12 @@ pub fn batch_size_ablation(budget: Watts) -> Vec<BatchSizePoint> {
             })
             .collect();
         let dt = Hours::new(1.0 / 60.0);
-        let target = 0.9;
-        let ppc = Watts::new(230.0);
+        let target = CHARGE_TARGET_SOC;
         let mut hours = 0.0;
         let mut first_ready = f64::INFINITY;
         while units.iter().any(|u| u.soc() < target) && hours < 80.0 {
             if adaptive {
-                let n = ((budget.value() / ppc.value()).floor() as usize).max(1);
+                let n = ((budget.value() / PEAK_CHARGE_POWER.value()).floor() as usize).max(1);
                 let mut idx: Vec<usize> = (0..units.len())
                     .filter(|&i| units[i].soc() < target)
                     .collect();

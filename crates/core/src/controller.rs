@@ -116,9 +116,37 @@ pub trait SnapshotController: PowerController + Send + Sync {
     fn clone_snapshot(&self) -> Box<dyn SnapshotController>;
 }
 
+/// Worst-case power of one booted physical machine (a ProLiant hosting
+/// two VMs at the workloads' utilization): every stock policy and the
+/// black-start ramp size demand by it.
+pub(crate) const MACHINE_WATTS: Watts = Watts::new(360.0);
+
+/// Worst-case demand of `vms` VMs once booted, two to a machine.
+pub(crate) fn booted_demand(vms: u32) -> Watts {
+    Watts::new(f64::from(vms.div_ceil(2)) * MACHINE_WATTS.value())
+}
+
 // ---------------------------------------------------------------------
 // InSURE
 // ---------------------------------------------------------------------
+
+/// Coarse-grained SPM screening interval (Fig. 9's interval `T`).
+pub(crate) const SCREENING_INTERVAL: SimDuration = SimDuration::from_hours(1);
+
+/// State of charge at which a charging unit is considered charged and
+/// brought online ("pre-determined capacity (90 %)", §3.2).
+pub const CHARGE_TARGET_SOC: Soc = Soc::saturating(0.90);
+
+/// State of charge below which a discharging unit is pulled offline and
+/// servers are checkpointed (Fig. 11's `SOCσ`).
+pub(crate) const SOC_LOW_THRESHOLD: Soc = Soc::saturating(0.30);
+
+/// Peak charging power per unit (`PPC` in Fig. 10's `N = PG/PPC`).
+pub const PEAK_CHARGE_POWER: Watts = Watts::new(230.0);
+
+/// Fraction of the discharging units' current headroom kept in reserve
+/// before the TPM raises capacity again (hysteresis guard).
+const RAISE_HEADROOM: f64 = 0.25;
 
 /// The paper's joint spatio-temporal power manager.
 #[derive(Debug, Clone)]
@@ -179,7 +207,7 @@ impl InsureController {
             unused_budget: AmpHours::ZERO,
             raise_blocked_until: None,
             smoothed_surplus: 0.0,
-            health: HealthMonitor::prototype(),
+            health: HealthMonitor::default(),
             recovery: RecoveryCoordinator::default(),
             survivors: Vec::new(),
             dischargers: Vec::new(),
@@ -210,7 +238,7 @@ impl InsureController {
     fn maybe_screen(&mut self, obs: &SystemObservation) {
         let due = match self.last_screening {
             None => true,
-            Some(t) => obs.now.since(t) >= self.config.screening_interval,
+            Some(t) => obs.now.since(t) >= SCREENING_INTERVAL,
         };
         if !due {
             return;
@@ -253,17 +281,17 @@ impl InsureController {
         self.health.assess(&obs.units, obs.pack_voltage);
         // Recovery lifecycle: notice brownouts we did not order and
         // advance the black-start ramp; its cap is applied at the end.
-        self.recovery.observe(obs);
+        self.recovery
+            .observe(obs, self.config.discharge_current_cap);
         let total_units = obs.units.len();
         let usable_units = self.health.usable_count(total_units);
         let degraded = usable_units < total_units;
-        let cfg = &self.config;
         // Degraded mode: fewer survivors each carry more of the load, so
         // keep extra recovery headroom under the per-unit current cap.
         let discharge_cap = if degraded {
-            cfg.discharge_current_cap * 0.85
+            self.config.discharge_current_cap * 0.85
         } else {
-            cfg.discharge_current_cap
+            self.config.discharge_current_cap
         };
         let mut action = ControlAction::default();
 
@@ -285,10 +313,10 @@ impl InsureController {
             current_threshold: discharge_cap * n_discharging.max(1) as f64,
             min_discharging_soc,
             min_discharging_available,
-            soc_threshold: cfg.soc_low_threshold,
+            soc_threshold: SOC_LOW_THRESHOLD,
             available_threshold: 0.15,
             knob: obs.knob,
-            raise_headroom: cfg.raise_headroom,
+            raise_headroom: RAISE_HEADROOM,
             discharging: n_discharging > 0 && obs.discharge_current.value() > 0.0,
         };
         let mut allow_raise = false;
@@ -325,7 +353,7 @@ impl InsureController {
         // own raises) never outrun the discharge group. An emergency
         // shutdown still has to power the 5-minute checkpoint wind-down,
         // so the present draw stays in the estimate even then.
-        let issued_demand = Watts::new(f64::from(target_vms.div_ceil(2)) * 360.0);
+        let issued_demand = booted_demand(target_vms);
         let demand = if action.emergency_shutdown {
             obs.rack_demand
         } else {
@@ -377,7 +405,7 @@ impl InsureController {
             survivors,
             needed_current,
             discharge_cap,
-            cfg.soc_low_threshold,
+            SOC_LOW_THRESHOLD,
             &mut self.ranked,
             dischargers,
         );
@@ -393,13 +421,13 @@ impl InsureController {
                 .copied()
                 .filter(|id| !dischargers.contains(id)),
         );
-        let n = charge_batch_size(surplus, cfg.peak_charge_power);
+        let n = charge_batch_size(surplus, PEAK_CHARGE_POWER);
         let chargers = &mut self.chargers;
         select_for_charging(
             &obs.units,
             charge_eligible,
             n,
-            cfg.charge_target_soc,
+            CHARGE_TARGET_SOC,
             &mut self.ranked,
             chargers,
         );
@@ -415,7 +443,7 @@ impl InsureController {
             if !assigned.iter().any(|(id, _)| *id == u.id) {
                 let hot_standby = serving
                     && survivors.contains(&u.id)
-                    && u.soc.value() > cfg.soc_low_threshold.value() + 0.1
+                    && u.soc.value() > SOC_LOW_THRESHOLD.value() + 0.1
                     && !u.at_cutoff;
                 let to = if hot_standby {
                     Attachment::DischargeBus
@@ -499,7 +527,7 @@ impl InsureController {
         let charged_buffer = obs
             .units
             .iter()
-            .filter(|u| u.soc.value() >= self.config.charge_target_soc.value() * 0.8)
+            .filter(|u| u.soc.value() >= CHARGE_TARGET_SOC.value() * 0.8)
             .count();
         // Raising the duty cycle is cheap; adding a VM may power a
         // machine on, so it needs either a solar surplus covering the
@@ -583,20 +611,21 @@ impl Default for InsureController {
 // Baseline: grid-green style tracking + peak shaving, unified buffer
 // ---------------------------------------------------------------------
 
+/// Protection threshold: the baseline's unified buffer disconnects below
+/// this mean SoC.
+const PROTECTION_SOC: Soc = Soc::saturating(0.25);
+
+/// SoC at which a locked-out baseline buffer is released back to the
+/// load.
+const RELEASE_SOC: Soc = Soc::saturating(0.60);
+
 /// The §6.4 baseline: renewable-tracking load control with a unified
 /// (all-or-nothing) energy buffer and no discharge capping.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BaselineController {
-    /// Per-machine power estimate used for renewable tracking (one
-    /// ProLiant at the workloads' utilization).
-    watts_per_machine: f64,
-    /// Protection threshold: unified buffer disconnects below this SoC.
-    protection_soc: Soc,
     /// `true` while the buffer is locked out charging after a protection
-    /// event (it must recharge to the release level before reuse).
+    /// event (it must recharge to [`RELEASE_SOC`] before reuse).
     locked_out: bool,
-    /// SoC at which a locked-out buffer is released back to the load.
-    release_soc: Soc,
 }
 
 impl BaselineController {
@@ -604,18 +633,7 @@ impl BaselineController {
     /// machine, 25 % protection cutoff, 60 % recharge release).
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            watts_per_machine: 360.0,
-            protection_soc: Soc::saturating(0.25),
-            locked_out: false,
-            release_soc: Soc::saturating(0.60),
-        }
-    }
-}
-
-impl Default for BaselineController {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -638,10 +656,10 @@ impl PowerController for BaselineController {
         let any_cutoff = obs.units.iter().any(|u| u.at_cutoff);
 
         // Unified protection: the whole buffer drops out together.
-        if !self.locked_out && (mean_soc < self.protection_soc || any_cutoff) {
+        if !self.locked_out && (mean_soc < PROTECTION_SOC || any_cutoff) {
             self.locked_out = true;
         }
-        if self.locked_out && mean_soc >= self.release_soc {
+        if self.locked_out && mean_soc >= RELEASE_SOC {
             self.locked_out = false;
         }
 
@@ -656,7 +674,7 @@ impl PowerController for BaselineController {
             // passing cloud browns the servers out.
             let machines =
                 // ins-lint: allow(L009) -- float `as` saturates at u32::MAX; so does the doubling below
-                (obs.solar_power.value() / (self.watts_per_machine * 1.3)).floor() as u32;
+                (obs.solar_power.value() / (MACHINE_WATTS.value() * 1.3)).floor() as u32;
             let target = machines.saturating_mul(2).min(obs.total_vm_slots);
             if target == 0 {
                 action.emergency_shutdown = true;
@@ -670,14 +688,14 @@ impl PowerController for BaselineController {
         let buffer_assist = if mean_soc > 0.5 { 1.5 } else { 0.5 };
         let budget = obs.solar_power.value() * (1.0 + buffer_assist * 0.3);
         // ins-lint: allow(L009) -- float `as` saturates at u32::MAX; so does the doubling below
-        let machines = (budget / self.watts_per_machine).floor() as u32;
+        let machines = (budget / MACHINE_WATTS.value()).floor() as u32;
         let target = machines.saturating_mul(2).min(obs.total_vm_slots);
         action.target_vms = Some(target);
 
         // The unified buffer backs the load whenever the demand implied
         // by the VM target being set right now (machines booting included)
         // can exceed solar.
-        let tracked_demand = Watts::new(f64::from(machines) * self.watts_per_machine);
+        let tracked_demand = Watts::new(f64::from(machines) * MACHINE_WATTS.value());
         let demand_estimate = obs.rack_demand.max(tracked_demand);
         let unified = if demand_estimate > obs.solar_power {
             Attachment::DischargeBus
@@ -779,7 +797,7 @@ impl PowerController for NoOptController {
         // by the schedule target *being set right now* (booting machines
         // included) can exceed solar; charge everything otherwise. Only
         // hard exhaustion stops it.
-        let scheduled_demand = Watts::new(f64::from(target.div_ceil(2)) * 360.0);
+        let scheduled_demand = booted_demand(target);
         let unified = if obs.rack_demand.max(scheduled_demand) > obs.solar_power {
             Attachment::DischargeBus
         } else {
@@ -828,8 +846,18 @@ impl SnapshotController for NoOptController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::QUARANTINE_STRIKES;
     use ins_sim::rng::SimRng;
     use proptest::prelude::*;
+
+    /// The relations the controller relies on among its policy constants.
+    /// The SoC threshold order and the screening period are checked next
+    /// to the configuration they left, in `config`'s tests.
+    #[test]
+    fn policy_constants_keep_the_relations_validate_checked() {
+        assert!((0.0..1.0).contains(&RAISE_HEADROOM));
+        assert!(PEAK_CHARGE_POWER.value() > 0.0);
+    }
 
     fn obs() -> SystemObservation {
         SystemObservation {
@@ -1013,9 +1041,8 @@ mod tests {
         // Unit 0 fails open: terminals collapse while SoC still claims 90 %.
         o.units[0].terminal_voltage = Volts::ZERO;
         o.units[0].at_cutoff = true;
-        let strikes = c.health().config().quarantine_strikes;
         let mut last = ControlAction::default();
-        for minute in 0..=strikes {
+        for minute in 0..=QUARANTINE_STRIKES {
             o.now = SimTime::from_hms(12, u64::from(minute), 0);
             last = c.control(&o);
         }
@@ -1046,9 +1073,8 @@ mod tests {
         o.target_vms = 8;
         o.active_vms = 8;
         o.units[0].terminal_voltage = Volts::ZERO;
-        let strikes = c.health().config().quarantine_strikes;
         let mut last = ControlAction::default();
-        for minute in 0..=strikes {
+        for minute in 0..=QUARANTINE_STRIKES {
             o.now = SimTime::from_hms(12, u64::from(minute), 0);
             last = c.control(&o);
         }

@@ -31,47 +31,25 @@ use ins_sim::units::{Soc, Volts};
 
 use crate::spm::UnitView;
 
-/// Tunables of the health monitor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// A terminal voltage below this fraction of the nominal pack voltage
-    /// counts as collapsed.
-    pub collapse_fraction: f64,
-    /// Voltage collapse is only *suspicious* while the unit still claims
-    /// at least this state of charge (a genuinely empty unit sags too).
-    pub min_plausible_soc: Soc,
-    /// Telemetry older than this is stale: the unit cannot be trusted.
-    pub stale_limit: SimDuration,
-    /// Consecutive-ish suspicious observations before quarantine (strikes
-    /// decay one per healthy observation, so brief glitches recover).
-    pub quarantine_strikes: u32,
-    /// Healthy observations in a row that release a quarantined unit back
-    /// into service (probation).
-    pub release_streak: u32,
-}
+/// A terminal voltage below this fraction of the nominal pack voltage
+/// counts as collapsed.
+const COLLAPSE_FRACTION: f64 = 0.5;
 
-impl HealthConfig {
-    /// Prototype tuning: collapse below 50 % of nominal with ≥ 15 %
-    /// claimed SoC, 5-minute staleness limit, 3 strikes to quarantine,
-    /// 30 clean observations (≈ half an hour at the 1-minute control
-    /// period) to release.
-    #[must_use]
-    pub fn prototype() -> Self {
-        Self {
-            collapse_fraction: 0.5,
-            min_plausible_soc: Soc::saturating(0.15),
-            stale_limit: SimDuration::from_minutes(5),
-            quarantine_strikes: 3,
-            release_streak: 30,
-        }
-    }
-}
+/// Voltage collapse is only *suspicious* while the unit still claims at
+/// least this state of charge (a genuinely empty unit sags too).
+const MIN_PLAUSIBLE_SOC: Soc = Soc::saturating(0.15);
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self::prototype()
-    }
-}
+/// Telemetry older than this is stale: the unit cannot be trusted.
+const STALE_LIMIT: SimDuration = SimDuration::from_minutes(5);
+
+/// Consecutive-ish suspicious observations before quarantine (strikes
+/// decay one per healthy observation, so brief glitches recover).
+pub const QUARANTINE_STRIKES: u32 = 3;
+
+/// Healthy observations in a row that release a quarantined unit back
+/// into service (probation): about half an hour at the 1-minute control
+/// period.
+const RELEASE_STREAK: u32 = 30;
 
 /// The monitor's verdict on one unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +78,12 @@ struct UnitRecord {
 ///
 /// ```
 /// use ins_battery::BatteryId;
-/// use ins_core::health::{HealthMonitor, UnitCondition};
+/// use ins_core::health::{HealthMonitor, UnitCondition, QUARANTINE_STRIKES};
 /// use ins_core::spm::UnitView;
 /// use ins_sim::time::SimDuration;
 /// use ins_sim::units::{AmpHours, Soc, Volts};
 ///
-/// let mut monitor = HealthMonitor::prototype();
+/// let mut monitor = HealthMonitor::default();
 /// let failed = UnitView {
 ///     id: BatteryId(0),
 ///     soc: Soc::new(0.8),             // claims charge…
@@ -115,39 +93,17 @@ struct UnitRecord {
 ///     terminal_voltage: Volts::ZERO,  // …but the terminals read nothing
 ///     telemetry_age: SimDuration::ZERO,
 /// };
-/// for _ in 0..3 {
+/// for _ in 0..QUARANTINE_STRIKES {
 ///     monitor.assess(&[failed], Volts::new(24.0));
 /// }
 /// assert_eq!(monitor.condition(BatteryId(0)), UnitCondition::Quarantined);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct HealthMonitor {
-    config: HealthConfig,
     records: Vec<UnitRecord>,
 }
 
 impl HealthMonitor {
-    /// Creates a monitor with the given tuning.
-    #[must_use]
-    pub fn new(config: HealthConfig) -> Self {
-        Self {
-            config,
-            records: Vec::new(),
-        }
-    }
-
-    /// Creates a monitor with [`HealthConfig::prototype`] tuning.
-    #[must_use]
-    pub fn prototype() -> Self {
-        Self::new(HealthConfig::prototype())
-    }
-
-    /// The active tuning.
-    #[must_use]
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
-    }
-
     /// Folds one control period's unit views into the evidence and
     /// returns the ids quarantined *by this call* (for event logging).
     pub fn assess(&mut self, units: &[UnitView], pack_voltage: Volts) -> Vec<BatteryId> {
@@ -157,24 +113,21 @@ impl HealthMonitor {
         let mut newly_quarantined = Vec::new();
         for (i, unit) in units.iter().enumerate() {
             let record = &mut self.records[i];
-            if self.config.quarantine_strikes == 0 {
-                continue;
-            }
-            let collapsed = unit.terminal_voltage.value()
-                < pack_voltage.value() * self.config.collapse_fraction;
-            let divergent = collapsed && unit.soc >= self.config.min_plausible_soc;
-            let stale = unit.telemetry_age > self.config.stale_limit;
+            let collapsed =
+                unit.terminal_voltage.value() < pack_voltage.value() * COLLAPSE_FRACTION;
+            let divergent = collapsed && unit.soc >= MIN_PLAUSIBLE_SOC;
+            let stale = unit.telemetry_age > STALE_LIMIT;
             if divergent || stale {
                 record.healthy_streak = 0;
                 record.strikes = record.strikes.saturating_add(1);
-                if !record.quarantined && record.strikes >= self.config.quarantine_strikes {
+                if !record.quarantined && record.strikes >= QUARANTINE_STRIKES {
                     record.quarantined = true;
                     newly_quarantined.push(unit.id);
                 }
             } else {
                 record.strikes = record.strikes.saturating_sub(1);
                 record.healthy_streak = record.healthy_streak.saturating_add(1);
-                if record.quarantined && record.healthy_streak >= self.config.release_streak {
+                if record.quarantined && record.healthy_streak >= RELEASE_STREAK {
                     record.quarantined = false;
                     record.strikes = 0;
                 }
@@ -253,7 +206,7 @@ mod tests {
 
     #[test]
     fn healthy_units_stay_healthy() {
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         for _ in 0..100 {
             assert!(m.assess(&[healthy(0), healthy(1)], PACK).is_empty());
         }
@@ -264,7 +217,7 @@ mod tests {
 
     #[test]
     fn voltage_divergence_quarantines_after_strikes() {
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         let views = [healthy(0), open_circuit(1)];
         assert!(m.assess(&views, PACK).is_empty());
         assert_eq!(
@@ -291,7 +244,7 @@ mod tests {
         depleted.available_fraction = 0.01;
         depleted.terminal_voltage = Volts::new(10.0);
         depleted.at_cutoff = true;
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         for _ in 0..10 {
             m.assess(&[depleted], PACK);
         }
@@ -300,7 +253,7 @@ mod tests {
 
     #[test]
     fn stale_telemetry_strikes_and_recovers() {
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         let mut stale = healthy(0);
         stale.telemetry_age = SimDuration::from_minutes(10);
         m.assess(&[stale], PACK);
@@ -317,15 +270,15 @@ mod tests {
 
     #[test]
     fn probation_releases_a_recovered_unit() {
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         let mut stale = healthy(0);
         stale.telemetry_age = SimDuration::from_minutes(30);
-        for _ in 0..3 {
+        for _ in 0..QUARANTINE_STRIKES {
             m.assess(&[stale], PACK);
         }
         assert!(m.is_quarantined(BatteryId(0)));
         // A long healthy streak (telemetry came back) releases it…
-        for _ in 0..m.config().release_streak {
+        for _ in 0..RELEASE_STREAK {
             m.assess(&[healthy(0)], PACK);
         }
         assert!(!m.is_quarantined(BatteryId(0)));
@@ -333,7 +286,7 @@ mod tests {
 
     #[test]
     fn open_circuit_unit_never_earns_release() {
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         let views = [open_circuit(0)];
         for _ in 0..200 {
             m.assess(&views, PACK);
@@ -344,7 +297,7 @@ mod tests {
 
     #[test]
     fn clear_forgets_everything() {
-        let mut m = HealthMonitor::prototype();
+        let mut m = HealthMonitor::default();
         for _ in 0..5 {
             m.assess(&[open_circuit(0)], PACK);
         }
@@ -355,7 +308,7 @@ mod tests {
 
     #[test]
     fn unknown_ids_read_healthy() {
-        let m = HealthMonitor::prototype();
+        let m = HealthMonitor::default();
         assert_eq!(m.condition(BatteryId(99)), UnitCondition::Healthy);
         assert!(!m.is_quarantined(BatteryId(99)));
     }

@@ -6,7 +6,9 @@
 //!
 //! * [`mode`] — the four e-Buffer operating modes and the seven-edge
 //!   transition diagram (Fig. 7–8),
-//! * [`config`] — controller tunables with prototype defaults,
+//! * [`config`] — the four controller tunables the ablations vary, with
+//!   prototype defaults (every other policy value is a constant in the
+//!   module that reads it),
 //! * [`spm`] — spatial power management: wear-balancing screening (Eq. 1,
 //!   Fig. 9) and solar-adaptive batch charging (`N = PG/PPC`, Fig. 10),
 //! * [`tpm`] — temporal power management: the Fig. 11 discharge-capping
@@ -70,8 +72,8 @@ pub use controller::{
     SystemObservation,
 };
 pub use engine::{EngineError, PolicyDecision, StateClass};
-pub use health::{HealthConfig, HealthMonitor, UnitCondition};
+pub use health::{HealthMonitor, UnitCondition};
 pub use metrics::RunMetrics;
 pub use mode::{BufferMode, TransitionCause};
-pub use recovery::{BlackStartConfig, RecoveryCoordinator, RecoveryPhase};
+pub use recovery::{RecoveryCoordinator, RecoveryPhase};
 pub use system::{InSituSystem, SystemBuilder, SystemEvent, WorkloadModel};

@@ -17,9 +17,9 @@
 //! the same "performance, never correctness" stance as degraded mode.
 
 use ins_sim::time::{SimDuration, SimTime};
-use ins_sim::units::Watts;
+use ins_sim::units::{Amps, Watts};
 
-use crate::controller::SystemObservation;
+use crate::controller::{booted_demand, SystemObservation};
 
 /// Where the coordinator is in the outage/recovery lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,51 +34,23 @@ pub enum RecoveryPhase {
     BlackStart,
 }
 
-/// Tunables for the staged black-start.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlackStartConfig {
-    /// VMs admitted per stage (2 = one physical machine on the
-    /// prototype's ProLiants).
-    pub stage_vms: u32,
-    /// Hold between stages, letting a boot surge land in the measured
-    /// demand before the next stage is considered.
-    pub stage_hold: SimDuration,
-    /// Mean SoC at which a restart is released after an outage.
-    pub release_soc: f64,
-    /// Alternatively, release when solar alone covers the first stage
-    /// times this margin (a sunny morning should not wait on the pack).
-    pub solar_margin: f64,
-    /// Worst-case power of one booted physical machine, W.
-    pub pm_watts: f64,
-    /// Sustained per-unit discharge current credited to the budget, A
-    /// (the TPM's per-unit cap; the budget must stay under it).
-    pub per_unit_amps: f64,
-    /// SoC below which a unit contributes nothing to the restart budget.
-    pub budget_floor_soc: f64,
-}
+/// VMs admitted per stage: one physical machine on the prototype's
+/// ProLiants.
+const STAGE_VMS: u32 = 2;
 
-impl BlackStartConfig {
-    /// Prototype tuning: one ProLiant (2 VMs, ≈360 W) per stage, 5-minute
-    /// holds, release at 35 % mean SoC or 1.2× first-stage solar.
-    #[must_use]
-    pub fn prototype() -> Self {
-        Self {
-            stage_vms: 2,
-            stage_hold: SimDuration::from_minutes(5),
-            release_soc: 0.35,
-            solar_margin: 1.2,
-            pm_watts: 360.0,
-            per_unit_amps: 17.5,
-            budget_floor_soc: 0.25,
-        }
-    }
-}
+/// Hold between stages, letting a boot surge land in the measured demand
+/// before the next stage is considered.
+const STAGE_HOLD: SimDuration = SimDuration::from_minutes(5);
 
-impl Default for BlackStartConfig {
-    fn default() -> Self {
-        Self::prototype()
-    }
-}
+/// Mean SoC at which a restart is released after an outage.
+const RELEASE_SOC: f64 = 0.35;
+
+/// Alternatively, release when solar alone covers the first stage times
+/// this margin (a sunny morning should not wait on the pack).
+const SOLAR_MARGIN: f64 = 1.2;
+
+/// SoC below which a unit contributes nothing to the restart budget.
+const BUDGET_FLOOR_SOC: f64 = 0.25;
 
 /// Sequences the restart after an emergency shutdown or blackout.
 ///
@@ -86,10 +58,10 @@ impl Default for BlackStartConfig {
 /// an emergency shutdown (or a brownout is observed) and
 /// [`RecoveryCoordinator::observe`] once per control period; read
 /// [`RecoveryCoordinator::admission_cap`] as a final clamp on the VM
-/// target.
-#[derive(Debug, Clone, PartialEq)]
+/// target. Stage demand uses the stock policies' worst-case power per
+/// booted machine.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryCoordinator {
-    config: BlackStartConfig,
     phase: RecoveryPhase,
     down_since: Option<SimTime>,
     last_stage_at: Option<SimTime>,
@@ -99,20 +71,6 @@ pub struct RecoveryCoordinator {
 }
 
 impl RecoveryCoordinator {
-    /// Creates the coordinator in [`RecoveryPhase::Normal`].
-    #[must_use]
-    pub fn new(config: BlackStartConfig) -> Self {
-        Self {
-            config,
-            phase: RecoveryPhase::Normal,
-            down_since: None,
-            last_stage_at: None,
-            admitted: 0,
-            seen_brownouts: 0,
-            outages: 0,
-        }
-    }
-
     /// Current lifecycle phase.
     #[must_use]
     pub fn phase(&self) -> RecoveryPhase {
@@ -145,42 +103,38 @@ impl RecoveryCoordinator {
         self.admitted = 0;
     }
 
-    /// Demand of `vms` once booted, using the worst-case PM estimate.
-    fn demand_for(&self, vms: u32) -> Watts {
-        Watts::new(f64::from(vms.div_ceil(2)) * self.config.pm_watts)
-    }
-
     /// The power budget a restart may lean on: observed solar plus the
-    /// sustained discharge the healthy share of the buffer can carry.
-    fn budget(&self, obs: &SystemObservation) -> Watts {
+    /// sustained discharge the healthy share of the buffer can carry,
+    /// each usable unit at the TPM's per-unit current cap `unit_cap`.
+    fn budget(obs: &SystemObservation, unit_cap: Amps) -> Watts {
         let usable = obs
             .units
             .iter()
-            .filter(|u| !u.at_cutoff && u.soc.value() > self.config.budget_floor_soc)
+            .filter(|u| !u.at_cutoff && u.soc.value() > BUDGET_FLOOR_SOC)
             .count();
-        let buffer = usable as f64 * obs.pack_voltage.value() * self.config.per_unit_amps;
+        let buffer = usable as f64 * obs.pack_voltage.value() * unit_cap.value();
         obs.solar_power + Watts::new(buffer)
     }
 
     /// `true` when the energy system has recovered enough to release the
     /// restart: mean SoC above the release level, or solar alone covering
     /// the first stage with margin.
-    fn released(&self, obs: &SystemObservation) -> bool {
+    fn released(obs: &SystemObservation) -> bool {
         let mean_soc = if obs.units.is_empty() {
             0.0
         } else {
             obs.units.iter().map(|u| u.soc.value()).sum::<f64>() / obs.units.len() as f64
         };
-        mean_soc >= self.config.release_soc
-            || obs.solar_power.value()
-                >= self.demand_for(self.config.stage_vms).value() * self.config.solar_margin
+        mean_soc >= RELEASE_SOC
+            || obs.solar_power.value() >= booted_demand(STAGE_VMS).value() * SOLAR_MARGIN
     }
 
     /// Advances the lifecycle one control period. Detects brownouts from
     /// the observation's cumulative counter, releases the restart when the
     /// energy system recovers, and admits the next stage when its budget
-    /// clears.
-    pub fn observe(&mut self, obs: &SystemObservation) {
+    /// clears. `unit_cap` is the TPM's per-unit discharge current cap,
+    /// the sustained current the budget credits to each usable unit.
+    pub fn observe(&mut self, obs: &SystemObservation, unit_cap: Amps) {
         if obs.brownouts > self.seen_brownouts {
             self.seen_brownouts = obs.brownouts;
             self.on_outage(obs.now);
@@ -188,7 +142,7 @@ impl RecoveryCoordinator {
         match self.phase {
             RecoveryPhase::Normal => {}
             RecoveryPhase::Down => {
-                if self.released(obs) {
+                if Self::released(obs) {
                     self.phase = RecoveryPhase::BlackStart;
                     self.last_stage_at = None;
                 }
@@ -196,10 +150,10 @@ impl RecoveryCoordinator {
             RecoveryPhase::BlackStart => {
                 let due = self
                     .last_stage_at
-                    .is_none_or(|t| obs.now.since(t) >= self.config.stage_hold);
+                    .is_none_or(|t| obs.now.since(t) >= STAGE_HOLD);
                 if due {
-                    let next = (self.admitted + self.config.stage_vms).min(obs.total_vm_slots);
-                    if self.budget(obs) >= self.demand_for(next) {
+                    let next = (self.admitted + STAGE_VMS).min(obs.total_vm_slots);
+                    if Self::budget(obs, unit_cap) >= booted_demand(next) {
                         self.admitted = next;
                         self.last_stage_at = Some(obs.now);
                     }
@@ -225,21 +179,21 @@ impl RecoveryCoordinator {
     }
 }
 
-impl Default for RecoveryCoordinator {
-    fn default() -> Self {
-        Self::new(BlackStartConfig::prototype())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::InsureConfig;
     use crate::spm::UnitView;
     use crate::tpm::LoadKnob;
     use ins_battery::BatteryId;
     use ins_cluster::dvfs::DutyCycle;
     use ins_powernet::matrix::Attachment;
     use ins_sim::units::{AmpHours, Amps, Soc, Volts};
+
+    /// The controller's per-unit discharge cap, which the budget credits.
+    fn cap() -> Amps {
+        InsureConfig::prototype().discharge_current_cap
+    }
 
     fn unit(id: usize, soc: f64) -> UnitView {
         UnitView {
@@ -284,7 +238,7 @@ mod tests {
         assert_eq!(r.admission_cap(), Some(0));
         assert_eq!(r.outages(), 1);
         // A depleted, dark system stays down.
-        r.observe(&obs(SimTime::from_hms(10, 1, 0), 0.0, 0.1));
+        r.observe(&obs(SimTime::from_hms(10, 1, 0), 0.0, 0.1), cap());
         assert_eq!(r.phase(), RecoveryPhase::Down);
     }
 
@@ -295,19 +249,19 @@ mod tests {
         let mut now = SimTime::from_hms(10, 30, 0);
         // SoC back above release (some morning sun keeps the late stages
         // inside the budget): black-start begins and admits stage 1.
-        r.observe(&obs(now, 200.0, 0.5));
+        r.observe(&obs(now, 200.0, 0.5), cap());
         assert_eq!(r.phase(), RecoveryPhase::BlackStart);
-        r.observe(&obs(now, 200.0, 0.5));
+        r.observe(&obs(now, 200.0, 0.5), cap());
         assert_eq!(r.admission_cap(), Some(2), "first stage admitted");
         // Immediately after: the hold blocks the next stage.
         now += SimDuration::from_minutes(1);
-        r.observe(&obs(now, 200.0, 0.5));
+        r.observe(&obs(now, 200.0, 0.5), cap());
         assert_eq!(r.admission_cap(), Some(2));
         // Stages admit one PM per hold until the ramp completes.
         let mut caps = Vec::new();
         for _ in 0..4 {
             now += SimDuration::from_minutes(5);
-            r.observe(&obs(now, 200.0, 0.5));
+            r.observe(&obs(now, 200.0, 0.5), cap());
             caps.push(r.admission_cap());
         }
         assert_eq!(caps, vec![Some(4), Some(6), None, None]);
@@ -321,19 +275,19 @@ mod tests {
         // Pack flat (below budget floor) but the sun is out: 360 W × 1.2
         // for the first stage needs 432 W.
         let mut o = obs(SimTime::from_hms(9, 30, 0), 500.0, 0.1);
-        r.observe(&o);
+        r.observe(&o, cap());
         assert_eq!(r.phase(), RecoveryPhase::BlackStart);
-        r.observe(&o);
+        r.observe(&o, cap());
         assert_eq!(r.admission_cap(), Some(2));
         // But the *budget* gate holds the second stage: 4 VMs need 720 W
         // and the flat pack contributes nothing.
         o.now += SimDuration::from_minutes(5);
-        r.observe(&o);
+        r.observe(&o, cap());
         assert_eq!(r.admission_cap(), Some(2), "budget gate holds stage 2");
         // More sun clears it.
         o.solar_power = Watts::new(800.0);
         o.now += SimDuration::from_minutes(5);
-        r.observe(&o);
+        r.observe(&o, cap());
         assert_eq!(r.admission_cap(), Some(4));
     }
 
@@ -341,11 +295,11 @@ mod tests {
     fn brownout_counter_triggers_an_outage() {
         let mut r = RecoveryCoordinator::default();
         let mut o = obs(SimTime::from_hms(13, 0, 0), 1200.0, 0.6);
-        r.observe(&o);
+        r.observe(&o, cap());
         assert_eq!(r.phase(), RecoveryPhase::Normal);
         o.brownouts = 1;
         o.now += SimDuration::from_minutes(1);
-        r.observe(&o);
+        r.observe(&o, cap());
         // The outage registers, and with a healthy pack the release is
         // immediate — but admission still ramps from zero.
         assert_eq!(r.outages(), 1);
@@ -357,7 +311,7 @@ mod tests {
     fn repeated_outage_mid_ramp_is_one_episode() {
         let mut r = RecoveryCoordinator::default();
         r.on_outage(SimTime::from_hms(10, 0, 0));
-        r.observe(&obs(SimTime::from_hms(10, 30, 0), 0.0, 0.5));
+        r.observe(&obs(SimTime::from_hms(10, 30, 0), 0.0, 0.5), cap());
         assert_eq!(r.phase(), RecoveryPhase::BlackStart);
         r.on_outage(SimTime::from_hms(10, 31, 0));
         assert_eq!(r.outages(), 1, "relapse is not a new episode");

@@ -100,9 +100,9 @@ pub fn screen(
 /// usable budget exists.
 ///
 /// Total on its whole domain: a non-positive `ppc` means no unit can be
-/// charged at peak, so the batch size is zero. (Config validation
-/// rejects such a `ppc` far earlier; this keeps the SPM panic-free for
-/// service mode.)
+/// charged at peak, so the batch size is zero. (The controller passes
+/// the positive [`crate::controller::PEAK_CHARGE_POWER`]; this keeps the
+/// SPM panic-free for any caller.)
 #[must_use]
 pub fn charge_batch_size(pg: Watts, ppc: Watts) -> usize {
     if ppc.value() <= 0.0 || pg.value() <= 0.0 {

@@ -23,7 +23,8 @@ use ins_sim::units::{AmpHours, Amps, Soc, Volts, WattHours, Watts};
 use ins_solar::SolarTrace;
 use ins_workload::batch::{BatchSpec, BatchWorkload};
 use ins_workload::checkpoint::{
-    CheckpointCounters, CheckpointPolicy, JobCheckpointer, RestartOutcome,
+    restart_backoff, CheckpointCounters, CheckpointPolicy, JobCheckpointer, RestartOutcome,
+    WRITE_DURATION, WRITE_POWER,
 };
 use ins_workload::scaling::ScalingModel;
 use ins_workload::stream::{StreamSpec, StreamWorkload};
@@ -714,7 +715,7 @@ impl InSituSystem {
             if let Some(c) = &mut self.plant.checkpointer {
                 let progress = self.plant.workload.processed_gb();
                 if !path_broken {
-                    c.store.begin_write(now, c.policy.write_duration, progress);
+                    c.store.begin_write(now, WRITE_DURATION, progress);
                 }
                 self.plant.needs_recovery = true;
             }
@@ -903,12 +904,8 @@ impl InSituSystem {
 
     /// Completes in-flight checkpoint writes and starts periodic ones.
     fn advance_checkpoints(&mut self, now: SimTime) {
-        let (completed, interval, write_duration) = match &mut self.plant.checkpointer {
-            Some(c) => (
-                c.store.step(now),
-                c.policy.interval,
-                c.policy.write_duration,
-            ),
+        let (completed, interval) = match &mut self.plant.checkpointer {
+            Some(c) => (c.store.step(now), c.policy.interval),
             None => return,
         };
         if completed {
@@ -932,7 +929,7 @@ impl InSituSystem {
         }
         let progress = self.plant.workload.processed_gb();
         if let Some(c) = &mut self.plant.checkpointer {
-            c.store.begin_write(now, write_duration, progress);
+            c.store.begin_write(now, WRITE_DURATION, progress);
         }
     }
 
@@ -960,7 +957,6 @@ impl InSituSystem {
         if !c.backoff.ready(now) {
             return;
         }
-        let policy = c.policy;
         let had_durable = c.store.durable().is_some();
         let processed = self.plant.workload.processed_gb();
         let storm = self.plant.restart_storm_until.is_some_and(|t| now < t);
@@ -978,7 +974,7 @@ impl InSituSystem {
                 if let Some(c) = &mut self.plant.checkpointer {
                     let durable = c.store.restore();
                     self.plant.lost_work_gb += (processed - durable).max(0.0);
-                    c.backoff = policy.restart_backoff();
+                    c.backoff = restart_backoff();
                 }
                 self.plant.data_loss_events += 1;
                 self.plant.needs_recovery = false;
@@ -1057,7 +1053,7 @@ impl InSituSystem {
         // the same budget as the servers.
         let util = self.plant.workload.utilization();
         let checkpoint_power = match &self.plant.checkpointer {
-            Some(c) if c.store.writing() => c.policy.write_power,
+            Some(c) if c.store.writing() => WRITE_POWER,
             _ => Watts::ZERO,
         };
         let demand = self.plant.rack.power_demand(util) + checkpoint_power;

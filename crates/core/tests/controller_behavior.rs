@@ -117,9 +117,9 @@ proptest! {
 #[test]
 fn insure_config_accessor_round_trips() {
     let mut config = InsureConfig::prototype();
-    config.charge_target_soc = Soc::new(0.85);
+    config.discharge_current_cap = Amps::new(8.75);
     let c = InsureController::new(config);
-    assert_eq!(c.config().charge_target_soc, 0.85);
+    assert_eq!(c.config().discharge_current_cap, Amps::new(8.75));
 }
 
 #[test]

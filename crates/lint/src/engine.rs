@@ -1,4 +1,4 @@
-//! The analysis engine: file collection, the token- and graph-pass
+//! The analysis engine: file collection, the token- and graph-rule
 //! pipeline, and the suppression/L010 protocol.
 //!
 //! Every run reads, parses and analyzes the whole linted set:
@@ -7,10 +7,10 @@
 //!    call graph needs the whole workspace), and fold every file into
 //!    the symbol index — the token rules read its workspace unit
 //!    catalog, so a file's findings can change when another file does;
-//! 2. build the call graph and run the graph passes;
-//! 3. per file, run the token passes, merge in the file's graph
-//!    findings, apply the suppression protocol (markers that excuse
-//!    nothing or name no rule become L010 findings), sort.
+//! 2. build the call graph and run the graph rules (L011–L013);
+//! 3. per file, run the token rules (L001–L009), merge in the file's
+//!    graph findings, apply the suppression protocol (markers that
+//!    excuse nothing or name no rule become L010 findings), sort.
 
 use std::fs;
 use std::io;
@@ -20,8 +20,10 @@ use crate::callgraph::CallGraph;
 use crate::context::FileContext;
 use crate::index::SymbolIndex;
 use crate::parser::{parse, ParsedFile};
-use crate::rules::graph::{graph_passes, GraphCtx};
-use crate::rules::{passes, RuleCtx};
+use crate::rules::graph::{
+    check_cross_unit_flow, check_determinism_taint, check_transitive_panic, GraphCtx,
+};
+use crate::rules::{determinism, hygiene, panics, parallel, units, RuleCtx};
 use crate::{Finding, Rule};
 
 /// Applies the suppression protocol to one file's raw findings:
@@ -81,13 +83,21 @@ fn apply_suppressions(file: &FileContext<'_>, mut findings: Vec<Finding>) -> Vec
     findings
 }
 
-/// Runs the token passes over one file, returning raw findings.
-fn run_token_passes(file: &FileContext<'_>, index: &SymbolIndex) -> Vec<Finding> {
+/// Runs the token rules over one file in rule-id order, returning raw
+/// findings. L010 is not a rule function: [`apply_suppressions`] derives
+/// it from the other rules' findings.
+fn run_token_rules(file: &FileContext<'_>, index: &SymbolIndex) -> Vec<Finding> {
     let ctx = RuleCtx { file, index };
     let mut findings = Vec::new();
-    for pass in passes() {
-        pass.run(&ctx, &mut findings);
-    }
+    units::check_untyped_quantity(&ctx, &mut findings);
+    panics::check_unwrap(&ctx, &mut findings);
+    determinism::check_nondeterminism(&ctx, &mut findings);
+    determinism::check_float_eq(&ctx, &mut findings);
+    hygiene::check_todo(&ctx, &mut findings);
+    parallel::check_parallel_safety(&ctx, &mut findings);
+    determinism::check_ordering(&ctx, &mut findings);
+    units::check_unit_flow(&ctx, &mut findings);
+    panics::check_panic_surface(&ctx, &mut findings);
     findings
 }
 
@@ -120,9 +130,9 @@ pub fn analyze_sources(mut sources: Vec<(String, String)>) -> Vec<Finding> {
         files: &inputs,
     };
     let mut fresh = Vec::new();
-    for pass in graph_passes() {
-        pass.run(&gctx, &mut fresh);
-    }
+    check_transitive_panic(&gctx, &mut fresh);
+    check_determinism_taint(&gctx, &mut fresh);
+    check_cross_unit_flow(&gctx, &mut fresh);
     // Graph findings are always anchored in the file that owns the
     // root (L011/L012) or the call site (L013).
     let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); contexts.len()];
@@ -136,7 +146,7 @@ pub fn analyze_sources(mut sources: Vec<(String, String)>) -> Vec<Finding> {
     // stable, so ties on (path, line, rule) keep this order.
     let mut out = Vec::new();
     for (ctx, graph_found) in contexts.iter().zip(graph_findings) {
-        let mut merged = run_token_passes(ctx, &index);
+        let mut merged = run_token_rules(ctx, &index);
         merged.extend(graph_found);
         out.extend(apply_suppressions(ctx, merged));
     }
@@ -145,7 +155,7 @@ pub fn analyze_sources(mut sources: Vec<(String, String)>) -> Vec<Finding> {
 }
 
 /// Analyzes one source text as if it lived at `path`, returning the
-/// unsuppressed findings sorted by line. The graph passes run over the
+/// unsuppressed findings sorted by line. The graph rules run over the
 /// single-file call graph, so fixtures exercise L011–L013 too.
 ///
 /// Single-source analyses never see the units crate, so the symbol
@@ -211,9 +221,9 @@ fn read_sources(roots: &[PathBuf]) -> io::Result<Vec<(String, String)>> {
     Ok(sources)
 }
 
-/// Analyzes every `.rs` file under the given roots: token passes per
+/// Analyzes every `.rs` file under the given roots: token rules per
 /// file against the cross-file symbol index, then the interprocedural
-/// passes over the workspace call graph. Output order is fully
+/// rules over the workspace call graph. Output order is fully
 /// deterministic: files sorted by path, findings by (path, line, rule
 /// id).
 ///

@@ -1,5 +1,5 @@
 //! Static analysis for the InSURE workspace: token-stream rules plus
-//! interprocedural call-graph passes.
+//! interprocedural call-graph rules.
 //!
 //! A deliberately dependency-free analyzer built on a real Rust lexer
 //! ([`lexer`]): every file becomes a token stream (comments, string and
@@ -13,9 +13,9 @@
 //! lightweight cross-file [`index::SymbolIndex`] contributes the
 //! workspace's unit newtype catalog and `use`-import tracking.
 //!
-//! Rules are [`rules::Pass`] implementations registered in
-//! [`rules::passes`]; interprocedural rules are
-//! [`rules::graph::GraphPass`]es over the call graph:
+//! Each rule is one `check_*` function in [`rules`] (interprocedural
+//! ones in [`rules::graph`], over the call graph), and
+//! [`engine`] calls them in rule-id order:
 //!
 //! | Rule | Checks |
 //! |------|--------|
@@ -51,14 +51,14 @@
 //! is exempt from the production-only rules (L002, L004, L007, L008,
 //! L009): tests intentionally unwrap and compare exactly-constructed
 //! values. Call-graph edges into test code are likewise never followed
-//! by the interprocedural passes.
+//! by the interprocedural rules.
 //!
 //! The crate doubles as a library so rules can be unit-tested against
 //! fixture snippets, and as a binary (`cargo run -p ins-lint -- <paths>`)
 //! that exits non-zero when unsuppressed findings remain. Reports come
-//! in plain text, JSON ([`report_json`]) and SARIF 2.1.0
-//! ([`sarif::report_sarif`], with call paths as `codeFlows`) for CI
-//! annotations. Every run analyzes the whole linted set ([`engine`]).
+//! in plain text and JSON ([`report_json`], with each interprocedural
+//! finding's call path). Every run analyzes the whole linted set
+//! ([`engine`]).
 
 pub mod callgraph;
 pub mod context;
@@ -68,12 +68,10 @@ pub mod lexer;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 
 use std::fmt;
 
 pub use engine::{analyze_paths, analyze_source, analyze_sources, collect_rust_files};
-pub(crate) use report::escape_json;
 pub use report::report_json;
 
 /// The rule catalog.
@@ -109,17 +107,6 @@ pub enum Rule {
     /// A raw `f64` return value feeding a quantity-named parameter in
     /// another crate.
     CrossUnitFlow,
-}
-
-/// How severe a rule violation is, for report levels (every unsuppressed
-/// finding still fails the build; severity only affects how CI renders
-/// the annotation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Violates a hard workspace invariant.
-    Error,
-    /// Hygiene or defense-in-depth; justified exceptions are common.
-    Warning,
 }
 
 impl Rule {
@@ -214,15 +201,6 @@ impl Rule {
                 "raw f64 return value crosses a crate boundary into a quantity-named \
                  parameter; thread an ins-units newtype through instead"
             }
-        }
-    }
-
-    /// Report severity (SARIF level).
-    #[must_use]
-    pub const fn severity(self) -> Severity {
-        match self {
-            Rule::UntrackedTodo | Rule::PanicSurface | Rule::TransitivePanic => Severity::Warning,
-            _ => Severity::Error,
         }
     }
 }

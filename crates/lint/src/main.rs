@@ -1,7 +1,7 @@
 //! CLI for the InSURE repository linter.
 //!
 //! ```text
-//! cargo run -p ins-lint -- [--json|--sarif] <path>...
+//! cargo run -p ins-lint -- [--json] <path>...
 //! cargo run -p ins-lint -- --explain Lxxx
 //! ```
 //!
@@ -13,10 +13,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ins_lint::{analyze_paths, report_json, sarif, Finding, Rule, TraceHop, CRITICAL_FILES};
+use ins_lint::{analyze_paths, report_json, Finding, Rule, TraceHop, CRITICAL_FILES};
 
 fn usage() -> &'static str {
-    "usage: ins-lint [--json|--sarif] <path>...\n\
+    "usage: ins-lint [--json] <path>...\n\
      \x20      ins-lint --explain Lxxx\n\
      \n\
      Scans .rs files under each path for InSURE convention violations.\n\
@@ -42,7 +42,6 @@ fn usage() -> &'static str {
 /// call-path example for the interprocedural passes.
 fn explain(rule: Rule) {
     println!("{}  {}", rule.id(), rule.description());
-    println!("severity: {:?}", rule.severity());
     match rule {
         Rule::TransitivePanic => {
             println!(
@@ -118,13 +117,11 @@ fn explain(rule: Rule) {
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut sarif_out = false;
     let mut roots: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--sarif" => sarif_out = true,
             "--explain" => {
                 let Some(id) = args.next() else {
                     eprintln!("--explain needs a rule id\n\n{}", usage());
@@ -164,9 +161,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if sarif_out {
-        println!("{}", sarif::report_sarif(&findings));
-    } else if json {
+    if json {
         println!("{}", report_json(&findings));
     } else {
         for f in &findings {

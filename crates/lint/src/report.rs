@@ -1,5 +1,5 @@
 //! Plain-text and JSON report rendering (hand-rolled; no serializer
-//! dependency). SARIF lives in [`crate::sarif`].
+//! dependency).
 
 use crate::{Finding, TraceHop};
 
@@ -47,7 +47,7 @@ pub fn report_json(findings: &[Finding]) -> String {
     format!("[{}]", items.join(","))
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

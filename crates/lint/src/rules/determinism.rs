@@ -1,9 +1,9 @@
-//! Determinism passes: L003 (wall clock / OS randomness), L004 (exact
+//! Determinism rules: L003 (wall clock / OS randomness), L004 (exact
 //! float comparison) and L007 (ordering determinism: NaN-unsafe
 //! comparators and unordered collections feeding serialized output).
 
 use crate::lexer::TokenKind;
-use crate::rules::{find_matching, RuleCtx};
+use crate::rules::RuleCtx;
 use crate::{Finding, Rule};
 
 /// L003: nondeterministic sources anywhere in simulation code (tests
@@ -91,7 +91,7 @@ pub fn check_ordering(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         }
         let text = f.sig_text(i);
         if text == "partial_cmp" && f.sig_text(i + 1) == "(" {
-            if let Some(close) = find_matching(f, i + 1) {
+            if let Some(close) = f.find_matching(i + 1) {
                 if f.sig_text(close + 1) == "." && NAN_MASKING.contains(&f.sig_text(close + 2)) {
                     ctx.push(
                         out,
@@ -118,44 +118,5 @@ pub fn check_ordering(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
             );
             last_unordered_line = line;
         }
-    }
-}
-
-/// L003 as a [`crate::rules::Pass`].
-pub struct Nondeterminism;
-
-impl crate::rules::Pass for Nondeterminism {
-    fn rule(&self) -> Rule {
-        Rule::Nondeterminism
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_nondeterminism(ctx, out);
-    }
-}
-
-/// L004 as a [`crate::rules::Pass`].
-pub struct FloatEquality;
-
-impl crate::rules::Pass for FloatEquality {
-    fn rule(&self) -> Rule {
-        Rule::FloatEquality
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_float_eq(ctx, out);
-    }
-}
-
-/// L007 as a [`crate::rules::Pass`].
-pub struct OrderingDeterminism;
-
-impl crate::rules::Pass for OrderingDeterminism {
-    fn rule(&self) -> Rule {
-        Rule::OrderingDeterminism
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_ordering(ctx, out);
     }
 }

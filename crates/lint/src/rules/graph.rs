@@ -1,4 +1,4 @@
-//! Interprocedural passes over the workspace call graph: L011
+//! Interprocedural rules over the workspace call graph: L011
 //! (transitive panic reachability), L012 (determinism taint) and L013
 //! (cross-crate unit flow).
 //!
@@ -17,28 +17,13 @@ use crate::parser::ParsedFile;
 use crate::rules::units::quantity_name;
 use crate::{Finding, Rule, TraceHop, CRITICAL_FILES, PANIC_SURFACE_DIRS, SERIALIZATION_ROOTS};
 
-/// Everything a graph pass can look at.
+/// Everything a graph rule can look at.
 pub struct GraphCtx<'a> {
     /// The workspace call graph.
     pub graph: &'a CallGraph,
     /// The analyzed files in the same path-sorted order the graph's
     /// file indices refer to.
     pub files: &'a [(&'a FileContext<'a>, &'a ParsedFile)],
-}
-
-/// One interprocedural rule pass.
-pub trait GraphPass {
-    /// The rule this pass enforces.
-    fn rule(&self) -> Rule;
-    /// Scans the graph and appends findings to `out`.
-    fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>);
-}
-
-/// The graph-pass registry, in rule-id order.
-#[must_use]
-pub fn graph_passes() -> &'static [&'static dyn GraphPass] {
-    const PASSES: &[&dyn GraphPass] = &[&TransitivePanic, &DeterminismTaint, &CrossUnitFlow];
-    PASSES
 }
 
 /// Breadth-first search from `root` over non-test edges. Returns the
@@ -111,44 +96,36 @@ fn path_to_trace(
 /// is reachable through ≥ 1 non-test call. Depth-0 panics are L002/
 /// L009's business; a root whose doc comment declares `# Panics` has
 /// documented the contract and is exempt.
-pub struct TransitivePanic;
-
-impl GraphPass for TransitivePanic {
-    fn rule(&self) -> Rule {
-        Rule::TransitivePanic
-    }
-
-    fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
-        for (id, node) in ctx.graph.fns.iter().enumerate() {
-            if !is_panic_root(node) {
-                continue;
-            }
-            let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.panic_sites.is_empty()) else {
-                continue;
-            };
-            let sink = steps.last().map(|&(_, _, s)| s).unwrap_or(id);
-            let site = &ctx.graph.fns[sink].panic_sites[0];
-            let mut finding = Finding::new(
-                node.path.clone(),
-                node.line,
-                Rule::TransitivePanic,
-                format!(
-                    "`{}` can reach a panic: {} in `{}` ({} call{} away)",
-                    node.display_name(),
-                    site.what,
-                    ctx.graph.fns[sink].display_name(),
-                    steps.len(),
-                    if steps.len() == 1 { "" } else { "s" },
-                ),
-            );
-            finding.trace = path_to_trace(
-                ctx.graph,
-                &steps,
-                site.line,
-                format!("panics: {}", site.what),
-            );
-            out.push(finding);
+pub fn check_transitive_panic(ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
+    for (id, node) in ctx.graph.fns.iter().enumerate() {
+        if !is_panic_root(node) {
+            continue;
         }
+        let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.panic_sites.is_empty()) else {
+            continue;
+        };
+        let sink = steps.last().map(|&(_, _, s)| s).unwrap_or(id);
+        let site = &ctx.graph.fns[sink].panic_sites[0];
+        let mut finding = Finding::new(
+            node.path.clone(),
+            node.line,
+            Rule::TransitivePanic,
+            format!(
+                "`{}` can reach a panic: {} in `{}` ({} call{} away)",
+                node.display_name(),
+                site.what,
+                ctx.graph.fns[sink].display_name(),
+                steps.len(),
+                if steps.len() == 1 { "" } else { "s" },
+            ),
+        );
+        finding.trace = path_to_trace(
+            ctx.graph,
+            &steps,
+            site.line,
+            format!("panics: {}", site.what),
+        );
+        out.push(finding);
     }
 }
 
@@ -164,142 +141,125 @@ fn is_panic_root(node: &FnNode) -> bool {
 /// a serialization fragment) transitively reaching a nondeterminism
 /// source through ≥ 1 non-test call. Depth-0 sources are L003/L007's
 /// business.
-pub struct DeterminismTaint;
-
-impl GraphPass for DeterminismTaint {
-    fn rule(&self) -> Rule {
-        Rule::DeterminismTaint
-    }
-
-    fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
-        for (id, node) in ctx.graph.fns.iter().enumerate() {
-            if node.is_test || !node.is_pub {
-                continue;
-            }
-            let lname = node.name.to_ascii_lowercase();
-            if !SERIALIZATION_ROOTS.iter().any(|frag| lname.contains(frag)) {
-                continue;
-            }
-            let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.nondet_sites.is_empty())
-            else {
-                continue;
-            };
-            let sink = steps.last().map(|&(_, _, s)| s).unwrap_or(id);
-            let site = &ctx.graph.fns[sink].nondet_sites[0];
-            let mut finding = Finding::new(
-                node.path.clone(),
-                node.line,
-                Rule::DeterminismTaint,
-                format!(
-                    "serialization root `{}` transitively reaches {} in `{}`",
-                    node.display_name(),
-                    site.what,
-                    ctx.graph.fns[sink].display_name(),
-                ),
-            );
-            finding.trace = path_to_trace(
-                ctx.graph,
-                &steps,
-                site.line,
-                format!("nondeterministic: {}", site.what),
-            );
-            out.push(finding);
+pub fn check_determinism_taint(ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
+    for (id, node) in ctx.graph.fns.iter().enumerate() {
+        if node.is_test || !node.is_pub {
+            continue;
         }
+        let lname = node.name.to_ascii_lowercase();
+        if !SERIALIZATION_ROOTS.iter().any(|frag| lname.contains(frag)) {
+            continue;
+        }
+        let Some(steps) = shortest_path_to(ctx.graph, id, |n| !n.nondet_sites.is_empty()) else {
+            continue;
+        };
+        let sink = steps.last().map(|&(_, _, s)| s).unwrap_or(id);
+        let site = &ctx.graph.fns[sink].nondet_sites[0];
+        let mut finding = Finding::new(
+            node.path.clone(),
+            node.line,
+            Rule::DeterminismTaint,
+            format!(
+                "serialization root `{}` transitively reaches {} in `{}`",
+                node.display_name(),
+                site.what,
+                ctx.graph.fns[sink].display_name(),
+            ),
+        );
+        finding.trace = path_to_trace(
+            ctx.graph,
+            &steps,
+            site.line,
+            format!("nondeterministic: {}", site.what),
+        );
+        out.push(finding);
     }
 }
 
 /// L013: a raw `f64` produced by a fn in one crate flowing directly
 /// into a quantity-named `f64` parameter of a fn in *another* crate —
 /// the dimension is carried by convention alone across the boundary.
-pub struct CrossUnitFlow;
-
-impl GraphPass for CrossUnitFlow {
-    fn rule(&self) -> Rule {
-        Rule::CrossUnitFlow
+pub fn check_cross_unit_flow(ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
+    // Resolved callee by (file, call-site index), for matching an
+    // argument range to the nested call that fills it.
+    let mut callee_of = std::collections::BTreeMap::new();
+    for rc in &ctx.graph.resolved {
+        callee_of.insert((rc.file, rc.call), rc.to);
     }
-
-    fn run(&self, ctx: &GraphCtx<'_>, out: &mut Vec<Finding>) {
-        // Resolved callee by (file, call-site index), for matching an
-        // argument range to the nested call that fills it.
-        let mut callee_of = std::collections::BTreeMap::new();
-        for rc in &ctx.graph.resolved {
-            callee_of.insert((rc.file, rc.call), rc.to);
+    for rc in &ctx.graph.resolved {
+        let (file_ctx, parsed) = ctx.files[rc.file];
+        let call = &parsed.calls[rc.call];
+        if call.in_test {
+            continue;
         }
-        for rc in &ctx.graph.resolved {
-            let (file_ctx, parsed) = ctx.files[rc.file];
-            let call = &parsed.calls[rc.call];
-            if call.in_test {
+        let consumer = &ctx.graph.fns[rc.to];
+        // Map argument positions onto parameters, skipping a `self`
+        // receiver that is not part of the argument list.
+        let skip = usize::from(
+            consumer.params.first().is_some_and(|p| p.name == "self") && call.is_method,
+        );
+        for (k, arg) in call.args.iter().enumerate() {
+            let Some(param) = consumer.params.get(k + skip) else {
+                break;
+            };
+            if param.base_type() != "f64" || !quantity_name(&param.name) {
                 continue;
             }
-            let consumer = &ctx.graph.fns[rc.to];
-            // Map argument positions onto parameters, skipping a `self`
-            // receiver that is not part of the argument list.
-            let skip = usize::from(
-                consumer.params.first().is_some_and(|p| p.name == "self") && call.is_method,
-            );
-            for (k, arg) in call.args.iter().enumerate() {
-                let Some(param) = consumer.params.get(k + skip) else {
-                    break;
-                };
-                if param.base_type() != "f64" || !quantity_name(&param.name) {
-                    continue;
-                }
-                // The argument must be exactly one nested resolved call.
-                let Some(inner) = parsed
-                    .calls
-                    .iter()
-                    .enumerate()
-                    .find(|(_, c)| c.caller == call.caller && c.expr == (arg.0, arg.1 - 1))
-                else {
-                    continue;
-                };
-                let Some(&producer_id) = callee_of.get(&(rc.file, inner.0)) else {
-                    continue;
-                };
-                let producer = &ctx.graph.fns[producer_id];
-                if producer.ret.as_deref() != Some("f64")
-                    || producer.crate_name() == consumer.crate_name()
-                {
-                    continue;
-                }
-                let line = file_ctx.line_of(file_ctx.sig_token(arg.0).map_or(0, |t| t.start));
-                let mut finding = Finding::new(
-                    parsed.path.clone(),
-                    line,
-                    Rule::CrossUnitFlow,
-                    format!(
-                        "raw f64 from `{}` flows into quantity parameter `{}` of `{}` \
-                         across the {}→{} crate boundary",
-                        producer.display_name(),
-                        param.name,
-                        consumer.display_name(),
-                        producer.crate_name(),
-                        consumer.crate_name(),
-                    ),
-                );
-                finding.trace = vec![
-                    TraceHop {
-                        path: producer.path.clone(),
-                        line: producer.line,
-                        note: format!("`{}` returns raw `f64`", producer.display_name()),
-                    },
-                    TraceHop {
-                        path: parsed.path.clone(),
-                        line,
-                        note: format!("result passed as `{}`", param.name),
-                    },
-                    TraceHop {
-                        path: consumer.path.clone(),
-                        line: consumer.line,
-                        note: format!(
-                            "`{}` expects a dimensioned `{}`",
-                            consumer.display_name(),
-                            param.name
-                        ),
-                    },
-                ];
-                out.push(finding);
+            // The argument must be exactly one nested resolved call.
+            let Some(inner) = parsed
+                .calls
+                .iter()
+                .enumerate()
+                .find(|(_, c)| c.caller == call.caller && c.expr == (arg.0, arg.1 - 1))
+            else {
+                continue;
+            };
+            let Some(&producer_id) = callee_of.get(&(rc.file, inner.0)) else {
+                continue;
+            };
+            let producer = &ctx.graph.fns[producer_id];
+            if producer.ret.as_deref() != Some("f64")
+                || producer.crate_name() == consumer.crate_name()
+            {
+                continue;
             }
+            let line = file_ctx.line_of(file_ctx.sig_token(arg.0).map_or(0, |t| t.start));
+            let mut finding = Finding::new(
+                parsed.path.clone(),
+                line,
+                Rule::CrossUnitFlow,
+                format!(
+                    "raw f64 from `{}` flows into quantity parameter `{}` of `{}` \
+                     across the {}→{} crate boundary",
+                    producer.display_name(),
+                    param.name,
+                    consumer.display_name(),
+                    producer.crate_name(),
+                    consumer.crate_name(),
+                ),
+            );
+            finding.trace = vec![
+                TraceHop {
+                    path: producer.path.clone(),
+                    line: producer.line,
+                    note: format!("`{}` returns raw `f64`", producer.display_name()),
+                },
+                TraceHop {
+                    path: parsed.path.clone(),
+                    line,
+                    note: format!("result passed as `{}`", param.name),
+                },
+                TraceHop {
+                    path: consumer.path.clone(),
+                    line: consumer.line,
+                    note: format!(
+                        "`{}` expects a dimensioned `{}`",
+                        consumer.display_name(),
+                        param.name
+                    ),
+                },
+            ];
+            out.push(finding);
         }
     }
 }
@@ -330,11 +290,10 @@ mod tests {
             files: &inputs,
         };
         let mut out = Vec::new();
-        for pass in graph_passes() {
-            if pass.rule() == rule {
-                pass.run(&ctx, &mut out);
-            }
-        }
+        check_transitive_panic(&ctx, &mut out);
+        check_determinism_taint(&ctx, &mut out);
+        check_cross_unit_flow(&ctx, &mut out);
+        out.retain(|f| f.rule == rule);
         out
     }
 

@@ -37,16 +37,3 @@ pub fn check_todo(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         }
     }
 }
-
-/// L005 as a [`crate::rules::Pass`].
-pub struct UntrackedTodo;
-
-impl crate::rules::Pass for UntrackedTodo {
-    fn rule(&self) -> Rule {
-        Rule::UntrackedTodo
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_todo(ctx, out);
-    }
-}

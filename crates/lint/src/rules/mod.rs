@@ -1,10 +1,10 @@
-//! The rule framework: every token-level lint is a [`Pass`] over one
-//! file's token stream (plus the workspace [`SymbolIndex`]),
-//! registered in [`passes`]; interprocedural lints are
-//! [`graph::GraphPass`]es over the whole-workspace call graph,
-//! registered in [`graph::graph_passes`]. Adding a rule means adding a
-//! variant to [`Rule`], a unit struct implementing the right trait,
-//! and one registry entry — the engine handles suppression filtering,
+//! The rules: every token-level lint is a `check_*` function over one
+//! file's token stream (plus the workspace [`SymbolIndex`]), taking a
+//! [`RuleCtx`]; interprocedural lints are `check_*` functions in
+//! [`graph`] over the whole-workspace call graph, taking a
+//! [`graph::GraphCtx`]. Adding a rule means adding a variant to
+//! [`crate::Rule`], its function, and one call in [`crate::engine`] (in
+//! rule-id order) — the engine handles suppression filtering,
 //! test-region exemption bookkeeping, ordering and output formats.
 
 pub mod determinism;
@@ -18,40 +18,12 @@ use crate::context::FileContext;
 use crate::index::SymbolIndex;
 use crate::{Finding, Rule, PANIC_SURFACE_DIRS, PHYSICS_DIRS, POOL_FILES};
 
-/// Everything a pass can look at while scanning one file.
+/// Everything a token rule can look at while scanning one file.
 pub struct RuleCtx<'a> {
     /// The file under analysis.
     pub file: &'a FileContext<'a>,
     /// The workspace symbol index.
     pub index: &'a SymbolIndex,
-}
-
-/// One token-level rule pass. Implementations are stateless unit
-/// structs; each run sees a single file.
-pub trait Pass {
-    /// The rule this pass enforces.
-    fn rule(&self) -> Rule;
-    /// Scans `ctx` and appends findings to `out`.
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>);
-}
-
-/// The token-pass registry, in rule-id order. L010 (stale suppressions)
-/// is not a pass — the engine derives it from the other rules'
-/// findings. L011–L013 live in [`graph::graph_passes`].
-#[must_use]
-pub fn passes() -> &'static [&'static dyn Pass] {
-    const PASSES: &[&dyn Pass] = &[
-        &units::UntypedQuantity,
-        &panics::UnwrapInProduction,
-        &determinism::Nondeterminism,
-        &determinism::FloatEquality,
-        &hygiene::UntrackedTodo,
-        &parallel::ParallelSafety,
-        &determinism::OrderingDeterminism,
-        &units::UnitFlow,
-        &panics::PanicSurface,
-    ];
-    PASSES
 }
 
 impl RuleCtx<'_> {
@@ -86,33 +58,6 @@ impl RuleCtx<'_> {
             message,
         ));
     }
-}
-
-/// For an opening bracket at significant index `open` (`(`, `[` or `{`),
-/// returns the significant index of its matching close.
-#[must_use]
-pub fn find_matching(ctx: &FileContext<'_>, open: usize) -> Option<usize> {
-    let (o, c) = match ctx.sig_text(open) {
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        "{" => ("{", "}"),
-        _ => return None,
-    };
-    let mut depth = 0i64;
-    let mut j = open;
-    while let Some(t) = ctx.sig_token(j) {
-        let text = ctx.text(t);
-        if text == o {
-            depth += 1;
-        } else if text == c {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 /// Rust keywords that can directly precede a `[` without it being an

@@ -1,7 +1,7 @@
-//! Panic-related passes: L002 (`unwrap`/`expect` in production) and
+//! Panic-related rules: L002 (`unwrap`/`expect` in production) and
 //! L009 (panic surface in physics/fleet code).
 
-use crate::rules::{find_matching, is_keyword, RuleCtx};
+use crate::rules::{is_keyword, RuleCtx};
 use crate::{Finding, Rule};
 
 /// L002: `.unwrap()` / `.expect(` outside test code.
@@ -74,7 +74,7 @@ pub fn check_panic_surface(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                         .next()
                         .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_'));
             if is_index {
-                if let Some(close) = find_matching(f, i) {
+                if let Some(close) = f.find_matching(i) {
                     let arithmetic = (i + 1..close).any(|k| matches!(f.sig_text(k), "+" | "-"));
                     if arithmetic {
                         ctx.push(
@@ -105,31 +105,5 @@ pub fn check_panic_surface(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 ),
             );
         }
-    }
-}
-
-/// L002 as a [`crate::rules::Pass`].
-pub struct UnwrapInProduction;
-
-impl crate::rules::Pass for UnwrapInProduction {
-    fn rule(&self) -> Rule {
-        Rule::UnwrapInProduction
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_unwrap(ctx, out);
-    }
-}
-
-/// L009 as a [`crate::rules::Pass`].
-pub struct PanicSurface;
-
-impl crate::rules::Pass for PanicSurface {
-    fn rule(&self) -> Rule {
-        Rule::PanicSurface
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_panic_surface(ctx, out);
     }
 }

@@ -4,7 +4,7 @@
 //! Everything else must stay structurally data-parallel: pure cells,
 //! input-order collection.
 
-use crate::rules::{find_matching, RuleCtx};
+use crate::rules::RuleCtx;
 use crate::{Finding, Rule};
 
 /// Identifiers that mean shared mutable state crossed a thread
@@ -69,7 +69,7 @@ pub fn check_parallel_safety(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         }
         // Side-channel accumulation inside a `scoped_map(...)` call.
         if text == "scoped_map" && f.sig_text(i + 1) == "(" {
-            if let Some(close) = find_matching(f, i + 1) {
+            if let Some(close) = f.find_matching(i + 1) {
                 for k in (i + 2)..close {
                     if f.sig_text(k) == "."
                         && SIDE_CHANNEL.contains(&f.sig_text(k + 1))
@@ -92,18 +92,5 @@ pub fn check_parallel_safety(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 }
             }
         }
-    }
-}
-
-/// L006 as a [`crate::rules::Pass`].
-pub struct ParallelSafety;
-
-impl crate::rules::Pass for ParallelSafety {
-    fn rule(&self) -> Rule {
-        Rule::ParallelSafety
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_parallel_safety(ctx, out);
     }
 }

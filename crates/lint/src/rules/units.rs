@@ -1,11 +1,11 @@
-//! Units passes: L001 (untyped quantity parameters in public physics
+//! Units rules: L001 (untyped quantity parameters in public physics
 //! signatures) and L008 (unit flow: raw values crossing dimension
 //! boundaries, truncating casts off typed quantities).
 
 use std::collections::BTreeMap;
 
 use crate::index::Dimension;
-use crate::rules::{find_matching, RuleCtx};
+use crate::rules::RuleCtx;
 use crate::{Finding, Rule};
 
 /// Whether `name` reads like a physical quantity that should be typed.
@@ -46,7 +46,7 @@ pub fn check_untyped_quantity(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
         if f.sig_text(open) != "(" {
             continue;
         }
-        let Some(close) = find_matching(f, open) else {
+        let Some(close) = f.find_matching(open) else {
             continue;
         };
         // Every `name: f64` at parameter depth.
@@ -175,7 +175,7 @@ pub fn check_unit_flow(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
             // Ratios of raw values into a fraction are legitimate.
             continue;
         }
-        let Some(close) = find_matching(f, i + 3) else {
+        let Some(close) = f.find_matching(i + 3) else {
             continue;
         };
         for k in (i + 4)..close {
@@ -209,31 +209,5 @@ pub fn check_unit_flow(ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
                 }
             }
         }
-    }
-}
-
-/// L001 as a [`crate::rules::Pass`].
-pub struct UntypedQuantity;
-
-impl crate::rules::Pass for UntypedQuantity {
-    fn rule(&self) -> Rule {
-        Rule::UntypedQuantity
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_untyped_quantity(ctx, out);
-    }
-}
-
-/// L008 as a [`crate::rules::Pass`].
-pub struct UnitFlow;
-
-impl crate::rules::Pass for UnitFlow {
-    fn rule(&self) -> Rule {
-        Rule::UnitFlow
-    }
-
-    fn run(&self, ctx: &RuleCtx<'_>, out: &mut Vec<Finding>) {
-        check_unit_flow(ctx, out);
     }
 }

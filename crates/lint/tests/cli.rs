@@ -9,9 +9,10 @@
 //! 2. **No duplicate findings.** A file reached through two roots is
 //!    analyzed, and reported, once.
 //! 3. **Bad input fails loudly.** An option the binary does not take
-//!    (`--baseline`, `--rules`, ...), a root that does not exist and an
-//!    unknown rule id for `--explain` each exit 2 with the usage text,
-//!    instead of being read as a path (or dropped) and reported clean.
+//!    (`--baseline`, `--rules`, `--sarif`, ...), a root that does not
+//!    exist and an unknown rule id for `--explain` each exit 2 with the
+//!    usage text, instead of being read as a path (or dropped) and
+//!    reported clean.
 //! 4. **`--explain` tells the whole scope.** L011's explanation names
 //!    every critical file.
 
@@ -118,8 +119,9 @@ fn a_file_reached_through_two_roots_is_analyzed_once() {
 #[test]
 fn bad_input_is_a_usage_error() {
     let dir = tree("bad-input");
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 9] = [
         &["--jsn", "crates/units/src"],
+        &["--sarif", "crates/"],
         &["--no-cache", "crates/"],
         &["--cache", "lint-cache.tsv", "crates/"],
         &["--baseline", "lint-baseline.txt", "crates/"],

@@ -24,7 +24,7 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, W
 use crate::resume::{feed_digest, ResumeError, ResumeToken};
 use crate::supervisor::{
     DecisionSource, EngineExecutor, EngineFault, EngineStatus, InlineExecutor, Supervisor,
-    SupervisorConfig, SupervisorCounters,
+    SupervisorCounters,
 };
 use crate::telemetry::TelemetrySnapshot;
 
@@ -104,8 +104,6 @@ pub struct ServiceSpec {
     pub dt: SimDuration,
     /// Admission tunables.
     pub admission: AdmissionConfig,
-    /// Supervisor tunables.
-    pub supervisor: SupervisorConfig,
     /// Checkpoint policy (service mode always checkpoints — crash-only
     /// recovery depends on it).
     pub checkpoint: CheckpointPolicy,
@@ -115,8 +113,8 @@ pub struct ServiceSpec {
 
 impl ServiceSpec {
     /// Prototype spec: three cabinets, 1-minute control period, 10 s
-    /// step, prototype admission/supervisor/checkpoint tunables, no
-    /// replay feed.
+    /// step, prototype admission and checkpoint tunables, no replay
+    /// feed.
     #[must_use]
     pub fn prototype(engine: &str, seed: u64) -> Self {
         Self {
@@ -126,7 +124,6 @@ impl ServiceSpec {
             control_period: SimDuration::from_minutes(1),
             dt: SimDuration::from_secs(10),
             admission: AdmissionConfig::prototype(),
-            supervisor: SupervisorConfig::prototype(),
             checkpoint: CheckpointPolicy::prototype(),
             replay: None,
         }
@@ -273,7 +270,7 @@ impl ServiceCore {
         exec: Box<dyn EngineExecutor>,
     ) -> Result<Self, ServiceError> {
         spec.validate()?;
-        let supervisor = Supervisor::new(exec, spec.supervisor);
+        let supervisor = Supervisor::new(exec);
         let shared = Rc::new(RefCell::new(SupervisedState {
             supervisor,
             last_source: None,

@@ -53,6 +53,6 @@ pub use resume::ResumeToken;
 pub use safe_mode::SafeModePolicy;
 pub use supervisor::{
     DecisionSource, EngineExecutor, EngineFault, EngineStatus, InlineExecutor, SupervisedDecision,
-    Supervisor, SupervisorConfig, SupervisorCounters,
+    Supervisor, SupervisorCounters,
 };
 pub use telemetry::TelemetrySnapshot;

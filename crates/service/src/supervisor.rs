@@ -10,8 +10,8 @@
 //! feed the shared [`Backoff`] state machine: each one schedules a
 //! restart further out, and exhausting the retry budget quarantines the
 //! engine as poison (safe mode runs for good). The failure streak only
-//! resets after a configurable number of consecutive clean periods, so a
-//! crash-loop cannot launder its history through single good ticks.
+//! resets after ten consecutive clean periods, so a crash-loop cannot
+//! launder its history through single good ticks.
 //!
 //! The executor abstraction keeps the state machine testable: the
 //! deterministic [`InlineExecutor`] hosts the engine in-process, while
@@ -118,40 +118,15 @@ impl EngineExecutor for InlineExecutor {
     }
 }
 
-/// Supervisor tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// Base restart delay after the first failure.
-    pub restart_backoff: SimDuration,
-    /// Doublings before the restart delay plateaus.
-    pub max_backoff_doublings: u32,
-    /// Consecutive failures after which the engine is quarantined as
-    /// poison.
-    pub max_failures: u32,
-    /// Clean periods required before the failure streak resets.
-    pub stable_periods: u32,
-}
+/// Base restart delay after the first failure: one control period. It
+/// doubles per consecutive failure.
+const RESTART_BACKOFF: SimDuration = SimDuration::from_minutes(1);
 
-impl SupervisorConfig {
-    /// Prototype defaults: restart after one control period, doubling
-    /// to a 16-minute plateau, quarantine on the fifth consecutive
-    /// failure, streak forgiven after ten clean periods.
-    #[must_use]
-    pub fn prototype() -> Self {
-        Self {
-            restart_backoff: SimDuration::from_minutes(1),
-            max_backoff_doublings: 4,
-            max_failures: 5,
-            stable_periods: 10,
-        }
-    }
-}
+/// Consecutive failures after which the engine is quarantined as poison.
+pub const MAX_FAILURES: u32 = 5;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self::prototype()
-    }
-}
+/// Clean periods required before the failure streak resets.
+const STABLE_PERIODS: u32 = 10;
 
 /// Where the supervisor's engine currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +210,6 @@ pub struct Supervisor {
     /// Injected faults, each surfacing in the next period that asks the
     /// primary for orders.
     pending: VecDeque<EngineFault>,
-    config: SupervisorConfig,
     status: EngineStatus,
     backoff: Backoff,
     clean_streak: u32,
@@ -253,21 +227,17 @@ impl core::fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// Wraps an executor under the given configuration.
+    /// Wraps an executor.
     #[must_use]
-    pub fn new(exec: Box<dyn EngineExecutor>, config: SupervisorConfig) -> Self {
-        let backoff = Backoff::new(
-            config.restart_backoff,
-            config.max_backoff_doublings,
-            config.max_failures,
-        );
+    pub fn new(exec: Box<dyn EngineExecutor>) -> Self {
         Self {
             exec,
             safe: SafeModePolicy::new(),
             pending: VecDeque::new(),
-            config,
             status: EngineStatus::Running,
-            backoff,
+            // No doubling cap is needed: quarantine ends every streak at
+            // `MAX_FAILURES`, so the longest delay is 2³ periods.
+            backoff: Backoff::new(RESTART_BACKOFF, u32::MAX, MAX_FAILURES),
             clean_streak: 0,
             counters: SupervisorCounters::default(),
         }
@@ -315,7 +285,7 @@ impl Supervisor {
         match orders {
             Ok(action) => {
                 self.clean_streak = self.clean_streak.saturating_add(1);
-                if self.clean_streak == self.config.stable_periods {
+                if self.clean_streak == STABLE_PERIODS {
                     // A sustained clean run forgives the failure streak;
                     // a lone good period between crashes does not.
                     self.backoff.record_success();
@@ -410,7 +380,7 @@ mod tests {
 
     fn supervisor() -> Supervisor {
         let exec = InlineExecutor::try_new("noopt").expect("noopt engine");
-        Supervisor::new(Box::new(exec), SupervisorConfig::prototype())
+        Supervisor::new(Box::new(exec))
     }
 
     #[test]
@@ -448,7 +418,7 @@ mod tests {
     fn repeated_failures_quarantine_the_engine() {
         let mut s = supervisor();
         let mut now = SimTime::ZERO;
-        for _ in 0..5 {
+        for _ in 0..MAX_FAILURES {
             // Fail immediately at every restart opportunity.
             s.inject_fault(EngineFault::Panicked);
             loop {
@@ -466,22 +436,24 @@ mod tests {
         // Quarantine is terminal.
         let d = s.decide(&obs_at(now));
         assert_eq!(d.source, DecisionSource::Quarantined);
-        assert_eq!(s.counters().panics, 5);
+        assert_eq!(s.counters().panics, u64::from(MAX_FAILURES));
     }
 
     #[test]
     fn streak_resets_only_after_sustained_clean_periods() {
-        let cfg = SupervisorConfig {
-            stable_periods: 3,
-            ..SupervisorConfig::prototype()
-        };
-        let exec = InlineExecutor::try_new("noopt").expect("noopt engine");
-        let mut s = Supervisor::new(Box::new(exec), cfg);
+        let mut s = supervisor();
         let mut now = SimTime::ZERO;
         let step = |s: &mut Supervisor, now: &mut SimTime| {
             let d = s.decide(&obs_at(*now));
             *now += SimDuration::from_secs(60);
             d.source
+        };
+        // The restart delay the latest failure scheduled, in seconds.
+        let delay = |s: &Supervisor, now: SimTime| {
+            let EngineStatus::Restarting { until } = s.status() else {
+                panic!("expected restarting");
+            };
+            until.as_secs() - (now.as_secs() - 60)
         };
         // One failure, restart, then a single clean period: the streak
         // must NOT be forgiven yet.
@@ -489,10 +461,16 @@ mod tests {
         while step(&mut s, &mut now) != DecisionSource::Primary {}
         s.inject_fault(EngineFault::Panicked);
         let _ = step(&mut s, &mut now);
-        let EngineStatus::Restarting { until } = s.status() else {
-            panic!("expected restarting");
-        };
         // Second consecutive failure → doubled backoff (2 periods).
-        assert_eq!(until.as_secs() - (now.as_secs() - 60), 120);
+        assert_eq!(delay(&s, now), 120);
+        // Back on the primary, `STABLE_PERIODS` clean periods forgive the
+        // streak: the next failure waits the base period again.
+        while step(&mut s, &mut now) != DecisionSource::Primary {}
+        for _ in 1..STABLE_PERIODS {
+            assert_eq!(step(&mut s, &mut now), DecisionSource::Primary);
+        }
+        s.inject_fault(EngineFault::Panicked);
+        let _ = step(&mut s, &mut now);
+        assert_eq!(delay(&s, now), 60);
     }
 }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use ins_service::admission::{AdmissionConfig, AdmissionController, AdmissionVerdict, WorkClass};
 use ins_service::harness::{ServiceCore, ServiceSpec};
-use ins_service::supervisor::{EngineFault, EngineStatus};
+use ins_service::supervisor::{EngineFault, EngineStatus, MAX_FAILURES};
 use ins_sim::replay::ReplayFeed;
 
 fn feed(rows: u64) -> ReplayFeed {
@@ -160,13 +160,14 @@ proptest! {
 fn quarantine_is_an_absorbing_state() {
     let mut spec = ServiceSpec::prototype("insure", 9);
     spec.replay = Some(feed(40));
-    spec.supervisor.max_failures = 2;
     let mut c = ServiceCore::try_new(spec).expect("core builds");
-    for _ in 0..10 {
+    // Back-to-back failures exhaust the restart budget on tick 15:
+    // restarts come 1, 2, 4 and 8 periods after each failure.
+    for _ in 0..MAX_FAILURES {
         c.inject(EngineFault::Panicked);
     }
     let mut quarantined_at = None;
-    for t in 0..20u64 {
+    for t in 0..30u64 {
         c.tick();
         match (quarantined_at, c.engine_status()) {
             (None, EngineStatus::Quarantined) => quarantined_at = Some(t),
@@ -174,5 +175,5 @@ fn quarantine_is_an_absorbing_state() {
             _ => {}
         }
     }
-    assert!(quarantined_at.is_some(), "never quarantined");
+    assert_eq!(quarantined_at, Some(15));
 }

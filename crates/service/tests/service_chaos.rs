@@ -5,7 +5,7 @@
 
 use ins_service::harness::{ServiceCore, ServiceSpec};
 use ins_service::resume::feed_digest;
-use ins_service::supervisor::{DecisionSource, EngineFault, EngineStatus, SupervisorConfig};
+use ins_service::supervisor::{DecisionSource, EngineFault, EngineStatus, MAX_FAILURES};
 use ins_sim::replay::ReplayFeed;
 
 fn feed() -> ReplayFeed {
@@ -84,24 +84,20 @@ fn panicked_engine_restarts_and_returns_to_primary() {
 
 #[test]
 fn poison_engine_is_quarantined_and_safe_mode_serves_forever() {
-    let mut spec = spec_with_feed("insure", 11);
-    // Tight budget so the test stays short: two consecutive failures
-    // exhaust the restart budget.
-    spec.supervisor = SupervisorConfig {
-        max_failures: 2,
-        ..SupervisorConfig::prototype()
-    };
+    let spec = spec_with_feed("insure", 11);
     let mut core = ServiceCore::with_executor(
-        spec.clone(),
+        spec,
         Box::new(ins_service::supervisor::InlineExecutor::try_new("insure").expect("engine")),
     )
     .expect("core builds");
-    // Poison: every decision attempt faults.
-    for _ in 0..8 {
+    // Poison: every decision attempt faults. Restarts come 1, 2, 4 and 8
+    // periods after each failure, so the fifth failure, which exhausts
+    // the restart budget, lands on tick 15.
+    for _ in 0..MAX_FAILURES {
         core.inject(EngineFault::Panicked);
     }
     let mut saw_quarantine = false;
-    for _ in 0..8 {
+    for _ in 0..20 {
         let line = core.tick().expect("tick");
         if core.engine_status() == EngineStatus::Quarantined {
             saw_quarantine = true;

@@ -61,7 +61,8 @@ impl Backoff {
     /// failure up to `max_doublings`, and [`BackoffOutcome::Exhausted`]
     /// is returned once `max_attempts` straight failures accumulate.
     /// Use `u32::MAX` for `max_attempts` when exhaustion never applies
-    /// (e.g. a circuit breaker's escalating open window).
+    /// (e.g. a circuit breaker's escalating open window), and for
+    /// `max_doublings` when the attempt limit ends every streak first.
     #[must_use]
     pub fn new(base: SimDuration, max_doublings: u32, max_attempts: u32) -> Self {
         Self {

@@ -7,7 +7,7 @@
 //! checkpoint plus at most one *in-flight* write, enforces the torn-write
 //! rule (a crash mid-write discards the artifact — recovery falls back to
 //! the previous durable state and can never observe a torn checkpoint),
-//! and a [`RestartBackoff`] retries failed restores with the same capped
+//! and a [`RestartBackoff`] retries failed restores with the same
 //! exponential backoff the server-level crash cooldown uses, quarantining
 //! the job as *poison* after too many consecutive failures.
 //!
@@ -18,52 +18,42 @@ use ins_sim::backoff::{Backoff, BackoffOutcome};
 use ins_sim::time::{SimDuration, SimTime};
 use ins_sim::units::Watts;
 
-/// When and how often job state is persisted, and what a write costs.
+/// How often job state is persisted. A write takes
+/// [`WRITE_DURATION`] and draws [`WRITE_POWER`] on the storage path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPolicy {
     /// Target interval between periodic checkpoint writes.
     pub interval: SimDuration,
-    /// Wall-clock duration of one checkpoint write.
-    pub write_duration: SimDuration,
-    /// Extra power the storage path draws while a write is in flight —
-    /// drawn from the same budget that feeds the servers.
-    pub write_power: Watts,
-    /// Consecutive failed restore attempts after which the job is
-    /// quarantined as poison (its replayed work is abandoned).
-    pub max_restart_attempts: u32,
-    /// Base delay between restore retries; doubles per consecutive
-    /// failure, mirroring the server crash cooldown.
-    pub retry_backoff: SimDuration,
-    /// Cap on retry-backoff doublings.
-    pub max_backoff_doublings: u32,
 }
 
 impl CheckpointPolicy {
-    /// The prototype policy: hourly checkpoints, a 2-minute write at 30 W
-    /// on the storage path, restores retried from a 1-minute base backoff
-    /// (doubling, capped at 2^5) and quarantined after 5 straight
-    /// failures.
+    /// The prototype policy: hourly checkpoints.
     #[must_use]
     pub fn prototype() -> Self {
-        Self {
-            interval: SimDuration::from_hours(1),
-            write_duration: SimDuration::from_minutes(2),
-            write_power: Watts::new(30.0),
-            max_restart_attempts: 5,
-            retry_backoff: SimDuration::from_secs(60),
-            max_backoff_doublings: 5,
-        }
+        Self::with_interval(SimDuration::from_hours(1))
     }
 
-    /// The same policy at a different periodic interval.
+    /// The policy at a periodic interval.
     #[must_use]
     pub fn with_interval(interval: SimDuration) -> Self {
-        Self {
-            interval,
-            ..Self::prototype()
-        }
+        Self { interval }
     }
 }
+
+/// Wall-clock duration of one checkpoint write.
+pub const WRITE_DURATION: SimDuration = SimDuration::from_minutes(2);
+
+/// Extra power the storage path draws while a write is in flight, drawn
+/// from the same budget that feeds the servers.
+pub const WRITE_POWER: Watts = Watts::new(30.0);
+
+/// Consecutive failed restore attempts after which the job is quarantined
+/// as poison (its replayed work is abandoned).
+const MAX_RESTART_ATTEMPTS: u32 = 5;
+
+/// Base delay between restore retries; doubles per consecutive failure,
+/// mirroring the server crash cooldown.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(60);
 
 /// One durable, checksum-verified checkpoint of job progress.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,7 +242,7 @@ impl CheckpointStore {
     }
 }
 
-/// Restore retry backoff — the shared capped-exponential primitive from
+/// Restore retry backoff — the shared exponential primitive from
 /// `ins_sim::backoff`. This logic originated here as a bespoke
 /// `RestartBackoff`; the alias keeps the original name working for
 /// existing callers.
@@ -264,19 +254,13 @@ pub type RestartBackoff = Backoff;
 /// and counted as data loss).
 pub type RestartOutcome = BackoffOutcome;
 
-impl CheckpointPolicy {
-    /// The restore-retry backoff this policy prescribes: delays start at
-    /// `retry_backoff`, double per consecutive failure up to
-    /// `max_backoff_doublings`, and the job is quarantined as poison
-    /// after `max_restart_attempts` straight failures.
-    #[must_use]
-    pub fn restart_backoff(&self) -> Backoff {
-        Backoff::new(
-            self.retry_backoff,
-            self.max_backoff_doublings,
-            self.max_restart_attempts,
-        )
-    }
+/// A fresh restore-retry backoff: delays start at one minute and double
+/// per consecutive failure, and the job is quarantined as poison at the
+/// fifth straight failure. No doubling cap is needed: the attempt limit
+/// ends every streak, so the longest delay is 2³ minutes.
+#[must_use]
+pub fn restart_backoff() -> Backoff {
+    Backoff::new(RETRY_BACKOFF, u32::MAX, MAX_RESTART_ATTEMPTS)
 }
 
 /// The per-job recovery bundle a system carries: policy, store, backoff.
@@ -297,7 +281,7 @@ impl JobCheckpointer {
         Self {
             policy,
             store: CheckpointStore::new(),
-            backoff: policy.restart_backoff(),
+            backoff: restart_backoff(),
         }
     }
 
@@ -396,12 +380,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps_like_the_server_cooldown() {
-        let policy = CheckpointPolicy::prototype();
-        let mut b = policy.restart_backoff();
-        let base = policy.retry_backoff.as_secs();
+        let mut b = restart_backoff();
+        let base = RETRY_BACKOFF.as_secs();
         let mut delays = Vec::new();
         let mut now = t(0);
-        for _ in 0..policy.max_restart_attempts - 1 {
+        for _ in 0..MAX_RESTART_ATTEMPTS - 1 {
             delays.push(b.current_backoff().as_secs());
             match b.record_failure(now) {
                 RestartOutcome::Retry { next_attempt } => {
@@ -420,30 +403,29 @@ mod tests {
         assert_eq!(
             b.record_failure(now),
             RestartOutcome::Exhausted,
-            "attempt #{} must quarantine",
-            policy.max_restart_attempts
+            "attempt #{MAX_RESTART_ATTEMPTS} must quarantine"
         );
     }
 
+    /// The attempt limit is the cap: the longest delay a streak ever
+    /// waits is the one before the last retry, 2³ × the base.
     #[test]
     fn backoff_cap_bounds_the_delay() {
-        let mut policy = CheckpointPolicy::prototype();
-        policy.max_restart_attempts = 100; // never quarantine in this test
-        let mut b = policy.restart_backoff();
+        let mut b = restart_backoff();
         let mut now = t(0);
-        for _ in 0..20 {
-            if let RestartOutcome::Retry { next_attempt } = b.record_failure(now) {
-                now = next_attempt;
-            }
+        let mut waits = Vec::new();
+        while let RestartOutcome::Retry { next_attempt } = b.record_failure(now) {
+            waits.push(next_attempt.as_secs() - now.as_secs());
+            now = next_attempt;
         }
-        let cap = policy.retry_backoff.as_secs() << policy.max_backoff_doublings;
-        assert_eq!(b.current_backoff().as_secs(), cap);
+        let longest = RETRY_BACKOFF.as_secs() << (MAX_RESTART_ATTEMPTS - 2);
+        assert_eq!(waits.len() as u32, MAX_RESTART_ATTEMPTS - 1);
+        assert_eq!(waits.iter().max(), Some(&longest));
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let policy = CheckpointPolicy::prototype();
-        let mut b = policy.restart_backoff();
+        let mut b = restart_backoff();
         let _ = b.record_failure(t(0));
         let _ = b.record_failure(t(100));
         assert_eq!(b.consecutive_failures(), 2);
@@ -452,7 +434,7 @@ mod tests {
         assert!(b.ready(t(0)));
         assert_eq!(
             b.current_backoff(),
-            policy.retry_backoff,
+            RETRY_BACKOFF,
             "backoff returns to base after a success"
         );
     }

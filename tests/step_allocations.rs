@@ -10,11 +10,14 @@
 //! and split the steps by whether the controller ran in them.
 //!
 //! * Steps without a control call must average below 0.01 allocations
-//!   (what remains is trace growth, amortized). On a plant built with
-//!   `latest_samples_only` they must allocate exactly 0 times, except in
-//!   the few steps that append to one of the plant's logs (its events,
-//!   recoveries, batch queue or completed jobs), whose `Vec`s still grow
-//!   by doubling: its traces replace their one sample and seal no chunks.
+//!   (what remains is trace growth, amortized). At a 60 s step the test
+//!   runs a 5-minute control period, so it has such steps too: at the
+//!   default 1-minute period every 60 s step runs the controller. On a
+//!   plant built with `latest_samples_only` they must allocate exactly
+//!   0 times, except in the few steps that append to one of the plant's
+//!   logs (its events, recoveries, batch queue or completed jobs), whose
+//!   `Vec`s still grow by doubling: its traces replace their one sample
+//!   and seal no chunks.
 //! * Control steps must average at most 1.1: the order list the
 //!   controller returns, and nothing else. The SPM selections, the rack's
 //!   power mapping and the observation all reuse their lists.
@@ -147,7 +150,12 @@ fn log_lengths(sys: &InSituSystem) -> [usize; 4] {
     ]
 }
 
-fn measure(inner: impl PowerController + 'static, dt_s: u64, latest_only: bool) -> Budget {
+fn measure(
+    inner: impl PowerController + 'static,
+    dt_s: u64,
+    period_min: u64,
+    latest_only: bool,
+) -> Budget {
     let solar = SolarTraceBuilder::new().seed(11).build_days(&[
         DayWeather::Sunny,
         DayWeather::Cloudy,
@@ -159,8 +167,9 @@ fn measure(inner: impl PowerController + 'static, dt_s: u64, latest_only: bool) 
         inner,
         calls: Rc::clone(&calls),
     };
-    let mut builder =
-        InSituSystem::builder(solar, Box::new(controller)).time_step(SimDuration::from_secs(dt_s));
+    let mut builder = InSituSystem::builder(solar, Box::new(controller))
+        .time_step(SimDuration::from_secs(dt_s))
+        .control_period(SimDuration::from_minutes(period_min));
     if latest_only {
         builder = builder.latest_samples_only();
     }
@@ -202,18 +211,19 @@ fn measure(inner: impl PowerController + 'static, dt_s: u64, latest_only: bool) 
     }
 }
 
-fn assert_budget(controller: impl PowerController + 'static, dt_s: u64) {
+fn assert_budget(controller: impl PowerController + 'static, dt_s: u64, period_min: u64) {
     let name = controller.name();
     let Budget {
         quiet: (quiet_steps, quiet),
         control: (control_steps, control),
         ..
-    } = measure(controller, dt_s, false);
+    } = measure(controller, dt_s, period_min, false);
     eprintln!(
         "{name}, dt={dt_s}s: {quiet:.4} allocations over {quiet_steps} steps without control, \
          {control:.3} over {control_steps} control steps"
     );
     assert!(control_steps > 0, "{name}: the controller never ran");
+    assert!(quiet_steps > 0, "{name}: every step ran the controller");
     assert!(
         quiet < 0.01,
         "{name}, dt={dt_s}s: steps without a control call allocate {quiet:.4} times on average"
@@ -226,16 +236,16 @@ fn assert_budget(controller: impl PowerController + 'static, dt_s: u64) {
 
 #[test]
 fn step_loop_allocation_budget_at_10s() {
-    assert_budget(InsureController::default(), 10);
-    assert_budget(BaselineController::new(), 10);
-    assert_budget(NoOptController::new(), 10);
+    assert_budget(InsureController::default(), 10, 1);
+    assert_budget(BaselineController::new(), 10, 1);
+    assert_budget(NoOptController::new(), 10, 1);
 }
 
 #[test]
 fn step_loop_allocation_budget_at_60s() {
-    assert_budget(InsureController::default(), 60);
-    assert_budget(BaselineController::new(), 60);
-    assert_budget(NoOptController::new(), 60);
+    assert_budget(InsureController::default(), 60, 5);
+    assert_budget(BaselineController::new(), 60, 5);
+    assert_budget(NoOptController::new(), 60, 5);
 }
 
 /// At a 10 s step, five of every six steps run without the 1-minute
@@ -246,7 +256,7 @@ fn assert_latest_only_quiet_steps_do_not_allocate(controller: impl PowerControll
         quiet: (quiet_steps, quiet),
         quiet_unlogged: (steps, mean),
         ..
-    } = measure(controller, 10, true);
+    } = measure(controller, 10, 1, true);
     eprintln!(
         "{name}, dt=10s, latest only: {mean:.4} allocations over {steps} steps without \
          control or log growth, {quiet:.4} over all {quiet_steps} steps without control"
@@ -274,7 +284,7 @@ fn dark_idle_control_steps_do_not_allocate_under_insure() {
     let Budget {
         dark_control: (steps, mean),
         ..
-    } = measure(InsureController::default(), 60, false);
+    } = measure(InsureController::default(), 60, 1, false);
     eprintln!("InSURE, dt=60s: {mean:.4} allocations over {steps} dark control steps");
     assert!(steps > 0, "the plant never had a dark control step");
     assert!(
