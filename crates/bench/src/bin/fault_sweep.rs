@@ -2,18 +2,15 @@
 //!
 //! ```sh
 //! cargo run -p ins-bench --release --bin fault_sweep -- \
-//!     [--seed N] [--rates 8,4,2,1] [--threads N] [--json] \
-//!     [--incremental|--no-incremental]
+//!     [--seed N] [--rates 8,4,2,1] [--threads N] [--json]
 //! ```
 //!
 //! `--rates` takes mean fault inter-arrival times in hours; a fault-free
 //! reference row is always included first. `--threads` fans the cells
 //! across a worker pool (`0` or omitted = available parallelism); the
 //! output is byte-identical at any thread count. `--json` emits the rows
-//! as a JSON array instead of the text table. Incremental shared-prefix
-//! forking is on by default; `--no-incremental` selects the from-scratch
-//! path (the equivalence oracle) — both produce identical output. The
-//! text is `ins_bench::report`'s, the same `all_experiments` prints.
+//! as a JSON array instead of the text table. The text is
+//! `ins_bench::report`'s, the same `all_experiments` prints.
 
 use std::process::ExitCode;
 
@@ -21,8 +18,7 @@ use ins_bench::experiments::faults::RATES_HOURS;
 use ins_bench::report;
 use ins_bench::runner::{SweepArgs, SWEEP_FLAGS};
 
-const USAGE: &str = "usage: fault_sweep [--seed N] [--rates H1,H2,...] [--threads N] [--json] \
-                     [--incremental|--no-incremental]";
+const USAGE: &str = "usage: fault_sweep [--seed N] [--rates H1,H2,...] [--threads N] [--json]";
 
 /// Parses `--rates`: mean fault inter-arrival hours, after the fault-free
 /// reference row.

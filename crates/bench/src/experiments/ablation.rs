@@ -8,6 +8,7 @@ use ins_battery::{BatteryId, BatteryParams, BatteryUnit};
 use ins_core::config::InsureConfig;
 use ins_core::controller::{InsureController, CHARGE_TARGET_SOC, PEAK_CHARGE_POWER};
 use ins_core::metrics::RunMetrics;
+use ins_core::spm::charge_batch_size;
 use ins_core::system::WorkloadModel;
 use ins_powernet::charger::ChargeController;
 use ins_sim::units::{Amps, Hours, Soc, Watts};
@@ -93,8 +94,9 @@ pub struct BatchSizePoint {
     pub hours_to_all_ready: f64,
 }
 
-/// Fig. 10's `N = PG/PPC` adaptive batch vs always charging all three
-/// units, at a given solar budget.
+/// Fig. 10's `N = PG/PPC` adaptive batch (SPM's
+/// [`charge_batch_size`]) vs always charging all three units, at a given
+/// solar budget.
 #[must_use]
 pub fn batch_size_ablation(budget: Watts) -> Vec<BatchSizePoint> {
     let run = |adaptive: bool| -> BatchSizePoint {
@@ -110,7 +112,7 @@ pub fn batch_size_ablation(budget: Watts) -> Vec<BatchSizePoint> {
         let mut first_ready = f64::INFINITY;
         while units.iter().any(|u| u.soc() < target) && hours < 80.0 {
             if adaptive {
-                let n = ((budget.value() / PEAK_CHARGE_POWER.value()).floor() as usize).max(1);
+                let n = charge_batch_size(budget, PEAK_CHARGE_POWER);
                 let mut idx: Vec<usize> = (0..units.len())
                     .filter(|&i| units[i].soc() < target)
                     .collect();

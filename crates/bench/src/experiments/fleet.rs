@@ -14,8 +14,7 @@
 //! including `--json` — is byte-identical at any thread count.
 
 use ins_fleet::breaker::BreakerPolicy;
-use ins_fleet::fleet::{Fleet, FleetConfig, FleetSnapshot};
-use ins_fleet::metrics::FleetMetrics;
+use ins_fleet::fleet::{Fleet, FleetConfig};
 use ins_sim::time::SimDuration;
 
 use crate::export::{json_escape, json_number};
@@ -75,18 +74,16 @@ pub struct FleetRow {
     pub all_resolved: bool,
 }
 
-fn fault_mean(rate_hours: f64) -> Option<SimDuration> {
-    (rate_hours > 0.0).then(|| SimDuration::from_secs((rate_hours * 3600.0) as u64))
-}
-
-fn config_for(seed: u64, sites: usize, rate_hours: f64, breaker: &'static str) -> FleetConfig {
+/// Runs one 24-hour fleet day and collapses it to a row.
+#[must_use]
+pub fn run_cell(seed: u64, sites: usize, rate_hours: f64, breaker: &'static str) -> FleetRow {
     let mut config = FleetConfig::new(seed, sites);
     config.breaker = BreakerPolicy::by_name(breaker).unwrap_or_else(BreakerPolicy::standard);
-    config.fleet_fault_mean = fault_mean(rate_hours);
-    config
-}
-
-fn row_from(sites: usize, rate_hours: f64, breaker: &'static str, m: &FleetMetrics) -> FleetRow {
+    config.fleet_fault_mean =
+        (rate_hours > 0.0).then(|| SimDuration::from_secs((rate_hours * 3600.0) as u64));
+    let mut fleet = Fleet::new(config);
+    fleet.run_to_horizon();
+    let m = fleet.metrics();
     FleetRow {
         sites,
         mean_interarrival_hours: rate_hours,
@@ -107,14 +104,6 @@ fn row_from(sites: usize, rate_hours: f64, breaker: &'static str, m: &FleetMetri
         misrouted_wh: m.misrouted_wh,
         all_resolved: m.all_requests_resolved(),
     }
-}
-
-/// Runs one 24-hour fleet day and collapses it to a row.
-#[must_use]
-pub fn run_cell(seed: u64, sites: usize, rate_hours: f64, breaker: &'static str) -> FleetRow {
-    let mut fleet = Fleet::new(config_for(seed, sites, rate_hours, breaker));
-    fleet.run_to_horizon();
-    row_from(sites, rate_hours, breaker, &fleet.metrics())
 }
 
 /// Sweeps sites × fault rate × breaker grids, fanned across `threads`
@@ -142,61 +131,6 @@ pub fn sweep_grid_with(
     crate::runner::run_cells(threads, &cells, |_, &(n, rate, b)| {
         run_cell(seed, n, rate, b)
     })
-}
-
-/// [`sweep_grid_with`] on the incremental shared-prefix path.
-///
-/// Cells are grouped by `(sites, breaker)` — everything that shapes a
-/// fleet's fault-free trajectory. Fault rate varies within a group: the
-/// group's prefix fleet runs fault-free to the routing-tick boundary
-/// before the earliest first fault across its members' schedules, then
-/// each cell forks via [`Fleet::fork_from`] under its own fault mean.
-/// Byte-identical to [`sweep_grid_with`] at any thread count.
-#[must_use]
-pub fn sweep_grid_incremental(
-    seed: u64,
-    sizes: &[usize],
-    rates_hours: &[f64],
-    breakers: &[&'static str],
-    threads: usize,
-) -> Vec<FleetRow> {
-    let mut cells: Vec<(usize, f64, &'static str)> = Vec::new();
-    for &n in sizes {
-        for &rate in rates_hours {
-            for &b in breakers {
-                cells.push((n, rate, b));
-            }
-        }
-    }
-    let tick = FleetConfig::new(0, 1).tick;
-    crate::runner::run_cells_incremental(
-        threads,
-        &cells,
-        tick,
-        |&(n, rate, b)| {
-            let diverges = fault_mean(rate).and_then(|_| {
-                config_for(seed, n, rate, b)
-                    .fault_schedule()
-                    .first_event_at()
-            });
-            ((n, b), diverges)
-        },
-        |&(n, b): &(usize, &'static str), fork_at| {
-            let mut fleet = Fleet::new(config_for(seed, n, 0.0, b));
-            while fleet.now() < fork_at {
-                fleet.step_tick();
-            }
-            fleet.snapshot().ok()
-        },
-        |_, &(n, rate, b), snap: Option<&FleetSnapshot>| match snap {
-            Some(snapshot) => {
-                let mut fleet = Fleet::fork_from(snapshot, fault_mean(rate));
-                fleet.run_to_horizon();
-                row_from(n, rate, b, &fleet.metrics())
-            }
-            None => run_cell(seed, n, rate, b),
-        },
-    )
 }
 
 /// Renders the sweep as a text table.
@@ -333,18 +267,6 @@ mod tests {
             assert_eq!(
                 sweep_grid_with(7, &[2], &[0.0, 2.0], &["standard"], threads),
                 serial
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_sweep_matches_scratch_exactly() {
-        let serial = sweep_grid_with(7, &[2], &[0.0, 2.0], &["standard"], 1);
-        for threads in [1, 2] {
-            assert_eq!(
-                sweep_grid_incremental(7, &[2], &[0.0, 2.0], &["standard"], threads),
-                serial,
-                "incremental fleet path must be byte-identical at {threads} threads"
             );
         }
     }

@@ -42,8 +42,8 @@
 //!
 //! | binary | usage |
 //! |---|---|
-//! | `fault_sweep` | `[--seed N] [--rates H1,H2,...] [--threads N] [--json] [--incremental\|--no-incremental]` |
-//! | `recovery`, `fleet_resilience` | `[--seed N] [--threads N] [--json] [--incremental\|--no-incremental]` |
+//! | `fault_sweep` | `[--seed N] [--rates H1,H2,...] [--threads N] [--json]` |
+//! | `recovery`, `fleet_resilience` | `[--seed N] [--threads N] [--json]` |
 //! | `all_experiments`, `endurance_weeks` | `[--threads N]` |
 //! | `fig01_transfer`, `fig03_tco`, `fig04_buffer`, `table02_seismic`, `table03_video`, `fig05_switchout`, `fig14_behavior`, `fig15_solar`, `fig16_daylong`, `table06_logs`, `table07_hetero`, `fig17_19_micro`, `fig20_21_full`, `fig22_depreciation`, `fig23_scaleout`, `fig24_crossover`, `fig25_scenarios` | no flags |
 //! | `bench_report` | `[--threads N] [--out DIR]` |

@@ -157,14 +157,13 @@ pub fn main(bin: &str, flags: &[Flag]) -> ExitCode {
 }
 
 /// `fault_sweep`'s stdout for `args` over the `rates` grid: the rows as
-/// JSON under `--json`, the text report otherwise.
+/// JSON under `--json`, the text report otherwise. The rows come from
+/// the shared-prefix runner the benchmark's `sweep_grid` times;
+/// `tests/incremental_sweep.rs` holds them equal to
+/// [`faults::sweep_rates_with`]'s.
 #[must_use]
 pub fn fault_sweep(args: &SweepArgs, rates: &[Option<f64>]) -> String {
-    let rows = if args.incremental {
-        faults::sweep_rates_incremental(args.seed, rates, args.threads)
-    } else {
-        faults::sweep_rates_with(args.seed, rates, args.threads)
-    };
+    let rows = faults::sweep_rates_incremental(args.seed, rates, args.threads);
     if args.json {
         return faults::to_json(&rows) + "\n";
     }
@@ -177,18 +176,16 @@ pub fn fault_sweep(args: &SweepArgs, rates: &[Option<f64>]) -> String {
 }
 
 /// `recovery`'s stdout for `args`: the rows as JSON under `--json`, the
-/// text report otherwise.
+/// text report otherwise. Like [`fault_sweep`], it runs the shared-prefix
+/// runner, held equal to [`recovery::sweep_grid_with`].
 #[must_use]
 pub fn recovery(args: &SweepArgs) -> String {
-    let (intervals, rates) = (
+    let rows = recovery::sweep_grid_incremental(
+        args.seed,
         &recovery::CHECKPOINT_INTERVALS_HOURS,
         &recovery::FAULT_RATES_HOURS,
+        args.threads,
     );
-    let rows = if args.incremental {
-        recovery::sweep_grid_incremental(args.seed, intervals, rates, args.threads)
-    } else {
-        recovery::sweep_grid_with(args.seed, intervals, rates, args.threads)
-    };
     if args.json {
         return recovery::to_json(&rows) + "\n";
     }
@@ -204,16 +201,13 @@ pub fn recovery(args: &SweepArgs) -> String {
 /// `--json`, the text report otherwise.
 #[must_use]
 pub fn fleet_resilience(args: &SweepArgs) -> String {
-    let (sizes, rates, breakers) = (
+    let rows = fleet::sweep_grid_with(
+        args.seed,
         &fleet::FLEET_SIZES,
         &fleet::FAULT_RATES_HOURS,
         &fleet::BREAKER_POLICIES,
+        args.threads,
     );
-    let rows = if args.incremental {
-        fleet::sweep_grid_incremental(args.seed, sizes, rates, breakers, args.threads)
-    } else {
-        fleet::sweep_grid_with(args.seed, sizes, rates, breakers, args.threads)
-    };
     if args.json {
         return fleet::to_json(&rows) + "\n";
     }

@@ -17,11 +17,10 @@
 //!   parallel runs produce byte-identical reports.
 //!
 //! Every bench binary that takes flags parses them with [`SweepArgs`]:
-//! the shared ones (`--seed`, `--threads`, `--json`,
-//! `--incremental` / `--no-incremental`) it lists as [`Flag`]s, and its
-//! own through a closure. Anything else exits 2 with the usage line. A
-//! thread count of `0` (or the flag's absence) means "use available
-//! parallelism".
+//! the shared ones (`--seed`, `--threads`, `--json`) it lists as
+//! [`Flag`]s, and its own through a closure. Anything else exits 2 with
+//! the usage line. A thread count of `0` (or the flag's absence) means
+//! "use available parallelism".
 
 use std::process::ExitCode;
 
@@ -148,12 +147,10 @@ pub enum Flag {
     Threads,
     /// `--json`.
     Json,
-    /// `--incremental` or `--no-incremental`.
-    Incremental,
 }
 
 /// The flags `fault_sweep`, `recovery` and `fleet_resilience` share.
-pub const SWEEP_FLAGS: &[Flag] = &[Flag::Seed, Flag::Threads, Flag::Json, Flag::Incremental];
+pub const SWEEP_FLAGS: &[Flag] = &[Flag::Seed, Flag::Threads, Flag::Json];
 
 /// The shared flags of a bench binary's command line. A flag the binary
 /// does not take keeps its default.
@@ -165,20 +162,15 @@ pub struct SweepArgs {
     pub threads: usize,
     /// `--json`: JSON rows instead of the text table.
     pub json: bool,
-    /// `--incremental` (the default) or `--no-incremental`, the
-    /// from-scratch equivalence oracle; the last occurrence wins.
-    pub incremental: bool,
 }
 
 impl Default for SweepArgs {
-    /// Every flag absent: seed 11, available parallelism, text,
-    /// incremental.
+    /// Every flag absent: seed 11, available parallelism, text.
     fn default() -> Self {
         Self {
             seed: 11,
             threads: 0,
             json: false,
-            incremental: true,
         }
     }
 }
@@ -210,7 +202,6 @@ impl SweepArgs {
                 "--seed" => Some(Flag::Seed),
                 "--threads" => Some(Flag::Threads),
                 "--json" => Some(Flag::Json),
-                "--incremental" | "--no-incremental" => Some(Flag::Incremental),
                 _ => None,
             };
             match flag.filter(|f| flags.contains(f)) {
@@ -226,7 +217,6 @@ impl SweepArgs {
                     args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
                 }
                 Some(Flag::Json) => args.json = true,
-                Some(Flag::Incremental) => args.incremental = name == "--incremental",
                 None => {
                     if !own(arg, &mut it)? {
                         return Err(format!("unknown flag '{arg}'"));
@@ -325,24 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_incremental_defaults_on_and_last_flag_wins() {
-        let incremental = |s: &[&str]| {
-            SweepArgs::parse(&args(s), &[Flag::Incremental], no_own_flags).map(|a| a.incremental)
-        };
-        assert_eq!(incremental(&[]), Ok(true));
-        assert_eq!(incremental(&["--incremental"]), Ok(true));
-        assert_eq!(incremental(&["--no-incremental"]), Ok(false));
-        assert_eq!(
-            incremental(&["--incremental", "--no-incremental"]),
-            Ok(false)
-        );
-        assert_eq!(
-            incremental(&["--no-incremental", "--incremental"]),
-            Ok(true)
-        );
-    }
-
-    #[test]
     fn sweep_args_parse_shared_flags_and_hand_back_the_rest() {
         let argv = args(&["--seed", "7", "--rates", "8,4", "--threads", "4", "--json"]);
         let mut rates = None;
@@ -353,24 +325,16 @@ mod tests {
             }
             _ => Ok(false),
         });
-        let mut expected = SweepArgs {
+        let expected = SweepArgs {
             seed: 7,
             threads: 4,
             json: true,
-            incremental: true,
         };
         assert_eq!(parsed, Ok(expected));
         assert_eq!(rates.as_deref(), Some("8,4"));
-
-        expected = SweepArgs {
-            seed: 11,
-            threads: 0,
-            json: false,
-            incremental: false,
-        };
         assert_eq!(
-            SweepArgs::parse(&args(&["--no-incremental"]), SWEEP_FLAGS, no_own_flags),
-            Ok(expected)
+            SweepArgs::parse(&[], SWEEP_FLAGS, no_own_flags),
+            Ok(SweepArgs::default())
         );
         for bad in [
             &["--seed"][..],
@@ -379,6 +343,8 @@ mod tests {
             &["--threads="],
             &["--bogus"],
             &["3"],
+            &["--incremental"],
+            &["--no-incremental"],
         ] {
             assert!(
                 SweepArgs::parse(&args(bad), SWEEP_FLAGS, no_own_flags).is_err(),
@@ -398,7 +364,7 @@ mod tests {
         assert!(threads(&["--threads"]).is_err());
         assert!(threads(&["--threads", "two"]).is_err());
         // A shared flag the binary does not list is unknown, not skipped.
-        for flag in ["--seed", "--json", "--no-incremental"] {
+        for flag in ["--seed", "--json"] {
             assert_eq!(threads(&[flag]), Err(format!("unknown flag '{flag}'")));
         }
     }

@@ -41,6 +41,13 @@ const FIGURE_AND_TABLE_BINARIES: [(&str, &str); 17] = [
     ("fig25_scenarios", env!("CARGO_BIN_EXE_fig25_scenarios")),
 ];
 
+/// The sweep binaries, which take `--seed`, `--threads` and `--json`.
+const SWEEP_BINARIES: [(&str, &str); 3] = [
+    ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep")),
+    ("recovery", env!("CARGO_BIN_EXE_recovery")),
+    ("fleet_resilience", env!("CARGO_BIN_EXE_fleet_resilience")),
+];
+
 #[test]
 fn misspelt_flags_exit_2_with_the_usage_line() {
     let mut cases = vec![
@@ -80,6 +87,12 @@ fn misspelt_flags_exit_2_with_the_usage_line() {
             .iter()
             .map(|&(name, bin)| (name, bin, &["--seed", "5"][..])),
     );
+    // Each sweep runs one path; the retired switch is an unknown flag.
+    for (name, bin) in SWEEP_BINARIES {
+        for args in [&["--incremental"][..], &["--no-incremental"]] {
+            cases.push((name, bin, args));
+        }
+    }
     for (name, bin, args) in cases {
         let (out, dir) = run_in_temp_dir(name, bin, args);
         let wrote_bench_files = dir.join("BENCH_sweep.json").exists();

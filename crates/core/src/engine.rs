@@ -31,7 +31,6 @@
 
 use std::fmt;
 
-use crate::config::{ConfigError, InsureConfig};
 use crate::controller::{
     BaselineController, ControlAction, InsureController, NoOptController, SnapshotController,
     SystemObservation,
@@ -132,8 +131,6 @@ pub fn engine_lineup() -> [&'static str; 3] {
 pub enum EngineError {
     /// No engine with that name is registered.
     Unknown(String),
-    /// The engine's configuration failed validation.
-    Config(ConfigError),
 }
 
 impl fmt::Display for EngineError {
@@ -144,28 +141,20 @@ impl fmt::Display for EngineError {
                 "unknown engine {name:?} (known: {})",
                 engine_lineup().join(", ")
             ),
-            Self::Config(e) => write!(f, "engine configuration invalid: {e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
 
-impl From<ConfigError> for EngineError {
-    fn from(e: ConfigError) -> Self {
-        Self::Config(e)
-    }
-}
-
 /// Constructs the engine registered under `name`.
 ///
 /// # Errors
 ///
-/// [`EngineError::Unknown`] for an unregistered name;
-/// [`EngineError::Config`] when validation rejects the configuration.
+/// [`EngineError::Unknown`] for an unregistered name.
 pub fn try_engine(name: &str) -> Result<Box<dyn SnapshotController>, EngineError> {
     Ok(match name {
-        "insure" => Box::new(InsureController::try_new(InsureConfig::prototype())?),
+        "insure" => Box::new(InsureController::prototype()),
         "baseline" => Box::new(BaselineController::new()),
         "noopt" => Box::new(NoOptController::new()),
         _ => return Err(EngineError::Unknown(name.to_string())),

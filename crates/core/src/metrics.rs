@@ -110,14 +110,9 @@ impl RunMetrics {
         } else {
             0.0
         };
-        let recoveries = system.recovery_durations().len();
+        let recoveries = system.recoveries();
         let mttr_minutes = if recoveries > 0 {
-            system
-                .recovery_durations()
-                .iter()
-                .map(|d| d.as_minutes())
-                .sum::<f64>()
-                / recoveries as f64
+            system.recovery_minutes() / recoveries as f64
         } else {
             0.0
         };

@@ -63,7 +63,6 @@ const BUDGET_FLOOR_SOC: f64 = 0.25;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryCoordinator {
     phase: RecoveryPhase,
-    down_since: Option<SimTime>,
     last_stage_at: Option<SimTime>,
     admitted: u32,
     seen_brownouts: usize,
@@ -91,12 +90,11 @@ impl RecoveryCoordinator {
 
     /// An outage begins: drop to [`RecoveryPhase::Down`] and reset the
     /// admission ramp.
-    pub fn on_outage(&mut self, now: SimTime) {
+    pub fn on_outage(&mut self) {
         // A brownout landing mid-black-start restarts the ramp but is
         // still one continuous outage episode.
         if self.phase == RecoveryPhase::Normal {
             self.outages += 1;
-            self.down_since = Some(now);
         }
         self.phase = RecoveryPhase::Down;
         self.last_stage_at = None;
@@ -137,7 +135,7 @@ impl RecoveryCoordinator {
     pub fn observe(&mut self, obs: &SystemObservation, unit_cap: Amps) {
         if obs.brownouts > self.seen_brownouts {
             self.seen_brownouts = obs.brownouts;
-            self.on_outage(obs.now);
+            self.on_outage();
         }
         match self.phase {
             RecoveryPhase::Normal => {}
@@ -161,7 +159,6 @@ impl RecoveryCoordinator {
                 if self.admitted >= obs.total_vm_slots {
                     // Ramp complete: the cap no longer binds.
                     self.phase = RecoveryPhase::Normal;
-                    self.down_since = None;
                 }
             }
         }
@@ -233,7 +230,7 @@ mod tests {
     fn outage_caps_admission_at_zero() {
         let mut r = RecoveryCoordinator::default();
         assert_eq!(r.admission_cap(), None);
-        r.on_outage(SimTime::from_hms(10, 0, 0));
+        r.on_outage();
         assert_eq!(r.phase(), RecoveryPhase::Down);
         assert_eq!(r.admission_cap(), Some(0));
         assert_eq!(r.outages(), 1);
@@ -245,7 +242,7 @@ mod tests {
     #[test]
     fn recovered_soc_releases_a_staged_ramp() {
         let mut r = RecoveryCoordinator::default();
-        r.on_outage(SimTime::from_hms(10, 0, 0));
+        r.on_outage();
         let mut now = SimTime::from_hms(10, 30, 0);
         // SoC back above release (some morning sun keeps the late stages
         // inside the budget): black-start begins and admits stage 1.
@@ -271,7 +268,7 @@ mod tests {
     #[test]
     fn strong_solar_releases_even_with_a_flat_pack() {
         let mut r = RecoveryCoordinator::default();
-        r.on_outage(SimTime::from_hms(9, 0, 0));
+        r.on_outage();
         // Pack flat (below budget floor) but the sun is out: 360 W × 1.2
         // for the first stage needs 432 W.
         let mut o = obs(SimTime::from_hms(9, 30, 0), 500.0, 0.1);
@@ -310,10 +307,10 @@ mod tests {
     #[test]
     fn repeated_outage_mid_ramp_is_one_episode() {
         let mut r = RecoveryCoordinator::default();
-        r.on_outage(SimTime::from_hms(10, 0, 0));
+        r.on_outage();
         r.observe(&obs(SimTime::from_hms(10, 30, 0), 0.0, 0.5), cap());
         assert_eq!(r.phase(), RecoveryPhase::BlackStart);
-        r.on_outage(SimTime::from_hms(10, 31, 0));
+        r.on_outage();
         assert_eq!(r.outages(), 1, "relapse is not a new episode");
         assert_eq!(r.admission_cap(), Some(0), "ramp restarts from zero");
     }

@@ -248,8 +248,10 @@ struct Plant {
     needs_recovery: bool,
     /// When the current outage episode began (MTTR measurement).
     outage_started: Option<SimTime>,
-    /// Completed outage episodes, for MTTR.
-    recovery_durations: Vec<SimDuration>,
+    /// Completed outage episodes, and their total length in minutes
+    /// summed in completion order, for MTTR.
+    recoveries: usize,
+    recovery_minutes: f64,
     /// Crash-lost work replayed or abandoned so far, GB.
     lost_work_gb: f64,
     /// Unrecoverable losses: durable-checkpoint corruption and poison-job
@@ -349,14 +351,6 @@ impl SystemSnapshot {
     pub fn now(&self) -> SimTime {
         self.plant.clock.now()
     }
-
-    /// The fault schedule the snapshotted run carried. Forks that keep
-    /// the same schedule (e.g. fleet sites, whose faults arrive at the
-    /// fleet level) pass a clone of this to [`InSituSystem::fork_from`].
-    #[must_use]
-    pub fn faults(&self) -> &FaultSchedule {
-        &self.plant.faults
-    }
 }
 
 impl InSituSystem {
@@ -411,8 +405,8 @@ impl InSituSystem {
     /// * events already delivered by the prefix's steps (`at <= now - dt`)
     ///   are marked spent via [`FaultSchedule::expire_delivered`], so a
     ///   mis-planned schedule can never re-fire a pre-fork fault late —
-    ///   it is dropped, and the equivalence oracle (`--no-incremental`)
-    ///   flags the divergence instead of compounding it.
+    ///   it is dropped, and the equivalence oracle (the from-scratch
+    ///   sweep functions) flags the divergence instead of compounding it.
     ///
     /// The controller is a fresh clone of the snapshot's fork, and the
     /// step scratch starts empty; its first step refills it exactly as
@@ -590,10 +584,17 @@ impl InSituSystem {
     }
 
     /// Completed outage episodes (shutdown/brownout → serving again with
-    /// job state restored), for MTTR.
+    /// job state restored).
     #[must_use]
-    pub fn recovery_durations(&self) -> &[SimDuration] {
-        &self.plant.recovery_durations
+    pub fn recoveries(&self) -> usize {
+        self.plant.recoveries
+    }
+
+    /// Total length of the completed outage episodes, minutes, summed in
+    /// the order they completed (MTTR's numerator).
+    #[must_use]
+    pub fn recovery_minutes(&self) -> f64 {
+        self.plant.recovery_minutes
     }
 
     /// Brownouts recorded so far.
@@ -1095,7 +1096,7 @@ impl InSituSystem {
         }
         // Cutoff trips while discharging.
         for (unit, attachment) in self.plant.units.iter().zip(&self.scratch.attachments) {
-            if *attachment == Attachment::DischargeBus && unit.at_cutoff(Amps::new(10.0)) {
+            if *attachment == Attachment::DischargeBus && unit.at_cutoff(SENSE_CURRENT) {
                 self.plant
                     .events
                     .push(now, SystemEvent::CutoffTrip(unit.id()));
@@ -1145,7 +1146,8 @@ impl InSituSystem {
             && !self.plant.needs_recovery
         {
             if let Some(start) = self.plant.outage_started.take() {
-                self.plant.recovery_durations.push(now.since(start));
+                self.plant.recoveries += 1;
+                self.plant.recovery_minutes += now.since(start).as_minutes();
                 self.plant.events.push(now, SystemEvent::Recovered);
             }
         }
@@ -1477,7 +1479,8 @@ impl SystemBuilder {
             last_checkpoint_attempt: None,
             needs_recovery: false,
             outage_started: None,
-            recovery_durations: Vec::new(),
+            recoveries: 0,
+            recovery_minutes: 0.0,
             lost_work_gb: 0.0,
             data_loss_events: 0,
             brownouts: 0,

@@ -202,7 +202,7 @@ fn run_and_fork(builder: SystemBuilder) -> [InSituSystem; 2] {
     let mut sys = builder.build();
     sys.run_until(SimTime::from_hms(12, 0, 0));
     let snapshot = sys.snapshot().expect("stock controllers fork");
-    let mut fork = InSituSystem::fork_from(&snapshot, snapshot.faults().clone());
+    let mut fork = InSituSystem::fork_from(&snapshot, sys.fault_schedule().clone());
     for plant in [&mut sys, &mut fork] {
         plant.run_until(SimTime::ZERO + HORIZON);
     }

@@ -20,12 +20,10 @@ use ins_sim::time::{SimDuration, SimTime};
 use ins_solar::trace::high_generation_day;
 use ins_workload::checkpoint::CheckpointPolicy;
 
-use ins_core::system::SnapshotError;
-
 use crate::breaker::BreakerPolicy;
 use crate::metrics::FleetMetrics;
 use crate::router::{Router, RouterPolicy};
-use crate::site::{Site, SiteId, SiteSnapshot};
+use crate::site::{Site, SiteId};
 
 /// Everything that determines a fleet trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,10 +80,6 @@ impl FleetConfig {
     }
 
     /// The fleet-level fault schedule this configuration implies.
-    ///
-    /// Both [`Fleet::new`] and [`Fleet::fork_from`] derive their
-    /// schedule through this one helper, so a forked fleet can never
-    /// drift from the schedule a from-scratch build would draw.
     #[must_use]
     pub fn fault_schedule(&self) -> FaultSchedule {
         match self.fleet_fault_mean {
@@ -101,13 +95,6 @@ impl FleetConfig {
 #[derive(Debug)]
 pub struct Fleet {
     sites: Vec<Site>,
-    state: FleetState,
-}
-
-/// Everything a [`Fleet`] keeps beside its sites. A [`FleetSnapshot`]
-/// holds one clone of it, so a field added here forks by default.
-#[derive(Debug, Clone)]
-struct FleetState {
     config: FleetConfig,
     schedule: FaultSchedule,
     router: Router,
@@ -148,7 +135,8 @@ impl Fleet {
                 )
             })
             .collect();
-        let state = FleetState {
+        Self {
+            sites,
             router: Router::new(config.router),
             schedule: config.fault_schedule(),
             config,
@@ -156,20 +144,19 @@ impl Fleet {
             now: SimTime::from_secs(0),
             tick_index: 0,
             fleet_faults: 0,
-        };
-        Self { sites, state }
+        }
     }
 
     /// The fleet's configuration.
     #[must_use]
     pub fn config(&self) -> &FleetConfig {
-        &self.state.config
+        &self.config
     }
 
     /// Current simulated time (routing-tick granularity).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.state.now
+        self.now
     }
 
     /// The sites, indexed by [`SiteId`].
@@ -181,14 +168,14 @@ impl Fleet {
     /// The router and its counters.
     #[must_use]
     pub fn router(&self) -> &Router {
-        &self.state.router
+        &self.router
     }
 
     /// Applies one fleet-level fault immediately — the chaos-harness
     /// entry point mirroring `InSituSystem::inject_fault`. Single-site
     /// kinds are ignored here (inject those into a site's system).
     pub fn inject_fault(&mut self, kind: FaultKind) {
-        let now = self.state.now;
+        let now = self.now;
         self.apply_fleet_fault(now, kind);
     }
 
@@ -197,13 +184,13 @@ impl Fleet {
             FaultKind::SiteBlackout { site, duration } => {
                 if let Some(s) = self.sites.get_mut(site) {
                     s.begin_blackout(now, duration);
-                    self.state.fleet_faults += 1;
+                    self.fleet_faults += 1;
                 }
             }
             FaultKind::WanPartition { site, duration } => {
                 if let Some(s) = self.sites.get_mut(site) {
                     s.begin_partition(now, duration);
-                    self.state.fleet_faults += 1;
+                    self.fleet_faults += 1;
                 }
             }
             FaultKind::SlowSite {
@@ -213,16 +200,16 @@ impl Fleet {
             } => {
                 if let Some(s) = self.sites.get_mut(site) {
                     s.begin_slowdown(now, factor, duration);
-                    self.state.fleet_faults += 1;
+                    self.fleet_faults += 1;
                 }
             }
             FaultKind::RoutingFlap { duration } => {
                 let until = now + duration;
-                self.state.flap_until = Some(match self.state.flap_until {
+                self.flap_until = Some(match self.flap_until {
                     Some(t) if t > until => t,
                     _ => until,
                 });
-                self.state.fleet_faults += 1;
+                self.fleet_faults += 1;
             }
             _ => {}
         }
@@ -231,88 +218,38 @@ impl Fleet {
     /// `true` while a routing-flap window is active.
     #[must_use]
     pub fn routing_flap_active(&self) -> bool {
-        self.state.flap_until.is_some_and(|t| self.state.now < t)
+        self.flap_until.is_some_and(|t| self.now < t)
     }
 
     /// Advances one routing tick: drain due fleet faults, advance every
     /// site's physics to the tick boundary, then place the tick's
     /// requests.
     pub fn step_tick(&mut self) {
-        let now = self.state.now;
-        while let Some(event) = self.state.schedule.pop_due(now) {
+        let now = self.now;
+        while let Some(event) = self.schedule.pop_due(now) {
             self.apply_fleet_fault(now, event.kind);
         }
-        let end = now + self.state.config.tick;
+        let end = now + self.config.tick;
         for site in &mut self.sites {
             site.advance_to(end);
         }
-        let flap = self.state.flap_until.is_some_and(|t| end < t);
-        self.state.router.route_tick(
+        let flap = self.flap_until.is_some_and(|t| end < t);
+        self.router.route_tick(
             end,
-            self.state.config.tick,
+            self.config.tick,
             &mut self.sites,
             flap,
-            self.state.tick_index,
+            self.tick_index,
         );
-        self.state.now = end;
-        self.state.tick_index += 1;
+        self.now = end;
+        self.tick_index += 1;
     }
 
     /// Runs routing ticks until the configured horizon.
     pub fn run_to_horizon(&mut self) {
-        let horizon = SimTime::from_secs(0) + self.state.config.horizon;
-        while self.state.now < horizon {
+        let horizon = SimTime::from_secs(0) + self.config.horizon;
+        while self.now < horizon {
             self.step_tick();
-        }
-    }
-
-    /// Freezes the whole fleet — every site, the router's counters, the
-    /// drained fleet-fault cursor and the tick clock — into a
-    /// [`FleetSnapshot`] that any number of variant fleets can fork
-    /// from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first site's [`SnapshotError`]; fleets built by
-    /// [`Fleet::new`] always use the stock InSURE controller, which
-    /// forks, so this only fires for hand-assembled exotic fleets.
-    pub fn snapshot(&self) -> Result<FleetSnapshot, SnapshotError> {
-        let sites = self
-            .sites
-            .iter()
-            .map(Site::snapshot)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FleetSnapshot {
-            sites,
-            state: self.state.clone(),
-        })
-    }
-
-    /// Reconstructs a fleet from a snapshot, swapping in a (possibly
-    /// different) fleet-fault mean — the axis `fleet_resilience` sweeps.
-    ///
-    /// The forked fleet re-derives its schedule through
-    /// [`FleetConfig::fault_schedule`], exactly as a from-scratch build
-    /// would, then expires every event the prefix's ticks already
-    /// covered: a tick starting at `t` drains events with `at <= t`, so
-    /// everything at or before `now - tick` must not re-fire. Prefix
-    /// fleets run fault-free (the planner forks before the earliest
-    /// event of any member), so for equivalent grids this expires
-    /// nothing — it is the guard that makes mis-planned forks fail
-    /// loudly in the equivalence oracle rather than double-inject.
-    #[must_use]
-    pub fn fork_from(snapshot: &FleetSnapshot, fleet_fault_mean: Option<SimDuration>) -> Fleet {
-        let mut state = snapshot.state.clone();
-        state.config.fleet_fault_mean = fleet_fault_mean;
-        state.schedule = state.config.fault_schedule();
-        if state.now > SimTime::from_secs(0) {
-            state
-                .schedule
-                .expire_delivered(state.now - state.config.tick);
-        }
-        Fleet {
-            sites: snapshot.sites.iter().map(Site::fork_from).collect(),
-            state,
         }
     }
 
@@ -320,43 +257,17 @@ impl Fleet {
     #[must_use]
     pub fn metrics(&self) -> FleetMetrics {
         FleetMetrics {
-            stream: self.state.router.stream,
-            batch: self.state.router.batch,
-            retries: self.state.router.retries,
-            hedges: self.state.router.hedges,
-            duplicate_serves: self.state.router.duplicate_serves,
-            misrouted_wh: self.state.router.misrouted_wh,
-            fleet_faults: self.state.fleet_faults,
+            stream: self.router.stream,
+            batch: self.router.batch,
+            retries: self.router.retries,
+            hedges: self.router.hedges,
+            duplicate_serves: self.router.duplicate_serves,
+            misrouted_wh: self.router.misrouted_wh,
+            fleet_faults: self.fleet_faults,
             site_availability: self.sites.iter().map(Site::availability).collect(),
             breaker_trips: self.sites.iter().map(|s| s.breaker().trips()).sum(),
             breaker_resets: self.sites.iter().map(|s| s.breaker().resets()).sum(),
         }
-    }
-}
-
-/// Frozen [`Fleet`] state: per-site [`SiteSnapshot`]s plus a clone of
-/// the router, fault cursor and tick clock.
-///
-/// Produced by [`Fleet::snapshot`]; consumed any number of times by
-/// [`Fleet::fork_from`]. Cloning is cheap — each site's heavy physics
-/// state is shared behind its snapshot's `Arc`.
-#[derive(Debug, Clone)]
-pub struct FleetSnapshot {
-    sites: Vec<SiteSnapshot>,
-    state: FleetState,
-}
-
-impl FleetSnapshot {
-    /// The simulated instant the snapshot was taken at.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.state.now
-    }
-
-    /// The configuration the prefix fleet ran under.
-    #[must_use]
-    pub fn config(&self) -> &FleetConfig {
-        &self.state.config
     }
 }
 
@@ -464,42 +375,6 @@ mod tests {
             fleet.step_tick();
         }
         assert!(!fleet.routing_flap_active());
-    }
-
-    #[test]
-    fn forked_fleet_matches_its_scratch_run() {
-        let config = quick_config(7, 2).with_fleet_faults(SimDuration::from_hours(1));
-        let mut scratch = Fleet::new(config.clone());
-        scratch.run_to_horizon();
-
-        // Fork at the last tick boundary at or before the first fleet
-        // fault — exactly the instant the incremental planner picks.
-        let first = config
-            .fault_schedule()
-            .first_event_at()
-            .expect("a faulted fleet draws at least one event");
-        let fork_ticks = first.as_secs() / config.tick.as_secs();
-        assert!(fork_ticks > 0, "first fault must land after the first tick");
-
-        let mut prefix_config = config.clone();
-        prefix_config.fleet_fault_mean = None;
-        let mut prefix = Fleet::new(prefix_config);
-        for _ in 0..fork_ticks {
-            prefix.step_tick();
-        }
-        let snap = prefix.snapshot().expect("stock fleets snapshot");
-        let mut forked = Fleet::fork_from(&snap, config.fleet_fault_mean);
-        forked.run_to_horizon();
-
-        assert_eq!(forked.now(), scratch.now());
-        assert_eq!(
-            forked.metrics(),
-            scratch.metrics(),
-            "a forked fleet must replay its scratch trajectory exactly"
-        );
-        // The prefix stays live and independent after the fork.
-        prefix.step_tick();
-        assert!(prefix.metrics().fleet_faults == 0);
     }
 
     #[test]

@@ -96,7 +96,7 @@ struct TickLedger<'a> {
 }
 
 /// The fleet router: policy plus lifetime counters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Router {
     policy: RouterPolicy,
     /// Stream-class request accounting.
@@ -114,8 +114,6 @@ pub struct Router {
     pub misrouted_wh: f64,
     /// Per-tick working lists, refilled on every tick: each site's
     /// surplus score, the ranked site order and the capacity ledger.
-    /// Their contents are a function of the sites' state, so a cloned
-    /// router forks identically.
     scores: Vec<f64>,
     order: Vec<usize>,
     remaining: Vec<f64>,

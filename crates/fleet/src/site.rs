@@ -12,7 +12,7 @@
 //! adding or removing sites never perturbs its neighbours, and the
 //! fleet replays byte-identically at any worker count.
 
-use ins_core::system::{InSituSystem, SnapshotError, SystemSnapshot};
+use ins_core::system::InSituSystem;
 use ins_sim::backoff::Backoff;
 use ins_sim::time::{SimDuration, SimTime};
 use ins_solar::trace::SolarTrace;
@@ -41,13 +41,6 @@ impl std::fmt::Display for SiteId {
 #[derive(Debug)]
 pub struct Site {
     system: InSituSystem,
-    state: SiteState,
-}
-
-/// Everything a [`Site`] keeps beside its system. A [`SiteSnapshot`]
-/// holds one clone of it, so a field added here forks by default.
-#[derive(Debug, Clone)]
-struct SiteState {
     id: SiteId,
     /// The site's own solar trace, kept for surplus observation.
     solar: SolarTrace,
@@ -84,7 +77,8 @@ impl Site {
             .trace()
             .iter()
             .fold(1.0_f64, |acc, s| acc.max(s.value));
-        let state = SiteState {
+        Self {
+            system,
             id,
             solar,
             solar_peak_w,
@@ -100,14 +94,13 @@ impl Site {
             slow_factor: 1.0,
             routable_ticks: 0,
             total_ticks: 0,
-        };
-        Self { system, state }
+        }
     }
 
     /// The site's fleet-level identifier.
     #[must_use]
     pub fn id(&self) -> SiteId {
-        self.state.id
+        self.id
     }
 
     /// The wrapped single-site simulation.
@@ -124,23 +117,23 @@ impl Site {
     /// The per-site circuit breaker.
     #[must_use]
     pub fn breaker(&self) -> &CircuitBreaker {
-        &self.state.breaker
+        &self.breaker
     }
 
     /// Mutable access for the router's admission/feedback path.
     pub fn breaker_mut(&mut self) -> &mut CircuitBreaker {
-        &mut self.state.breaker
+        &mut self.breaker
     }
 
     /// The router-side retry gate.
     #[must_use]
     pub fn retry_gate(&self) -> &Backoff {
-        &self.state.retry_gate
+        &self.retry_gate
     }
 
     /// Mutable access to the retry gate.
     pub fn retry_gate_mut(&mut self) -> &mut Backoff {
-        &mut self.state.retry_gate
+        &mut self.retry_gate
     }
 
     /// A [`SiteBlackout`](ins_sim::fault::FaultKind::SiteBlackout) strikes:
@@ -152,7 +145,7 @@ impl Site {
     /// shorten.
     pub fn begin_blackout(&mut self, now: SimTime, duration: SimDuration) {
         let until = now + duration;
-        self.state.blackout_until = Some(match self.state.blackout_until {
+        self.blackout_until = Some(match self.blackout_until {
             Some(t) if t > until => t,
             _ => until,
         });
@@ -163,7 +156,7 @@ impl Site {
     /// the router cannot reach it until the window expires.
     pub fn begin_partition(&mut self, now: SimTime, duration: SimDuration) {
         let until = now + duration;
-        self.state.partition_until = Some(match self.state.partition_until {
+        self.partition_until = Some(match self.partition_until {
             Some(t) if t > until => t,
             _ => until,
         });
@@ -174,13 +167,13 @@ impl Site {
     /// worse factor.
     pub fn begin_slowdown(&mut self, now: SimTime, factor: f64, duration: SimDuration) {
         let until = now + duration;
-        let active = self.state.slow_until.is_some_and(|t| now < t);
-        self.state.slow_factor = if active {
-            self.state.slow_factor.max(factor)
+        let active = self.slow_until.is_some_and(|t| now < t);
+        self.slow_factor = if active {
+            self.slow_factor.max(factor)
         } else {
             factor
         };
-        self.state.slow_until = Some(match self.state.slow_until {
+        self.slow_until = Some(match self.slow_until {
             Some(t) if t > until => t,
             _ => until,
         });
@@ -189,20 +182,20 @@ impl Site {
     /// `true` while a blackout window is active.
     #[must_use]
     pub fn blacked_out(&self, now: SimTime) -> bool {
-        self.state.blackout_until.is_some_and(|t| now < t)
+        self.blackout_until.is_some_and(|t| now < t)
     }
 
     /// `true` when the WAN path to the site is up (no active partition).
     #[must_use]
     pub fn reachable(&self, now: SimTime) -> bool {
-        self.state.partition_until.is_none_or(|t| now >= t)
+        self.partition_until.is_none_or(|t| now >= t)
     }
 
     /// The current latency multiplier (1.0 when healthy).
     #[must_use]
     pub fn latency_factor(&self, now: SimTime) -> f64 {
-        if self.state.slow_until.is_some_and(|t| now < t) {
-            self.state.slow_factor
+        if self.slow_until.is_some_and(|t| now < t) {
+            self.slow_factor
         } else {
             1.0
         }
@@ -211,7 +204,7 @@ impl Site {
     /// Predicted round-trip latency of a request sent now, milliseconds.
     #[must_use]
     pub fn latency_ms(&self, now: SimTime) -> f64 {
-        self.state.base_latency_ms * self.latency_factor(now)
+        self.base_latency_ms * self.latency_factor(now)
     }
 
     /// `true` when the site can actually process requests: not blacked
@@ -260,8 +253,8 @@ impl Site {
         } else {
             units.iter().map(|u| u.soc().value()).sum::<f64>() / units.len() as f64
         };
-        let solar_now = self.state.solar.power_at(now).value();
-        0.7 * mean_soc + 0.3 * (solar_now / self.state.solar_peak_w).clamp(0.0, 1.0)
+        let solar_now = self.solar.power_at(now).value();
+        0.7 * mean_soc + 0.3 * (solar_now / self.solar_peak_w).clamp(0.0, 1.0)
     }
 
     /// Instantaneous electrical draw of the site's rack, watts — the
@@ -286,40 +279,11 @@ impl Site {
         self.power_draw_w() / per_hour
     }
 
-    /// Freezes the site — wrapped system and all WAN-facing state —
-    /// into a [`SiteSnapshot`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] from the wrapped system (fleet sites
-    /// always install the stock InSURE controller, which forks, so this
-    /// only fires for hand-built sites around exotic controllers).
-    pub fn snapshot(&self) -> Result<SiteSnapshot, SnapshotError> {
-        Ok(SiteSnapshot {
-            system: self.system.snapshot()?,
-            state: self.state.clone(),
-        })
-    }
-
-    /// Reconstructs a site from a snapshot.
-    ///
-    /// Sites carry no site-level fault schedule — fleet faults arrive
-    /// from the [`crate::fleet::Fleet`] above — so the wrapped system
-    /// forks under a clone of the schedule it was snapshotted with.
-    #[must_use]
-    pub fn fork_from(snapshot: &SiteSnapshot) -> Site {
-        let system = &snapshot.system;
-        Site {
-            system: InSituSystem::fork_from(system, system.faults().clone()),
-            state: snapshot.state.clone(),
-        }
-    }
-
     /// Records one routing tick for availability accounting.
     pub fn record_tick(&mut self, routable: bool) {
-        self.state.total_ticks += 1;
+        self.total_ticks += 1;
         if routable {
-            self.state.routable_ticks += 1;
+            self.routable_ticks += 1;
         }
     }
 
@@ -327,24 +291,12 @@ impl Site {
     /// serving), in `[0, 1]`; 1.0 before any tick is recorded.
     #[must_use]
     pub fn availability(&self) -> f64 {
-        if self.state.total_ticks == 0 {
+        if self.total_ticks == 0 {
             1.0
         } else {
-            self.state.routable_ticks as f64 / self.state.total_ticks as f64
+            self.routable_ticks as f64 / self.total_ticks as f64
         }
     }
-}
-
-/// Frozen [`Site`] state: the wrapped system's copy-on-write
-/// [`SystemSnapshot`] plus a clone of every WAN-facing field.
-///
-/// Produced by [`Site::snapshot`]; consumed any number of times by
-/// [`Site::fork_from`]. Cloning is cheap — the heavy system state sits
-/// behind the snapshot's shared `Arc`.
-#[derive(Debug, Clone)]
-pub struct SiteSnapshot {
-    system: SystemSnapshot,
-    state: SiteState,
 }
 
 #[cfg(test)]

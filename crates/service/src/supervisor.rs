@@ -88,8 +88,7 @@ impl InlineExecutor {
     ///
     /// # Errors
     ///
-    /// Propagates [`EngineError`] for unknown names or invalid
-    /// configuration.
+    /// Propagates [`EngineError`] for an unknown name.
     pub fn try_new(key: &str) -> Result<Self, EngineError> {
         Ok(Self {
             key: key.to_string(),

@@ -9,6 +9,10 @@
 //! CI's chaos job fans the fixed-seed tests across a seed matrix via the
 //! `INS_CHAOS_SEED` environment variable (default 11).
 
+mod common;
+
+use common::chaos_seed;
+
 use insure::core::controller::InsureController;
 use insure::core::metrics::RunMetrics;
 use insure::core::system::{InSituSystem, SystemEvent};
@@ -22,15 +26,6 @@ const TARGETS: FaultTargets = FaultTargets {
     units: 3,
     servers: 4,
 };
-
-/// The chaos-matrix seed: `INS_CHAOS_SEED` when set (CI fans a matrix of
-/// values across jobs), the repo's canonical seed 11 otherwise.
-fn chaos_seed() -> u64 {
-    std::env::var("INS_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11)
-}
 
 /// A checkpointed InSURE system under the extended stochastic fault menu
 /// (hardware faults plus checkpoint corruption, torn writes and restart
@@ -80,7 +75,7 @@ fn assert_recovery_invariants(sys: &InSituSystem) {
     assert!(m.goodput_gb >= 0.0 && m.lost_work_gb >= 0.0);
     assert!(m.lost_work_hours >= 0.0 && m.lost_work_hours.is_finite());
     assert!(m.mttr_minutes >= 0.0 && m.mttr_minutes.is_finite());
-    assert_eq!(m.recoveries, sys.recovery_durations().len());
+    assert_eq!(m.recoveries, sys.recoveries());
     for unit in sys.units() {
         let soc = unit.soc();
         assert!((0.0..=1.0).contains(&soc), "SoC {soc} escaped [0, 1]");

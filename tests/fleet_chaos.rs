@@ -7,17 +7,13 @@
 //! outcome, breakers must account for their trips, and the trajectory
 //! must replay bit-identically.
 
+mod common;
+
+use common::chaos_seed;
+
 use insure::fleet::{Fleet, FleetConfig};
 use insure::sim::fault::FaultKind;
 use insure::sim::time::{SimDuration, SimTime};
-
-/// The chaos-matrix seed: `INS_CHAOS_SEED` when set, 11 otherwise.
-fn chaos_seed() -> u64 {
-    std::env::var("INS_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(11)
-}
 
 #[test]
 fn fault_storm_resolves_every_request() {

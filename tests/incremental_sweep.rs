@@ -1,17 +1,22 @@
 //! Workspace-level equivalence oracle for the incremental sweep engine.
 //!
-//! The sweep binaries promise that `--incremental` (copy-on-write
-//! shared-prefix forking, the default) and `--no-incremental` (every
-//! cell from scratch) produce byte-identical JSON at any thread count.
-//! These tests pin that promise at the artifact level — the exact bytes
-//! the CI `bench-smoke` job diffs — with property-based grids for the
-//! single-site sweeps, a deterministic fleet case, and a regression test
-//! for the fork-boundary rule that fault events delivered before the
-//! fork instant must never re-fire in a forked cell.
+//! `fault_sweep` and `recovery` run their grids on the shared-prefix
+//! runner (copy-on-write forking at the first divergence), and their
+//! rows must equal the from-scratch reference functions byte for byte,
+//! at any thread count. These tests pin that at the artifact level, the
+//! JSON the binaries print: fixed cases on the binaries' default grids
+//! (at seed 11 and at CI's chaos seed), property-based grids, and a
+//! regression test for the fork-boundary rule that fault events
+//! delivered before the fork instant must never re-fire in a forked
+//! cell.
+
+mod common;
+
+use common::chaos_seed;
 
 use proptest::prelude::*;
 
-use ins_bench::experiments::{faults, fleet, recovery};
+use ins_bench::experiments::{faults, recovery};
 use insure::core::controller::InsureController;
 use insure::core::system::{InSituSystem, SystemEvent};
 use insure::sim::fault::{FaultEvent, FaultKind, FaultSchedule};
@@ -67,27 +72,49 @@ proptest! {
     }
 }
 
+/// The binaries' default seed, then the chaos seed when it differs.
+fn fixed_seeds() -> Vec<u64> {
+    let mut seeds = vec![11, chaos_seed()];
+    seeds.dedup();
+    seeds
+}
+
+/// `fault_sweep`'s default grid: its incremental rows at 1, 4 and 16
+/// threads equal the from-scratch rows at one thread.
 #[test]
-fn fleet_incremental_json_matches_scratch() {
-    let scratch = fleet::to_json(&fleet::sweep_grid_with(
-        7,
-        &[2],
-        &[0.0, 2.0],
-        &["standard"],
-        1,
-    ));
-    for threads in [1, 4] {
-        let incremental = fleet::to_json(&fleet::sweep_grid_incremental(
-            7,
-            &[2],
-            &[0.0, 2.0],
-            &["standard"],
-            threads,
-        ));
-        assert_eq!(
-            incremental, scratch,
-            "fleet sweep diverged at {threads} threads"
-        );
+fn default_fault_grid_incremental_matches_scratch() {
+    for seed in fixed_seeds() {
+        let rates = faults::RATES_HOURS;
+        let scratch = faults::to_json(&faults::sweep_rates_with(seed, &rates, 1));
+        for threads in [1, 4, 16] {
+            let incremental =
+                faults::to_json(&faults::sweep_rates_incremental(seed, &rates, threads));
+            assert_eq!(
+                incremental, scratch,
+                "fault sweep diverged: seed {seed}, {threads} threads"
+            );
+        }
+    }
+}
+
+/// `recovery`'s default grid, the same way.
+#[test]
+fn default_recovery_grid_incremental_matches_scratch() {
+    let (intervals, rates) = (
+        &recovery::CHECKPOINT_INTERVALS_HOURS,
+        &recovery::FAULT_RATES_HOURS,
+    );
+    for seed in fixed_seeds() {
+        let scratch = recovery::to_json(&recovery::sweep_grid_with(seed, intervals, rates, 1));
+        for threads in [1, 4, 16] {
+            let incremental = recovery::to_json(&recovery::sweep_grid_incremental(
+                seed, intervals, rates, threads,
+            ));
+            assert_eq!(
+                incremental, scratch,
+                "recovery sweep diverged: seed {seed}, {threads} threads"
+            );
+        }
     }
 }
 

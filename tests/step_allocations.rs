@@ -15,7 +15,7 @@
 //!   default 1-minute period every 60 s step runs the controller. On a
 //!   plant built with `latest_samples_only` they must allocate exactly
 //!   0 times, except in the few steps that append to one of the plant's
-//!   logs (its events, recoveries, batch queue or completed jobs), whose
+//!   logs (its events, batch queue or completed jobs), whose
 //!   `Vec`s still grow by doubling: its traces replace their one sample
 //!   and seal no chunks.
 //! * Control steps must average at most 1.1: the order list the
@@ -133,21 +133,16 @@ struct Budget {
     dark_control: (u64, f64),
 }
 
-/// The lengths of the plant's append-only logs: events, recoveries, and
-/// the batch workload's queue and completed jobs.
-fn log_lengths(sys: &InSituSystem) -> [usize; 4] {
+/// The lengths of the plant's append-only logs: events, and the batch
+/// workload's queue and completed jobs.
+fn log_lengths(sys: &InSituSystem) -> [usize; 3] {
     let (queued, completed) = match sys.workload() {
         WorkloadModel::Batch { workload, .. } => {
             (workload.queued_jobs(), workload.completed().len())
         }
         WorkloadModel::Stream { .. } => (0, 0),
     };
-    [
-        sys.events().len(),
-        sys.recovery_durations().len(),
-        queued,
-        completed,
-    ]
+    [sys.events().len(), queued, completed]
 }
 
 fn measure(
