@@ -40,7 +40,6 @@ pub fn endurance(days: usize, seed: u64) -> EnduranceRun {
     let mut sys = InSituSystem::builder(solar, Box::new(InsureController::default()))
         .workload(WorkloadModel::seismic())
         .time_step(SimDuration::from_secs(60))
-        .latest_samples_only()
         .build();
     sys.run_until(SimTime::from_secs(days as u64 * 86_400));
     let metrics = RunMetrics::collect(&sys);
@@ -97,7 +96,6 @@ fn run_point(sf: f64, days: usize, seed: u64) -> SunshinePoint {
     let mut sys = InSituSystem::builder(solar, Box::new(InsureController::default()))
         .workload(WorkloadModel::seismic())
         .time_step(SimDuration::from_secs(60))
-        .latest_samples_only()
         .build();
     sys.run_until(SimTime::from_secs(days as u64 * 86_400));
     let m = RunMetrics::collect(&sys);

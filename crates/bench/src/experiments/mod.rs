@@ -58,14 +58,11 @@ pub(crate) fn controller(name: &str) -> Box<dyn PowerController> {
 }
 
 /// The evaluation day's system: the prototype's units on `solar` under
-/// `controller`, stepped every 30 s. Run it with [`run_day`]. Its
-/// callers read metrics and events, never sample history, so the plant
-/// keeps only each trace's latest sample.
+/// `controller`, stepped every 30 s. Run it with [`run_day`].
 pub(crate) fn day(solar: SolarTrace, controller: Box<dyn PowerController>) -> SystemBuilder {
     InSituSystem::builder(solar, controller)
         .unit_count(TARGETS.units)
         .time_step(STEP)
-        .latest_samples_only()
 }
 
 /// Runs `sys` to the end of the evaluation day, 23:59:30, and collects

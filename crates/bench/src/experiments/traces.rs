@@ -9,7 +9,7 @@
 use ins_core::controller::{BaselineController, InsureController};
 use ins_core::system::{InSituSystem, SystemEvent, WorkloadModel};
 use ins_sim::time::{SimDuration, SimTime};
-use ins_sim::trace::{downsample, Sample};
+use ins_sim::trace::{downsample, Sample, Trace};
 use ins_sim::units::Soc;
 use ins_solar::trace::{high_generation_day, low_generation_day, SolarTrace};
 
@@ -24,6 +24,26 @@ pub struct SolarDaySummary {
     pub energy_kwh: f64,
     /// Downsampled power series for plotting/printing.
     pub series: Vec<Sample>,
+}
+
+/// One of a plant's output traces, e.g. [`InSituSystem::trace_load`].
+type TraceOf = fn(&InSituSystem) -> &Trace;
+
+/// Steps `sys` to `end`, appending every step's sample of each of
+/// `traces` to its series. A plant's traces keep only their latest
+/// sample, so a figure that prints a waveform records it here.
+fn record_until<const N: usize>(
+    sys: &mut InSituSystem,
+    end: SimTime,
+    traces: [TraceOf; N],
+    series: &mut [Vec<Sample>; N],
+) {
+    while sys.now() < end {
+        sys.step();
+        for (trace, samples) in traces.iter().zip(series.iter_mut()) {
+            samples.extend(trace(sys).last());
+        }
+    }
 }
 
 /// Generates the Fig. 15 pair.
@@ -69,7 +89,14 @@ pub fn fig05(seed: u64) -> SwitchOutRun {
     .time_step(SimDuration::from_secs(10))
     .start_at(SimTime::from_hms(13, 30, 0))
     .build();
-    sys.run_until(SimTime::from_hms(15, 30, 0));
+    let mut series = [Vec::new(), Vec::new()];
+    record_until(
+        &mut sys,
+        SimTime::from_hms(15, 30, 0),
+        [InSituSystem::trace_pack_voltage, InSituSystem::trace_load],
+        &mut series,
+    );
+    let [voltage, load] = series;
     let interruptions = sys
         .events()
         .iter()
@@ -82,8 +109,8 @@ pub fn fig05(seed: u64) -> SwitchOutRun {
         .map(|e| e.time)
         .collect();
     SwitchOutRun {
-        voltage_series: sys.trace_pack_voltage().downsample(40),
-        load_series: sys.trace_load().downsample(40),
+        voltage_series: downsample(&voltage, 40),
+        load_series: downsample(&load, 40),
         interruptions,
     }
 }
@@ -120,15 +147,23 @@ pub fn fig16(seed: u64) -> DayLongRun {
     .initial_soc(Soc::new(0.35))
     .time_step(SimDuration::from_secs(10))
     .build();
-    sys.run_until(SimTime::from_hms(6, 54, 0));
-    let stored_dawn_wh = sys.trace_stored().last().map_or(0.0, |s| s.value);
-    sys.run_until(SimTime::from_hms(10, 0, 0));
-    let stored_mid_morning_wh = sys.trace_stored().last().map_or(0.0, |s| s.value);
-    sys.run_until(SimTime::from_hms(23, 59, 50));
+    let traces: [TraceOf; 3] = [
+        InSituSystem::trace_solar,
+        InSituSystem::trace_load,
+        InSituSystem::trace_pack_voltage,
+    ];
+    let mut series = [Vec::new(), Vec::new(), Vec::new()];
+    let stored = |sys: &InSituSystem| sys.trace_stored().last().map_or(0.0, |s| s.value);
+    record_until(&mut sys, SimTime::from_hms(6, 54, 0), traces, &mut series);
+    let stored_dawn_wh = stored(&sys);
+    record_until(&mut sys, SimTime::from_hms(10, 0, 0), traces, &mut series);
+    let stored_mid_morning_wh = stored(&sys);
+    record_until(&mut sys, SimTime::from_hms(23, 59, 50), traces, &mut series);
+    let [solar, load, voltage] = series;
     DayLongRun {
-        solar_series: sys.trace_solar().downsample(48),
-        load_series: sys.trace_load().downsample(48),
-        voltage_series: sys.trace_pack_voltage().downsample(48),
+        solar_series: downsample(&solar, 48),
+        load_series: downsample(&load, 48),
+        voltage_series: downsample(&voltage, 48),
         stored_dawn_wh,
         stored_mid_morning_wh,
         interventions: sys.events().len(),

@@ -502,7 +502,7 @@ fn fig17_19(_: usize) -> Result<String, String> {
         out,
         "Figs. 17–19 — InSURE improvement over the baseline, micro-benchmarks"
     );
-    let _ = writeln!(out, "(6 benchmarks × high/low solar; this takes a minute)");
+    let _ = writeln!(out, "(6 benchmarks × high/low solar)");
     let _ = writeln!(out);
     let rows = micro::fig17_19(3);
     let _ = writeln!(out, "{}", micro::render(&rows));

@@ -1,7 +1,8 @@
 //! The bench binaries reject flags they do not know: a misspelt flag
-//! exits 2 with the usage line instead of running with defaults.
+//! exits 2 with the usage line instead of running with defaults. And
+//! `all_experiments` prints exactly the committed report.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Runs `bin` with `args` in a fresh temporary directory, so a binary
@@ -123,4 +124,42 @@ fn sweep_binaries_take_the_equals_form_of_threads() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).starts_with('['));
+}
+
+/// `all_experiments` prints every experiment binary's report, and
+/// `.github/all-experiments.txt` commits that output. A deliberate
+/// change to an experiment's numbers or text regenerates the file in the
+/// same diff: `all_experiments --threads 1 > .github/all-experiments.txt`.
+#[test]
+fn all_experiments_prints_the_committed_output() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../.github/all-experiments.txt");
+    let expected = std::fs::read_to_string(&committed)
+        .unwrap_or_else(|e| panic!("{}: {e}", committed.display()));
+    let (out, dir) = run_in_temp_dir(
+        "all_experiments",
+        env!("CARGO_BIN_EXE_all_experiments"),
+        &["--threads", "1"],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let actual = String::from_utf8_lossy(&out.stdout);
+    if actual != expected {
+        let same = expected
+            .lines()
+            .zip(actual.lines())
+            .take_while(|(e, a)| e == a)
+            .count();
+        panic!(
+            "all_experiments differs from {} at line {}:\n--- committed\n{}\n--- printed\n{}",
+            committed.display(),
+            same + 1,
+            expected.lines().nth(same).unwrap_or("<end of file>"),
+            actual.lines().nth(same).unwrap_or("<end of output>"),
+        );
+    }
 }

@@ -50,19 +50,31 @@ impl Rack {
     #[must_use]
     pub fn new(profile: ServerProfile, n: usize) -> Self {
         assert!(n > 0, "rack needs at least one server");
+        Self::of((0..n).map(|_| Server::new(profile.clone())).collect())
+    }
+
+    /// The prototype rack: four HP ProLiant machines (8 VM slots). The
+    /// Xeon preset always validates (`profiles::tests::presets_validate`),
+    /// so this constructor cannot fail.
+    #[must_use]
+    pub fn prototype() -> Self {
+        let profile = ServerProfile::xeon_proliant();
+        Self::of(
+            (0..4)
+                .map(|_| Server::with_valid(profile.clone()))
+                .collect(),
+        )
+    }
+
+    /// A rack of `servers`, targeting zero VMs.
+    fn of(servers: Vec<Server>) -> Self {
         Self {
-            servers: (0..n).map(|_| Server::new(profile.clone())).collect(),
+            servers,
             target_vms: 0,
             duty: DutyCycle::FULL,
             vm_control_actions: 0,
             duty_control_actions: 0,
         }
-    }
-
-    /// The prototype rack: four HP ProLiant machines (8 VM slots).
-    #[must_use]
-    pub fn prototype() -> Self {
-        Self::new(ServerProfile::xeon_proliant(), 4)
     }
 
     /// The physical machines.

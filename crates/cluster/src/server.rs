@@ -90,6 +90,12 @@ impl Server {
         profile
             .validate()
             .unwrap_or_else(|e| panic!("invalid server profile: {e}"));
+        Self::with_valid(profile)
+    }
+
+    /// A powered-off server whose `profile` passes
+    /// [`ServerProfile::validate`].
+    pub(crate) fn with_valid(profile: ServerProfile) -> Self {
         Self {
             profile,
             state: PowerState::Off,

@@ -208,10 +208,7 @@ impl InsureController {
     /// constructor cannot fail.
     #[must_use]
     pub fn prototype() -> Self {
-        // Named by type: ins-lint's call graph does not resolve `Self::`
-        // calls, and L011 must see this edge from the service's engine
-        // registry.
-        InsureController::with_valid(InsureConfig::prototype())
+        Self::with_valid(InsureConfig::prototype())
     }
 
     /// The controller around a `config` that passes

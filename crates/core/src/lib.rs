@@ -28,8 +28,7 @@
 //! * [`system`] — the full co-simulation wiring solar, switch matrix,
 //!   batteries, charger, load bus, rack and workload together,
 //! * [`metrics`] — the paper's service- and system-related metrics and
-//!   Table 6 log counters,
-//! * [`log`] — per-day Table 6-style log extraction from multi-day runs.
+//!   Table 6 log counters.
 //!
 //! # Examples
 //!
@@ -58,7 +57,6 @@ pub mod config;
 pub mod controller;
 pub mod engine;
 pub mod health;
-pub mod log;
 pub mod metrics;
 pub mod mode;
 pub mod recovery;

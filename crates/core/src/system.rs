@@ -122,14 +122,6 @@ impl WorkloadModel {
         }
     }
 
-    /// Caps a stream's post-outage drain rate at `factor ×` the arrival
-    /// rate (no effect on batch workloads).
-    pub fn set_max_catchup_factor(&mut self, factor: f64) {
-        if let WorkloadModel::Stream { workload, .. } = self {
-            workload.set_max_catchup_factor(factor);
-        }
-    }
-
     /// Data processed so far, GB.
     #[must_use]
     pub fn processed_gb(&self) -> f64 {
@@ -472,9 +464,11 @@ impl InSituSystem {
         &self.plant.events
     }
 
-    /// Solar power trace as replayed (one sample per step). This and the
-    /// three traces below hold only their latest sample on a plant built
-    /// with [`SystemBuilder::latest_samples_only`].
+    /// Solar power trace as replayed: one sample recorded per step. This
+    /// and the three traces below are [`Trace::latest_only`] traces, so
+    /// they summarize every step in [`Trace::stats`] but retain only the
+    /// latest sample; a caller that wants a waveform records each step's
+    /// [`Trace::last`].
     #[must_use]
     pub fn trace_solar(&self) -> &Trace {
         &self.plant.trace_solar
@@ -1312,7 +1306,6 @@ pub struct SystemBuilder {
     start: SimTime,
     faults: FaultSchedule,
     checkpoint: Option<CheckpointPolicy>,
-    keep_trace_history: bool,
 }
 
 impl SystemBuilder {
@@ -1333,7 +1326,6 @@ impl SystemBuilder {
             start: SimTime::ZERO,
             faults: FaultSchedule::empty(),
             checkpoint: None,
-            keep_trace_history: true,
         }
     }
 
@@ -1424,19 +1416,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Keeps only the latest sample of the four output traces
-    /// ([`InSituSystem::trace_solar`] and its siblings): each is built
-    /// with [`Trace::latest_only`]. Their statistics, their last sample,
-    /// [`RunMetrics`](crate::metrics::RunMetrics) and everything else the
-    /// plant reports are unchanged; only the sample history is gone, so
-    /// memory no longer grows with the horizon. Off by default, because
-    /// figures, daily logs and fixtures read that history.
-    #[must_use]
-    pub fn latest_samples_only(mut self) -> Self {
-        self.keep_trace_history = false;
-        self
-    }
-
     /// Assembles the system.
     ///
     /// # Panics
@@ -1446,11 +1425,6 @@ impl SystemBuilder {
     /// crate's `presets_validate` test pins that they pass.
     #[must_use]
     pub fn build(self) -> InSituSystem {
-        let trace = if self.keep_trace_history {
-            Trace::new
-        } else {
-            Trace::latest_only
-        };
         let params = BatteryParams::cabinet_24v();
         let units: Vec<BatteryUnit> = (0..self.unit_count)
             .map(|i| BatteryUnit::with_soc(BatteryId(i), params, self.initial_soc))
@@ -1484,10 +1458,10 @@ impl SystemBuilder {
             lost_work_gb: 0.0,
             data_loss_events: 0,
             brownouts: 0,
-            trace_solar: trace("solar W"),
-            trace_load: trace("load W"),
-            trace_stored: trace("stored Wh"),
-            trace_pack_voltage: trace("pack V"),
+            trace_solar: Trace::latest_only("solar W"),
+            trace_load: Trace::latest_only("load W"),
+            trace_stored: Trace::latest_only("stored Wh"),
+            trace_pack_voltage: Trace::latest_only("pack V"),
             events: EventLog::new(),
             solar_harvested: WattHours::ZERO,
             solar_used_load: WattHours::ZERO,
@@ -1531,9 +1505,9 @@ mod tests {
     /// Every stock controller, with and without checkpoints, at a 10 s
     /// and a 60 s step: a run forked at 08:00 from a fault-free prefix
     /// must replay the from-scratch run exactly under a schedule whose
-    /// events all fall at or after 09:00. The third case forks on day 2
-    /// at a 10 s step, after 16 sealed trace chunks, and runs the prefix
-    /// on across more seals.
+    /// events all fall at or after 09:00. After the fork the two step in
+    /// lockstep, and every step's sample of all four traces must agree.
+    /// The third case forks on day 2 at a 10 s step.
     #[test]
     fn forked_run_is_identical_to_its_scratch_run() {
         let targets = ins_sim::fault::FaultTargets {
@@ -1554,6 +1528,12 @@ mod tests {
             || Box::new(InsureController::default()),
             || Box::new(BaselineController::new()),
             || Box::new(NoOptController::new()),
+        ];
+        let traces = [
+            InSituSystem::trace_solar,
+            InSituSystem::trace_load,
+            InSituSystem::trace_stored,
+            InSituSystem::trace_pack_voltage,
         ];
         for make in controllers {
             for checkpoints in [None, Some(CheckpointPolicy::prototype())] {
@@ -1584,27 +1564,32 @@ mod tests {
                     };
                     let end = at(23, 59);
                     let mut scratch = build(schedule());
-                    scratch.run_until(end);
+                    scratch.run_until(at(8, 0));
                     let mut prefix = build(FaultSchedule::empty());
                     prefix.run_until(at(8, 0));
                     let snap = prefix.snapshot().expect("stock controllers fork");
                     // Running the prefix on must not disturb the snapshot
-                    // (copy-on-write isolation), including across the
-                    // chunk seals its traces make meanwhile.
-                    let sealed_at_fork = prefix.trace_solar().sealed_chunks().len();
+                    // (copy-on-write isolation).
                     prefix.run_until(at(12, 0));
                     let case = format!(
                         "{} day {lead_days} step={step}s {checkpoints:?}",
                         make().name()
                     );
-                    if step == 10 {
-                        assert!(
-                            prefix.trace_solar().sealed_chunks().len() > sealed_at_fork,
-                            "{case}: the prefix sealed no chunk after the fork"
-                        );
-                    }
                     let mut forked = InSituSystem::fork_from(&snap, schedule());
-                    forked.run_until(end);
+                    assert_eq!(scratch.now(), forked.now(), "{case}");
+                    while scratch.now() < end {
+                        scratch.step();
+                        forked.step();
+                        for trace in traces {
+                            assert_eq!(
+                                trace(&scratch).last(),
+                                trace(&forked).last(),
+                                "{case}: {} at {}",
+                                trace(&scratch).name(),
+                                scratch.now()
+                            );
+                        }
+                    }
                     let fired = forked
                         .events()
                         .count(|e| matches!(e, SystemEvent::FaultInjected(_)));
@@ -1612,12 +1597,7 @@ mod tests {
                     let metrics = |s: &InSituSystem| format!("{:?}", RunMetrics::collect(s));
                     assert_eq!(metrics(&scratch), metrics(&forked), "{case}");
                     assert_eq!(scratch.events(), forked.events(), "{case}");
-                    for trace in [
-                        InSituSystem::trace_solar,
-                        InSituSystem::trace_load,
-                        InSituSystem::trace_stored,
-                        InSituSystem::trace_pack_voltage,
-                    ] {
+                    for trace in traces {
                         assert_eq!(trace(&scratch), trace(&forked), "{case}");
                     }
                     assert_eq!(scratch.now(), forked.now(), "{case}");
@@ -1732,16 +1712,50 @@ mod tests {
         );
     }
 
+    /// Every plant's output traces summarize each step taken but retain
+    /// only the latest sample, after any build and run.
     #[test]
     fn traces_cover_the_run() {
+        let weather = [DayWeather::Sunny, DayWeather::Rainy];
+        let stepped = |sys: &InSituSystem, steps: u64| {
+            for trace in [
+                sys.trace_solar(),
+                sys.trace_load(),
+                sys.trace_stored(),
+                sys.trace_pack_voltage(),
+            ] {
+                assert_eq!(trace.stats().count(), steps, "{}", trace.name());
+                assert_eq!(trace.len(), steps.min(1) as usize, "{}", trace.name());
+                if steps > 0 {
+                    assert_eq!(
+                        trace.last().map(|s| s.time),
+                        Some(sys.now() - sys.plant.clock.dt())
+                    );
+                }
+            }
+        };
         let mut sys = day_system(Box::new(InsureController::default()));
+        stepped(&sys, 0);
         sys.run_until(SimTime::from_hms(6, 0, 0));
-        let expected = 6 * 3600 / 30;
-        assert_eq!(sys.trace_solar().len(), expected);
-        assert_eq!(sys.trace_load().len(), expected);
-        assert_eq!(sys.trace_stored().len(), expected);
-        assert_eq!(sys.trace_pack_voltage().len(), expected);
+        stepped(&sys, 6 * 3600 / 30);
         assert!((sys.elapsed_hours() - 6.0).abs() < 0.01);
+        let mut sys = InSituSystem::builder(
+            SolarTraceBuilder::new().seed(5).build_days(&weather),
+            Box::new(BaselineController::new()),
+        )
+        .time_step(SimDuration::from_secs(10))
+        .fault_schedule(FaultSchedule::from_events(
+            5,
+            vec![dropout_at(9 * 3600, 60)],
+        ))
+        .checkpoints(CheckpointPolicy::prototype())
+        .build();
+        sys.run_until(SimTime::from_hms(30, 0, 0));
+        stepped(&sys, 30 * 360);
+        let snap = sys.snapshot().expect("stock controllers fork");
+        let mut forked = InSituSystem::fork_from(&snap, FaultSchedule::empty());
+        forked.run_until(SimTime::from_hms(47, 0, 0));
+        stepped(&forked, 47 * 360);
     }
 
     #[test]

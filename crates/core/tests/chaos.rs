@@ -5,7 +5,9 @@
 //! injected fault may change *performance*, never *correctness*. For
 //! any seed and any arrival rate, a faulted run must keep every battery
 //! SoC in [0, 1], never charge and discharge the same unit in the same
-//! step, never panic or wedge, and produce finite metrics.
+//! step, never panic or wedge, and produce finite metrics. Every step
+//! also feeds each output trace's statistics while the trace keeps only
+//! that step's sample.
 
 use ins_core::controller::{BaselineController, InsureController, PowerController};
 use ins_core::metrics::RunMetrics;
@@ -48,6 +50,15 @@ fn run_with_invariants(mut sys: InSituSystem) -> RunMetrics {
         sys.step();
         steps += 1;
         prop_assert!(steps <= 2000, "simulation wedged: clock stopped advancing");
+        for trace in [
+            sys.trace_solar(),
+            sys.trace_load(),
+            sys.trace_stored(),
+            sys.trace_pack_voltage(),
+        ] {
+            prop_assert_eq!(trace.len(), 1, "{} retains history", trace.name());
+            prop_assert_eq!(trace.stats().count(), u64::from(steps), "{}", trace.name());
+        }
         for unit in sys.units() {
             let soc = unit.soc();
             prop_assert!(

@@ -8,10 +8,8 @@
 //! `CheckpointPolicy::prototype()`. A case records the full `{:?}` of
 //! `RunMetrics::collect`, every unit's discharge throughput and an
 //! FNV-1a digest of the four system traces (sample times and value bits).
-//!
-//! The same cases are the oracle for `SystemBuilder::latest_samples_only`:
-//! a plant that keeps only each trace's latest sample must report exactly
-//! what the full-history plant does, from scratch and forked at noon.
+//! The plant's traces keep only their latest sample, so the digest is
+//! taken over the samples this test records after every step.
 //!
 //! To regenerate after an intentional behaviour change:
 //!
@@ -30,7 +28,7 @@ use ins_core::metrics::RunMetrics;
 use ins_core::system::{InSituSystem, SystemBuilder};
 use ins_sim::fault::{FaultSchedule, FaultTargets};
 use ins_sim::time::{SimDuration, SimTime};
-use ins_sim::trace::Trace;
+use ins_sim::trace::Sample;
 use ins_solar::trace::SolarTraceBuilder;
 use ins_solar::weather::DayWeather;
 use ins_workload::checkpoint::CheckpointPolicy;
@@ -57,7 +55,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-fn trace_digest(traces: [&Trace; 4]) -> u64 {
+fn trace_digest(traces: &[Vec<Sample>; 4]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for trace in traces {
         for s in trace {
@@ -94,7 +92,20 @@ fn case(make: fn() -> Box<dyn PowerController>, dt_s: u64, faulty: bool) -> Syst
 /// Runs one case and renders its fixture section.
 fn render_case(make: fn() -> Box<dyn PowerController>, dt_s: u64, faulty: bool) -> String {
     let mut sys = case(make, dt_s, faulty).build();
-    sys.run_until(SimTime::ZERO + HORIZON);
+    let mut traces: [Vec<Sample>; 4] = Default::default();
+    while sys.now() < SimTime::ZERO + HORIZON {
+        sys.step();
+        let latest = [
+            sys.trace_solar(),
+            sys.trace_load(),
+            sys.trace_stored(),
+            sys.trace_pack_voltage(),
+        ]
+        .map(|trace| trace.last());
+        for (samples, last) in traces.iter_mut().zip(latest) {
+            samples.extend(last);
+        }
+    }
 
     let mut out = format!(
         "[dt={dt_s}s faults={}]\n",
@@ -109,12 +120,7 @@ fn render_case(make: fn() -> Box<dyn PowerController>, dt_s: u64, faulty: bool) 
             u.discharge_throughput().value()
         );
     }
-    let digest = trace_digest([
-        sys.trace_solar(),
-        sys.trace_load(),
-        sys.trace_stored(),
-        sys.trace_pack_voltage(),
-    ]);
+    let digest = trace_digest(&traces);
     let _ = writeln!(out, "traces={digest:016x}");
     out
 }
@@ -163,91 +169,4 @@ fn baseline_matches_golden_step_loop() {
 #[test]
 fn noopt_matches_golden_step_loop() {
     check("noopt", || Box::new(NoOptController::new()));
-}
-
-/// Everything a plant reports that needs no sample history: the metrics,
-/// every unit's discharge throughput, the event log, and each trace's
-/// last sample and statistics.
-fn summary(sys: &InSituSystem) -> String {
-    let mut out = format!("metrics={:?}\n", RunMetrics::collect(sys));
-    for u in sys.units() {
-        let _ = writeln!(
-            out,
-            "unit={} discharge_throughput_ah={:?}",
-            u.id().0,
-            u.discharge_throughput().value()
-        );
-    }
-    let _ = writeln!(out, "events={:?}", sys.events().entries());
-    for trace in [
-        sys.trace_solar(),
-        sys.trace_load(),
-        sys.trace_stored(),
-        sys.trace_pack_voltage(),
-    ] {
-        let _ = writeln!(
-            out,
-            "{}: last={:?} stats={:?}",
-            trace.name(),
-            trace.last(),
-            trace.stats()
-        );
-    }
-    out
-}
-
-/// Runs `builder`'s plant to the horizon, and a fork of it snapshotted at
-/// noon on the first day; returns both, scratch first.
-fn run_and_fork(builder: SystemBuilder) -> [InSituSystem; 2] {
-    let mut sys = builder.build();
-    sys.run_until(SimTime::from_hms(12, 0, 0));
-    let snapshot = sys.snapshot().expect("stock controllers fork");
-    let mut fork = InSituSystem::fork_from(&snapshot, sys.fault_schedule().clone());
-    for plant in [&mut sys, &mut fork] {
-        plant.run_until(SimTime::ZERO + HORIZON);
-    }
-    [sys, fork]
-}
-
-fn check_latest_only(name: &str, make: fn() -> Box<dyn PowerController>) {
-    for dt_s in STEPS_S {
-        for faulty in [false, true] {
-            let full = run_and_fork(case(make, dt_s, faulty));
-            let latest = run_and_fork(case(make, dt_s, faulty).latest_samples_only());
-            for (path, (a, b)) in ["scratch", "forked at noon"]
-                .into_iter()
-                .zip(full.iter().zip(&latest))
-            {
-                let retained = [
-                    b.trace_solar(),
-                    b.trace_load(),
-                    b.trace_stored(),
-                    b.trace_pack_voltage(),
-                ]
-                .map(Trace::len);
-                assert_eq!(retained, [1; 4], "{name}, {path}: latest-only traces");
-                let (a, b) = (summary(a), summary(b));
-                assert!(
-                    a == b,
-                    "{name}, dt={dt_s}s, faults={faulty}, {path}: a latest-only plant \
-                     reports differently\n--- full history\n{a}--- latest only\n{b}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn insure_latest_only_plant_matches_full_history() {
-    check_latest_only("insure", || Box::new(InsureController::default()));
-}
-
-#[test]
-fn baseline_latest_only_plant_matches_full_history() {
-    check_latest_only("baseline", || Box::new(BaselineController::new()));
-}
-
-#[test]
-fn noopt_latest_only_plant_matches_full_history() {
-    check_latest_only("noopt", || Box::new(NoOptController::new()));
 }

@@ -116,13 +116,11 @@ impl Fleet {
             .map(|i| {
                 let site_seed = fleet_rng.fork_seed(&format!("site-{i}"));
                 let solar = high_generation_day(site_seed);
-                // Fleet metrics read no site's sample history.
                 let mut builder =
                     InSituSystem::builder(solar.clone(), Box::new(InsureController::default()))
                         .unit_count(config.units_per_site)
                         .workload(WorkloadModel::video())
-                        .time_step(config.site_time_step)
-                        .latest_samples_only();
+                        .time_step(config.site_time_step);
                 if let Some(policy) = config.checkpoints {
                     builder = builder.checkpoints(policy);
                 }

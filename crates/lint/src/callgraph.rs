@@ -6,9 +6,10 @@
 //! under-approximate reachability rather than invent it:
 //!
 //! 1. **Qualified calls** (`a::b::f(…)`): the qualifier (after
-//!    expanding the file's `use` aliases and normalizing
+//!    expanding the file's `use` aliases, normalizing
 //!    `crate`/`self`/`super` and `ins_*` lib names to workspace crate
-//!    names) must be a suffix of the candidate's qualification path.
+//!    names, and reading `Self` as the enclosing `impl`'s path) must be
+//!    a suffix of the candidate's qualification path.
 //! 2. **Bare calls** (`f(…)`): same module first, then a `use` alias,
 //!    then a unique match in the same crate, then a unique match in
 //!    the workspace; ambiguity drops the edge.
@@ -241,6 +242,12 @@ impl CallGraph {
                 let mut parent = parsed.module_path.clone();
                 parent.pop();
                 qual.extend(parent);
+                qual.extend(call.qual[1..].iter().cloned());
+            }
+            // `Self` is only legal in an `impl` or trait body, where the
+            // caller's qualification ends in the self type.
+            "Self" => {
+                qual.extend(parsed.fns[call.caller].qual.iter().cloned());
                 qual.extend(call.qual[1..].iter().cloned());
             }
             head => {
@@ -670,6 +677,31 @@ mod tests {
         .graph();
         let outer = g.fns.iter().position(|f| f.name == "outer").unwrap();
         assert_eq!(g.edges[outer].len(), 1);
+    }
+
+    #[test]
+    fn self_qualified_call_resolves_in_the_impl() {
+        let g = files(&[(
+            "crates/core/src/a.rs",
+            "pub struct S;\nimpl S {\n    fn helper() -> Self { panic!(\"boom\") }\n    \
+             pub fn build() -> Self { Self::helper() }\n}\n\
+             pub struct T;\nimpl T {\n    fn helper() -> Self { T }\n}\n",
+        )])
+        .graph();
+        let build = g.fns.iter().position(|f| f.name == "build").unwrap();
+        let helper = g
+            .fns
+            .iter()
+            .position(|f| f.name == "helper" && f.qual.last().is_some_and(|q| q == "S"))
+            .unwrap();
+        assert_eq!(
+            g.edges[build],
+            vec![Edge {
+                to: helper,
+                line: 4,
+                in_test: false
+            }]
+        );
     }
 
     #[test]

@@ -283,14 +283,11 @@ impl ServiceCore {
         let bridge = BridgeController {
             shared: Rc::clone(&shared),
         };
-        // Telemetry reads only the latest solar sample, so a long-running
-        // service keeps no sample history.
         let sys = InSituSystem::builder(solar, Box::new(bridge))
             .try_unit_count(spec.unit_count)?
             .control_period(spec.control_period)
             .time_step(spec.dt)
             .checkpoints(spec.checkpoint)
-            .latest_samples_only()
             .build();
         let admission = AdmissionController::new(spec.admission);
         Ok(Self {

@@ -1,8 +1,7 @@
 //! Memory budget of a service left running: its plant keeps no per-step
-//! sample history. Telemetry reads only the latest solar sample, so after
-//! a few control periods each of the plant's four traces holds one
-//! sample, where a full-history plant holds one per step. Every step
-//! still feeds the traces' statistics.
+//! sample history. After a few control periods each of the plant's four
+//! traces holds one sample, the latest, which is all telemetry reads.
+//! Every step still feeds the traces' statistics.
 
 use ins_service::harness::{ServiceCore, ServiceSpec};
 use ins_sim::time::SimTime;

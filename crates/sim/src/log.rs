@@ -2,8 +2,8 @@
 //!
 //! The prototype in the paper writes relay status logs and VM-management
 //! logs that §6.2 later mines for Table 6. [`EventLog`] is the simulation's
-//! equivalent: a chronological record of typed events with counting and
-//! filtering helpers.
+//! equivalent: a chronological record of typed events with a counting
+//! helper.
 
 use core::fmt;
 
@@ -88,13 +88,6 @@ impl<E> EventLog<E> {
     pub fn count(&self, mut pred: impl FnMut(&E) -> bool) -> usize {
         self.entries.iter().filter(|e| pred(&e.event)).count()
     }
-
-    /// Entries within `[from, to)`.
-    pub fn between(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &LogEntry<E>> {
-        self.entries
-            .iter()
-            .filter(move |e| e.time >= from && e.time < to)
-    }
 }
 
 impl<E> Default for EventLog<E> {
@@ -148,11 +141,6 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
         assert_eq!(log.count(|e| matches!(e, Ev::B(_))), 2);
-        let window: Vec<_> = log
-            .between(SimTime::from_secs(2), SimTime::from_secs(9))
-            .collect();
-        assert_eq!(window.len(), 1);
-        assert_eq!(window[0].event, Ev::B(2));
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! is a sequence of `(time, value)` samples that the experiment harness can
 //! summarize or print.
 
-use std::sync::Arc;
-
 use crate::stats::RunningStats;
 use crate::time::SimTime;
 
@@ -19,26 +17,17 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// Samples per sealed chunk of a [`Trace`] (16 KiB of samples).
-///
-/// A clone copies at most one chunk's worth of unsealed samples per
-/// trace, so snapshot and fork costs stay flat however long the run.
-pub const CHUNK_LEN: usize = 1 << 10;
-
 /// A named, append-only time series of `f64` samples.
 ///
-/// Samples are kept in sealed chunks of [`CHUNK_LEN`] behind `Arc`s plus
-/// one owned tail holding the samples since the last seal. Cloning a
-/// trace (every plant snapshot and fork does) shares the sealed chunks
-/// and copies only the tail. The tail grows like a `Vec`, so a short
-/// trace never allocates a whole chunk.
-///
-/// A trace built with [`Trace::latest_only`] keeps no history: every
-/// sample still feeds [`Trace::stats`], but only the newest one is
-/// retained, so [`Trace::last`] answers as above while [`Trace::len`],
-/// [`Trace::iter`], [`Trace::downsample`] and [`Trace::sealed_chunks`]
-/// see at most that one sample. It never allocates after its first
-/// sample and clones in O(1).
+/// A trace built with [`Trace::new`] keeps every sample, for recorded
+/// inputs such as a replay feed's solar column. One built with
+/// [`Trace::latest_only`] keeps no history: every sample still feeds
+/// [`Trace::stats`], but only the newest one is retained, so
+/// [`Trace::stats`] and [`Trace::last`] answer as a full trace's would
+/// while [`Trace::len`] and [`Trace::iter`] see at most that one sample.
+/// It never allocates after its first sample. Every simulated plant's
+/// output traces are of this kind; a caller that wants a waveform
+/// records each step's [`Trace::last`] itself.
 ///
 /// # Examples
 ///
@@ -55,11 +44,7 @@ pub const CHUNK_LEN: usize = 1 << 10;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     name: String,
-    /// Full chunks, oldest first, each exactly [`CHUNK_LEN`] samples.
-    sealed: Vec<Arc<[Sample]>>,
-    /// Samples recorded since the last seal; always fewer than
-    /// [`CHUNK_LEN`].
-    tail: Vec<Sample>,
+    samples: Vec<Sample>,
     stats: RunningStats,
     /// `false` for a [`Trace::latest_only`] trace.
     keep_history: bool,
@@ -72,8 +57,7 @@ impl Trace {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            sealed: Vec::new(),
-            tail: Vec::new(),
+            samples: Vec::new(),
             stats: RunningStats::new(),
             keep_history: true,
         }
@@ -123,41 +107,27 @@ impl Trace {
             self.name
         );
         if !self.keep_history {
-            self.tail.clear();
+            self.samples.clear();
         }
-        self.tail.push(Sample { time, value });
-        if self.tail.len() == CHUNK_LEN {
-            // Copy the full tail into a shared chunk and keep its buffer
-            // for the next one.
-            self.sealed.push(Arc::from(self.tail.as_slice()));
-            self.tail.clear();
-        }
+        self.samples.push(Sample { time, value });
         self.stats.push(value);
     }
 
     /// Number of samples retained.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sealed.len() * CHUNK_LEN + self.tail.len()
+        self.samples.len()
     }
 
     /// `true` when no samples have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
+        self.samples.is_empty()
     }
 
-    /// The sealed chunks, oldest first. Each holds exactly [`CHUNK_LEN`]
-    /// samples and is shared with every clone taken after it was sealed.
-    #[must_use]
-    pub fn sealed_chunks(&self) -> &[Arc<[Sample]>] {
-        &self.sealed
-    }
-
-    /// Iterates over the samples in chronological order.
-    pub fn iter(&self) -> Iter<'_> {
-        let chunk: fn(&Arc<[Sample]>) -> &[Sample] = |c| &c[..];
-        self.sealed.iter().flat_map(chunk).chain(self.tail.iter())
+    /// Iterates over the retained samples in chronological order.
+    pub fn iter(&self) -> core::slice::Iter<'_, Sample> {
+        self.samples.iter()
     }
 
     /// Summary statistics over all recorded values.
@@ -170,67 +140,31 @@ impl Trace {
     #[must_use]
     #[inline]
     pub fn last(&self) -> Option<Sample> {
-        self.tail
-            .last()
-            .or_else(|| self.sealed.last().and_then(|c| c.last()))
-            .copied()
-    }
-
-    /// The sample at `index` in recording order. O(1).
-    fn get(&self, index: usize) -> Option<Sample> {
-        match self.sealed.get(index / CHUNK_LEN) {
-            Some(chunk) => chunk.get(index % CHUNK_LEN),
-            None => self.tail.get(index - self.sealed.len() * CHUNK_LEN),
-        }
-        .copied()
-    }
-
-    /// Downsamples to at most `max_points` evenly spaced samples, for
-    /// compact printing of day-long traces. Returns all samples when the
-    /// trace is already small enough.
-    #[must_use]
-    pub fn downsample(&self, max_points: usize) -> Vec<Sample> {
-        stride_indices(self.len(), max_points)
-            .filter_map(|i| self.get(i))
-            .collect()
+        self.samples.last().copied()
     }
 }
 
-/// Iterator over a [`Trace`]'s samples: each sealed chunk, then the tail.
-pub type Iter<'a> = core::iter::Chain<
-    core::iter::FlatMap<
-        core::slice::Iter<'a, Arc<[Sample]>>,
-        &'a [Sample],
-        fn(&'a Arc<[Sample]>) -> &'a [Sample],
-    >,
-    core::slice::Iter<'a, Sample>,
->;
-
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a Sample;
-    type IntoIter = Iter<'a>;
+    type IntoIter = core::slice::Iter<'a, Sample>;
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
-/// [`Trace::downsample`] over a contiguous sample slice.
+/// At most `max_points` evenly spaced samples out of `samples`, for
+/// compact printing of day-long series: every sample when they fit.
 #[must_use]
 pub fn downsample(samples: &[Sample], max_points: usize) -> Vec<Sample> {
-    stride_indices(samples.len(), max_points)
-        .filter_map(|i| samples.get(i).copied())
-        .collect()
-}
-
-/// The indices of at most `max_points` evenly spaced samples out of
-/// `len`: every index when `len` fits.
-fn stride_indices(len: usize, max_points: usize) -> impl Iterator<Item = usize> {
+    let len = samples.len();
     let stride = if len <= max_points {
         1.0
     } else {
         len as f64 / max_points as f64
     };
-    (0..len.min(max_points)).map(move |i| (i as f64 * stride) as usize)
+    (0..len.min(max_points))
+        .filter_map(|i| samples.get((i as f64 * stride) as usize).copied())
+        .collect()
 }
 
 /// Linearly interpolated value at `time` over time-ordered `samples`.
@@ -313,13 +247,13 @@ mod tests {
 
     #[test]
     fn downsample_preserves_bounds() {
-        let t = ramp();
-        let d = t.downsample(5);
+        let samples: Vec<Sample> = ramp().iter().copied().collect();
+        let d = downsample(&samples, 5);
         assert_eq!(d.len(), 5);
         assert_eq!(d[0].value, 0.0);
-        // Small traces pass through unchanged.
-        assert_eq!(t.downsample(100).len(), 11);
-        assert!(t.downsample(0).is_empty());
+        // Small series pass through unchanged.
+        assert_eq!(downsample(&samples, 100).len(), 11);
+        assert!(downsample(&samples, 0).is_empty());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Property tests for the simulation kernel.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
 
 use ins_sim::backoff::{Backoff, BackoffOutcome};
 use ins_sim::replay::ReplayFeed;
 use ins_sim::stats::RunningStats;
 use ins_sim::time::{SimDuration, SimTime};
-use ins_sim::trace::{interpolate, Sample, Trace, CHUNK_LEN};
+use ins_sim::trace::{downsample, interpolate, Sample, Trace};
 use ins_sim::units::{Amps, Hours, Volts, WattHours, Watts};
 
 proptest! {
@@ -142,22 +140,32 @@ proptest! {
         }
     }
 
-    /// Downsampling never invents samples and keeps chronological order.
+    /// Downsampling never invents samples, keeps chronological order and
+    /// picks the evenly strided indices.
     #[test]
     fn downsample_is_a_subsequence(
         n in 1usize..300,
-        max_points in 1usize..50
+        max_points in 0usize..50
     ) {
-        let mut t = Trace::new("d");
-        for i in 0..n {
-            t.record(SimTime::from_secs(i as u64), i as f64);
-        }
-        let d = t.downsample(max_points);
-        prop_assert!(d.len() <= max_points.max(n));
+        let samples: Vec<Sample> = (0..n)
+            .map(|i| Sample { time: SimTime::from_secs(i as u64), value: i as f64 })
+            .collect();
+        let d = downsample(&samples, max_points);
+        prop_assert!(d.len() <= max_points.min(n));
         prop_assert!(d.windows(2).all(|w| w[0].time < w[1].time));
         for s in &d {
             prop_assert_eq!(s.value, s.time.as_secs() as f64);
         }
+        // The stride selection, written out.
+        let expected: Vec<Sample> = if n <= max_points {
+            samples.clone()
+        } else {
+            let stride = n as f64 / max_points as f64;
+            (0..max_points)
+                .map(|i| samples[(i as f64 * stride) as usize])
+                .collect()
+        };
+        prop_assert_eq!(d, expected);
     }
 
     /// Unit arithmetic: P = V·I and E = P·t round-trip.
@@ -255,105 +263,38 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The chunked recorder behaves as a plain `Vec<Sample>` across at
-    /// least three chunk seals, and every clone is an independent copy
-    /// that shares the chunks sealed before it was taken.
-    #[test]
-    fn trace_matches_a_vec_across_chunk_seals(
-        len in (3 * CHUNK_LEN + 1)..(6 * CHUNK_LEN),
-        clone_at in proptest::collection::vec(0usize..6 * CHUNK_LEN, 1..6),
-        diverge in 1usize..(2 * CHUNK_LEN),
-        max_points in 0usize..(8 * CHUNK_LEN)
-    ) {
-        let sample = |i: usize| Sample {
-            time: SimTime::from_secs(i as u64 * 10),
-            value: ((i * 7919) % 1000) as f64 * 0.25,
-        };
-        let mut trace = Trace::new("chunked");
-        let mut reference = Vec::new();
-        let mut clones = Vec::new();
-        for i in 0..len {
-            if clone_at.contains(&i) {
-                clones.push((i, trace.clone()));
-            }
-            let s = sample(i);
-            trace.record(s.time, s.value);
-            reference.push(s);
-        }
-        check_against_vec(&trace, &reference, max_points);
-        prop_assert_eq!(trace.sealed_chunks().len(), len / CHUNK_LEN);
-        for (at, mut copy) in clones {
-            check_against_vec(&copy, &reference[..at], max_points);
-            prop_assert_eq!(copy.sealed_chunks().len(), at / CHUNK_LEN);
-            for (a, b) in copy.sealed_chunks().iter().zip(trace.sealed_chunks()) {
-                prop_assert!(Arc::ptr_eq(a, b), "a clone must share sealed chunks");
-            }
-            // Record a diverging run into the clone, past its next seal.
-            let mut own = reference[..at].to_vec();
-            for i in at..at + diverge {
-                let s = Sample { value: -1.0 - i as f64, ..sample(i) };
-                copy.record(s.time, s.value);
-                own.push(s);
-            }
-            check_against_vec(&copy, &own, max_points);
-            check_against_vec(&trace, &reference, max_points);
-        }
-    }
-
     /// A latest-only trace summarizes exactly what a full trace does:
-    /// after every sample of a random time-ordered run (long enough for
-    /// the full trace to seal chunks), both report the same `stats()` and
-    /// `last()`, and the latest-only one retains that last sample alone.
+    /// after every sample of a random time-ordered run, both report the
+    /// same `stats()` and `last()`, and the latest-only one retains that
+    /// last sample alone while the full one retains every sample.
     #[test]
     fn latest_only_trace_summarizes_like_a_full_trace(
-        steps in proptest::collection::vec((0u64..600, -1e6f64..1e6), 0..(3 * CHUNK_LEN)),
-        max_points in 1usize..64
+        steps in proptest::collection::vec((0u64..600, -1e6f64..1e6), 0..3000)
     ) {
         let mut full = Trace::new("full");
         let mut latest = Trace::latest_only("latest");
+        let mut reference = Vec::new();
         let mut now = SimTime::ZERO;
         for (gap_s, value) in steps {
             now += SimDuration::from_secs(gap_s);
             full.record(now, value);
             latest.record(now, value);
+            reference.push(Sample { time: now, value });
             prop_assert_eq!(latest.stats(), full.stats());
             prop_assert_eq!(latest.last(), full.last());
             prop_assert!(latest.len() <= 1);
         }
+        prop_assert_eq!(full.len(), reference.len());
+        prop_assert!(IntoIterator::into_iter(&full).eq(reference.iter()), "full history");
+        let stats: RunningStats = reference.iter().map(|s| s.value).collect();
+        prop_assert_eq!(full.stats(), &stats);
         let last: Vec<Sample> = full.last().into_iter().collect();
         prop_assert_eq!(latest.len(), last.len());
+        prop_assert_eq!(latest.is_empty(), last.is_empty());
         prop_assert!(latest.iter().eq(last.iter()), "iteration sees only the last sample");
-        prop_assert_eq!(latest.downsample(max_points), last);
-        prop_assert!(latest.sealed_chunks().is_empty());
         let copy = latest.clone();
         prop_assert_eq!(&copy, &latest);
     }
-}
-
-/// Checks every read of `trace` against the same reads of `samples`.
-fn check_against_vec(trace: &Trace, samples: &[Sample], max_points: usize) {
-    prop_assert_eq!(trace.len(), samples.len());
-    prop_assert_eq!(trace.is_empty(), samples.is_empty());
-    prop_assert_eq!(trace.last(), samples.last().copied());
-    prop_assert!(trace.iter().eq(samples.iter()), "iteration differs");
-    prop_assert!(
-        IntoIterator::into_iter(trace).eq(samples.iter()),
-        "&Trace iteration differs"
-    );
-    let stats: RunningStats = samples.iter().map(|s| s.value).collect();
-    prop_assert_eq!(trace.stats(), &stats);
-    // The stride selection a `Vec` downsample makes.
-    let expected: Vec<Sample> = if max_points == 0 {
-        Vec::new()
-    } else if samples.len() <= max_points {
-        samples.to_vec()
-    } else {
-        let stride = samples.len() as f64 / max_points as f64;
-        (0..max_points)
-            .map(|i| samples[(i as f64 * stride) as usize])
-            .collect()
-    };
-    prop_assert_eq!(trace.downsample(max_points), expected);
 }
 
 /// `interpolate` as a plain binary search: the reference the indexed

@@ -54,10 +54,6 @@ pub struct StreamWorkload {
     arrived_gb: f64,
     processed_gb: f64,
     delay_stats: RunningStats,
-    /// Bounded catch-up: after an outage the drain rate is capped at this
-    /// multiple of the arrival rate (`INFINITY` = no cap, the default —
-    /// existing behavior is unchanged unless a bound is installed).
-    max_catchup_factor: f64,
 }
 
 impl StreamWorkload {
@@ -70,19 +66,7 @@ impl StreamWorkload {
             arrived_gb: 0.0,
             processed_gb: 0.0,
             delay_stats: RunningStats::new(),
-            max_catchup_factor: f64::INFINITY,
         }
-    }
-
-    /// Caps the post-outage drain rate at `factor ×` the arrival rate,
-    /// modeling ingestion/replay bandwidth limits during catch-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor < 1.0` (the stream could then never keep up).
-    pub fn set_max_catchup_factor(&mut self, factor: f64) {
-        assert!(factor >= 1.0, "catch-up factor must be at least 1");
-        self.max_catchup_factor = factor;
     }
 
     /// The stream's arrival spec.
@@ -99,10 +83,7 @@ impl StreamWorkload {
         let arrived = self.spec.rate_gb_per_hour() * dt_h;
         self.arrived_gb += arrived;
         self.backlog_gb += arrived;
-        let mut service_rate = gb_per_hour.max(0.0);
-        if self.max_catchup_factor.is_finite() {
-            service_rate = service_rate.min(self.spec.rate_gb_per_hour() * self.max_catchup_factor);
-        }
+        let service_rate = gb_per_hour.max(0.0);
         let capacity = service_rate * dt_h;
         let drained = capacity.min(self.backlog_gb);
         self.backlog_gb -= drained;
@@ -119,7 +100,7 @@ impl StreamWorkload {
     }
 
     /// Re-queues `gb` of work lost to a crash: it rejoins the backlog and
-    /// will be drained (subject to the catch-up cap) alongside new
+    /// will be drained alongside new
     /// arrivals. Replayed data is *not* added to `arrived_gb` — it already
     /// arrived once — so `processed + backlog` may exceed `arrived` after
     /// a requeue; the surplus is exactly the replayed volume.
@@ -211,28 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_catchup_limits_the_drain_rate() {
-        let mut w = StreamWorkload::new(StreamSpec::video_surveillance());
-        w.set_max_catchup_factor(2.0);
-        run(&mut w, 60, 0.0); // one-hour outage: 12.6 GB backlog
-        let peak = w.backlog_gb();
-        // Over-provisioned cluster, but drain is capped at 2× arrivals:
-        // net backlog reduction is at most 1× the arrival rate.
-        run(&mut w, 30, 100.0);
-        let expected = peak - 0.21 * 30.0;
-        assert!(
-            (w.backlog_gb() - expected).abs() < 1e-9,
-            "backlog {} vs expected {expected}",
-            w.backlog_gb()
-        );
-        // Unbounded stream at the same capacity would already be empty.
-        let mut unbounded = StreamWorkload::new(StreamSpec::video_surveillance());
-        run(&mut unbounded, 60, 0.0);
-        run(&mut unbounded, 30, 100.0);
-        assert!(unbounded.backlog_gb() < 1e-9);
-    }
-
-    #[test]
     fn requeue_rejoins_the_backlog_without_new_arrivals() {
         let mut w = StreamWorkload::new(StreamSpec::video_surveillance());
         run(&mut w, 60, 12.6);
@@ -244,13 +203,6 @@ mod tests {
         assert!(w.backlog_gb() < 0.1, "replayed work drains");
         w.requeue_gb(-3.0);
         assert!(w.backlog_gb() >= 0.0, "negative requeue is ignored");
-    }
-
-    #[test]
-    #[should_panic(expected = "catch-up factor must be at least 1")]
-    fn rejects_catchup_factor_below_one() {
-        let mut w = StreamWorkload::new(StreamSpec::video_surveillance());
-        w.set_max_catchup_factor(0.5);
     }
 
     #[test]

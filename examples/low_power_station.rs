@@ -16,6 +16,7 @@ use insure::core::controller::InsureController;
 use insure::core::metrics::RunMetrics;
 use insure::core::system::{InSituSystem, WorkloadModel};
 use insure::sim::time::{SimDuration, SimTime};
+use insure::sim::trace::downsample;
 use insure::solar::trace::high_generation_day;
 use insure::workload::benchmark::by_name;
 use insure::workload::scaling::ScalingModel;
@@ -41,16 +42,17 @@ fn run_rack(profile: ServerProfile) -> (String, RunMetrics, String) {
     .workload(workload)
     .time_step(SimDuration::from_secs(30))
     .build();
-    sys.run_until(SimTime::from_hms(23, 59, 30));
+    // The plant's traces keep only their latest sample; record each step's.
+    let (mut solar, mut load) = (Vec::new(), Vec::new());
+    while sys.now() < SimTime::from_hms(23, 59, 30) {
+        sys.step();
+        solar.extend(sys.trace_solar().last());
+        load.extend(sys.trace_load().last());
+    }
     let csv_head: String = {
         // Five evenly spaced rows of the aligned traces, to show the format.
         let mut out = String::from("seconds,solar_w,load_w\n");
-        for (s, l) in sys
-            .trace_solar()
-            .downsample(5)
-            .iter()
-            .zip(sys.trace_load().downsample(5))
-        {
+        for (s, l) in downsample(&solar, 5).iter().zip(downsample(&load, 5)) {
             out.push_str(&format!(
                 "{},{:.0},{:.0}\n",
                 s.time.as_secs(),
