@@ -53,7 +53,7 @@ pub fn fig15(seed: u64) -> (SolarDaySummary, SolarDaySummary) {
         label,
         daytime_mean_w: trace.mean_power_between(7.0, 20.0).value(),
         energy_kwh: trace.total_energy().kilowatt_hours(),
-        series: downsample(trace.trace(), 48),
+        series: downsample(&trace.trace().collect::<Vec<_>>(), 48),
     };
     let high = high_generation_day(seed);
     let low = low_generation_day(seed);

@@ -73,10 +73,7 @@ impl Site {
         breaker_policy: BreakerPolicy,
         base_latency_ms: f64,
     ) -> Self {
-        let solar_peak_w = solar
-            .trace()
-            .iter()
-            .fold(1.0_f64, |acc, s| acc.max(s.value));
+        let solar_peak_w = solar.peak().value().max(1.0);
         Self {
             system,
             id,

@@ -16,7 +16,7 @@
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_std_dev(), 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -122,6 +122,15 @@ impl RunningStats {
     }
 }
 
+impl Default for RunningStats {
+    /// An empty accumulator, as [`RunningStats::new`]: a derived default
+    /// would start `min` and `max` at 0.0 and so report a minimum of 0.0
+    /// over positive samples.
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Extend<f64> for RunningStats {
     fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
         for v in iter {
@@ -150,6 +159,16 @@ mod tests {
         assert_eq!(s.population_std_dev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
+    }
+
+    #[test]
+    fn default_is_new() {
+        assert_eq!(RunningStats::default(), RunningStats::new());
+        let mut s = RunningStats::default();
+        s.push(24.3);
+        s.push(25.1);
+        assert_eq!(s.min(), 24.3);
+        assert_eq!(s.max(), 25.1);
     }
 
     #[test]

@@ -170,9 +170,11 @@ pub fn downsample(samples: &[Sample], max_points: usize) -> Vec<Sample> {
 /// Linearly interpolated value at `time` over time-ordered `samples`.
 ///
 /// Clamps to the first/last sample outside the recorded range. Returns
-/// `None` for an empty slice. On evenly spaced samples (every generated
-/// trace) the lookup is O(1); otherwise it is a binary search. Both find
-/// the same bracketing samples.
+/// `None` for an empty slice. On evenly spaced samples the lookup is
+/// O(1); otherwise it is a binary search. Both find the same bracketing
+/// samples. Recorded inputs such as a replay feed's solar column go
+/// through it; a generated solar trace keeps no sample list, and its
+/// `power_at` applies this formula to its fixed 10 s grid directly.
 #[must_use]
 #[inline]
 pub fn interpolate(samples: &[Sample], time: SimTime) -> Option<f64> {

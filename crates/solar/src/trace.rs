@@ -7,8 +7,10 @@
 //! equivalents: deterministic (seeded) day-long power traces with the same
 //! averages and fluctuation character.
 
+use std::hint::black_box;
 use std::iter;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, LazyLock};
 
 use ins_sim::rng::SimRng;
 use ins_sim::time::{SimDuration, SimTime, SECONDS_PER_DAY};
@@ -18,18 +20,64 @@ use ins_sim::units::{WattHours, Watts};
 use crate::irradiance::{clear_sky_fraction, DaylightWindow};
 use crate::mppt::MpptTracker;
 use crate::panel::SolarPanel;
-use crate::weather::{CloudField, DayWeather};
+use crate::weather::{CloudField, CloudStep, DayWeather};
 
-/// A generated solar power time series.
+/// Seconds between the samples of a generated trace, which start at
+/// midnight of day 0.
+const STEP_S: u64 = 10;
+
+/// Samples per generated day.
+const DAY_SAMPLES: u64 = SECONDS_PER_DAY / STEP_S;
+
+/// The samples of a generated day inside [`DaylightWindow::prototype`]:
+/// 06:54:00 to 19:58:40. Every sample outside them is exactly +0.0 (the
+/// clear-sky envelope is 0 there), so only these are stored.
+const DAYLIGHT: Range<u64> = 2_484..7_193;
+
+/// Stored values per generated day.
+const DAYLIGHT_LEN: usize = (DAYLIGHT.end - DAYLIGHT.start) as usize;
+
+/// The clear-sky envelope at each [`DAYLIGHT`] sample, the same on every
+/// day of every generated trace, so it is computed once per process: its
+/// `sin` and `powf` calls are most of a one-day build's time.
+static ENVELOPE: LazyLock<[f64; DAYLIGHT_LEN]> = LazyLock::new(|| {
+    let window = DaylightWindow::prototype();
+    std::array::from_fn(|i| {
+        let hour = SimTime::from_secs((DAYLIGHT.start + i as u64) * STEP_S).time_of_day_hours();
+        // A libm call whose arguments LLVM sees as constants may be
+        // folded at compile time and round differently (DESIGN §9.4):
+        // `black_box` keeps each one a runtime call.
+        clear_sky_fraction(&window, black_box(hour))
+    })
+});
+
+/// A solar power time series, in watts.
 ///
-/// The samples are stored once, contiguous, behind an `Arc`: every plant
-/// built on a trace, and every snapshot and fork of that plant, shares
-/// them, and [`SolarTrace::power_at`] interpolates straight over the
-/// slice.
+/// The input is stored once behind an `Arc`: every plant built on a
+/// trace, and every snapshot and fork of that plant, shares it. It has
+/// one of two forms, set by how the trace was made:
+///
+/// * *Generated* ([`SolarTraceBuilder`]): a sample every 10 s from
+///   midnight of day 0. Only each day's daylight values are stored,
+///   4,709 of its 8,640 samples; every other sample is +0.0.
+///   [`SolarTrace::power_at`] finds its two samples by division.
+/// * *Recorded* ([`SolarTrace::from_trace`]): every sample with its own
+///   timestamp, which may be irregular or repeat. `power_at` calls
+///   [`interpolate`] over them.
+///
+/// Both forms answer every query as [`interpolate`] over the full sample
+/// list would, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolarTrace {
-    samples: Arc<[Sample]>,
-    dt: SimDuration,
+    form: Form,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Form {
+    /// A recorded feed's samples, and their nominal interval.
+    Recorded(Arc<[Sample]>, SimDuration),
+    /// Generated days: each day's [`DAYLIGHT`] values, day after day.
+    Daylight(Arc<[f64]>),
 }
 
 impl SolarTrace {
@@ -39,40 +87,59 @@ impl SolarTrace {
     /// the samples' own timestamps, so an irregular feed is fine.
     #[must_use]
     pub fn from_trace(trace: Trace, dt: SimDuration) -> Self {
-        let samples = filled(trace.len(), |slots| {
-            for (slot, sample) in slots.iter_mut().zip(&trace) {
-                *slot = *sample;
-            }
-        });
-        Self { samples, dt }
+        // One allocation at the exact length, filled by one copy.
+        Self {
+            form: Form::Recorded(Arc::from(trace.iter().as_slice()), dt),
+        }
     }
 
     /// The samples (values in watts), in time order.
     #[must_use]
-    pub fn trace(&self) -> &[Sample] {
-        &self.samples
+    pub fn trace(&self) -> Samples<'_> {
+        let len = match &self.form {
+            Form::Recorded(samples, _) => samples.len(),
+            Form::Daylight(values) => values.len() / DAYLIGHT_LEN * DAY_SAMPLES as usize,
+        };
+        Samples {
+            trace: self,
+            indices: 0..len,
+        }
     }
 
     /// Sampling interval.
     #[must_use]
     pub fn dt(&self) -> SimDuration {
-        self.dt
+        match self.form {
+            Form::Recorded(_, dt) => dt,
+            Form::Daylight(_) => SimDuration::from_secs(STEP_S),
+        }
     }
 
     /// Power at an arbitrary instant (linear interpolation, zero outside).
     #[must_use]
     pub fn power_at(&self, t: SimTime) -> Watts {
-        Watts::new(interpolate(&self.samples, t).unwrap_or(0.0))
+        Watts::new(match &self.form {
+            Form::Recorded(samples, _) => interpolate(samples, t).unwrap_or(0.0),
+            Form::Daylight(values) => grid_power_at(values, t),
+        })
+    }
+
+    /// The highest power in the trace; 0 W when no sample is above zero.
+    #[must_use]
+    pub fn peak(&self) -> Watts {
+        let peak = match &self.form {
+            Form::Recorded(samples, _) => samples.iter().fold(0.0, |m: f64, s| m.max(s.value)),
+            // The samples that are not stored are all 0 W.
+            Form::Daylight(values) => values.iter().fold(0.0, |m: f64, &v| m.max(v)),
+        };
+        Watts::new(peak)
     }
 
     /// Total energy in the trace.
     #[must_use]
     pub fn total_energy(&self) -> WattHours {
-        let dt_h = self.dt.as_hours();
-        self.samples
-            .iter()
-            .map(|s| Watts::new(s.value) * dt_h)
-            .sum()
+        let dt_h = self.dt().as_hours();
+        self.trace().map(|s| Watts::new(s.value) * dt_h).sum()
     }
 
     /// Mean power over a wall-clock window of the day, e.g. the paper's
@@ -81,7 +148,7 @@ impl SolarTrace {
     pub fn mean_power_between(&self, from_h: f64, to_h: f64) -> Watts {
         let mut sum = 0.0;
         let mut n = 0usize;
-        for s in self.samples.iter() {
+        for s in self.trace() {
             let h = s.time.time_of_day_hours();
             if h >= from_h && h < to_h {
                 sum += s.value;
@@ -94,9 +161,87 @@ impl SolarTrace {
             Watts::new(sum / n as f64)
         }
     }
+
+    /// Sample `i` of [`SolarTrace::trace`].
+    fn sample(&self, i: usize) -> Option<Sample> {
+        match &self.form {
+            Form::Recorded(samples, _) => samples.get(i).copied(),
+            Form::Daylight(values) => {
+                let k = i as u64;
+                Some(Sample {
+                    time: SimTime::from_secs(k * STEP_S),
+                    value: grid_value(values, k),
+                })
+            }
+        }
+    }
 }
 
-/// Builder for synthetic solar traces.
+/// The samples of a [`SolarTrace`], by value, in time order. `len()` and
+/// `last()` are O(1).
+#[derive(Debug, Clone)]
+pub struct Samples<'a> {
+    trace: &'a SolarTrace,
+    indices: Range<usize>,
+}
+
+impl Iterator for Samples<'_> {
+    type Item = Sample;
+
+    fn next(&mut self) -> Option<Sample> {
+        self.indices.next().and_then(|i| self.trace.sample(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.indices.size_hint()
+    }
+
+    fn last(mut self) -> Option<Sample> {
+        self.next_back()
+    }
+}
+
+impl DoubleEndedIterator for Samples<'_> {
+    fn next_back(&mut self) -> Option<Sample> {
+        self.indices.next_back().and_then(|i| self.trace.sample(i))
+    }
+}
+
+impl ExactSizeIterator for Samples<'_> {}
+
+/// Sample `k` of a generated trace: its stored daylight value, or +0.0
+/// outside [`DAYLIGHT`] and past the last day.
+fn grid_value(values: &[f64], k: u64) -> f64 {
+    let (day, i) = (k / DAY_SAMPLES, k % DAY_SAMPLES);
+    if !DAYLIGHT.contains(&i) {
+        return 0.0;
+    }
+    let stored = day * DAYLIGHT_LEN as u64 + (i - DAYLIGHT.start);
+    usize::try_from(stored)
+        .ok()
+        .and_then(|stored| values.get(stored))
+        .copied()
+        .unwrap_or(0.0)
+}
+
+/// [`interpolate`] over a generated trace without its sample list: the
+/// same two samples and the same formula, so the same bits. Its clamps
+/// need no branch of their own past `t = 0`: the first and last samples
+/// (midnight of day 0, 23:59:50 of the last day) are dark, and so is every
+/// sample past the last.
+fn grid_power_at(values: &[f64], t: SimTime) -> f64 {
+    let secs = t.as_secs();
+    // `b`, the first sample at or after `t`, and `a`, the one before it.
+    let Some(a) = secs.div_ceil(STEP_S).checked_sub(1) else {
+        return 0.0;
+    };
+    let (va, vb) = (grid_value(values, a), grid_value(values, a + 1));
+    let frac = (secs - a * STEP_S) as f64 / STEP_S as f64;
+    va + (vb - va) * frac
+}
+
+/// Builder for synthetic solar traces, sampled every 10 s over the
+/// prototype's 06:54–19:59 daylight window.
 ///
 /// # Examples
 ///
@@ -113,24 +258,20 @@ impl SolarTrace {
 #[derive(Debug, Clone)]
 pub struct SolarTraceBuilder {
     panel: SolarPanel,
-    window: DaylightWindow,
     weather: DayWeather,
     seed: u64,
-    dt: SimDuration,
     mppt: bool,
 }
 
 impl SolarTraceBuilder {
     /// Creates a builder with the prototype defaults: 1.6 kW array,
-    /// 06:54–19:59 daylight, sunny, 10 s sampling, MPPT enabled.
+    /// sunny, MPPT enabled.
     #[must_use]
     pub fn new() -> Self {
         Self {
             panel: SolarPanel::prototype_1_6kw(),
-            window: DaylightWindow::prototype(),
             weather: DayWeather::Sunny,
             seed: 0,
-            dt: SimDuration::from_secs(10),
             mppt: true,
         }
     }
@@ -139,13 +280,6 @@ impl SolarTraceBuilder {
     #[must_use]
     pub fn panel(mut self, panel: SolarPanel) -> Self {
         self.panel = panel;
-        self
-    }
-
-    /// Sets the daylight window.
-    #[must_use]
-    pub fn window(mut self, window: DaylightWindow) -> Self {
-        self.window = window;
         self
     }
 
@@ -160,18 +294,6 @@ impl SolarTraceBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the sampling interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is zero.
-    #[must_use]
-    pub fn sample_interval(mut self, dt: SimDuration) -> Self {
-        assert!(!dt.is_zero(), "sample interval must be non-zero");
-        self.dt = dt;
         self
     }
 
@@ -197,52 +319,42 @@ impl SolarTraceBuilder {
     #[must_use]
     pub fn build_days(&self, days: &[DayWeather]) -> SolarTrace {
         assert!(!days.is_empty(), "at least one day required");
-        let steps = SECONDS_PER_DAY / self.dt.as_secs();
-        let samples = filled(days.len() * steps as usize, |slots| {
-            let mut slots = slots.iter_mut();
-            let rng_root = SimRng::seed(self.seed);
-            let mut mppt = MpptTracker::new();
-            for (day_idx, &weather) in days.iter().enumerate() {
-                let mut clouds =
-                    CloudField::new(weather, rng_root.fork(&format!("clouds-day{day_idx}")));
-                let day_start = day_idx as u64 * SECONDS_PER_DAY;
-                for (i, slot) in (0..steps).zip(&mut slots) {
-                    let t = SimTime::from_secs(day_start + i * self.dt.as_secs());
-                    let tod = t.time_of_day_hours();
-                    let envelope = clear_sky_fraction(&self.window, tod);
-                    let transmission = clouds.step(self.dt.as_secs() as f64);
-                    let available = self.panel.output(envelope, transmission);
-                    let out = if self.mppt {
-                        mppt.step(available)
-                    } else {
-                        available
-                    };
-                    *slot = Sample {
-                        time: t,
-                        value: out.value(),
-                    };
-                }
+        // `black_box` keeps the ramp factor's `exp` a runtime call, as
+        // for the envelope.
+        let step = CloudStep::new(black_box(STEP_S as f64));
+        // `repeat_n` has a trusted length, so the collect allocates once,
+        // at the exact length. The fresh `Arc` has no other owner, so
+        // `make_mut` fills it in place: a long input is never grown or
+        // copied.
+        let mut values: Arc<[f64]> = iter::repeat_n(0.0, days.len() * DAYLIGHT_LEN).collect();
+        let slots = Arc::make_mut(&mut values).chunks_exact_mut(DAYLIGHT_LEN);
+        let rng_root = SimRng::seed(self.seed);
+        for ((day_idx, &weather), day) in days.iter().enumerate().zip(slots) {
+            let mut clouds =
+                CloudField::new(weather, rng_root.fork(&format!("clouds-day{day_idx}")));
+            // The dark samples before sunrise still step the clouds: they
+            // set the sky at sunrise.
+            for _ in 0..DAYLIGHT.start {
+                clouds.step(step);
             }
-        });
+            // Every dark sample resets the tracker, so each day's sunrise
+            // meets a fresh one.
+            let mut mppt = MpptTracker::new();
+            for (value, &envelope) in day.iter_mut().zip(ENVELOPE.iter()) {
+                let available = self.panel.output(envelope, clouds.step(step));
+                let out = if self.mppt {
+                    mppt.step(available)
+                } else {
+                    available
+                };
+                *value = out.value();
+            }
+            // The samples after sunset are dark: the day's clouds end here.
+        }
         SolarTrace {
-            samples,
-            dt: self.dt,
+            form: Form::Daylight(values),
         }
     }
-}
-
-/// `len` samples in one shared allocation of exactly that length, written
-/// in place by `fill`: a long input is never grown or copied.
-fn filled(len: usize, fill: impl FnOnce(&mut [Sample])) -> Arc<[Sample]> {
-    let blank = Sample {
-        time: SimTime::ZERO,
-        value: 0.0,
-    };
-    // `repeat_n` has a trusted length, so the collect allocates once.
-    let mut samples: Arc<[Sample]> = iter::repeat_n(blank, len).collect();
-    // The fresh `Arc` has no other owner, so this borrows it in place.
-    fill(Arc::make_mut(&mut samples));
-    samples
 }
 
 impl Default for SolarTraceBuilder {
@@ -307,9 +419,37 @@ mod tests {
     fn deterministic_under_seed() {
         let a = high_generation_day(9);
         let b = high_generation_day(9);
-        assert_eq!(a.trace(), b.trace());
+        assert_eq!(a, b);
         let c = high_generation_day(10);
-        assert_ne!(a.trace(), c.trace());
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn daylight_is_the_prototype_window_on_the_grid() {
+        let window = DaylightWindow::prototype();
+        assert_eq!(DAY_SAMPLES * STEP_S, SECONDS_PER_DAY);
+        for k in 0..DAY_SAMPLES {
+            let hour = SimTime::from_secs(k * STEP_S).time_of_day_hours();
+            assert_eq!(DAYLIGHT.contains(&k), window.is_daytime(hour), "sample {k}");
+        }
+    }
+
+    #[test]
+    fn generated_trace_reads_its_grid() {
+        let days = [DayWeather::Sunny, DayWeather::Cloudy];
+        let t = SolarTraceBuilder::new().seed(3).build_days(&days);
+        let samples = t.trace();
+        assert_eq!(samples.len(), 2 * 8_640);
+        let last = samples.clone().last().expect("two days of samples");
+        assert_eq!(last, samples.clone().fold(last, |_, s| s));
+        assert_eq!(last.time, SimTime::from_secs(2 * 86_400 - 10));
+        assert_eq!(last.value.to_bits(), 0.0f64.to_bits());
+        // The last daylight sample, 19:58:40, is stored; the next is dark.
+        let sunset = SimTime::from_hms(19, 58, 40);
+        assert!(t.power_at(sunset).value() > 0.0);
+        assert_eq!(t.power_at(sunset + SimDuration::from_secs(10)), Watts::ZERO);
+        let peak = t.trace().fold(0.0, |m: f64, s| m.max(s.value));
+        assert_eq!(t.peak().value().to_bits(), peak.to_bits());
     }
 
     #[test]
@@ -319,7 +459,6 @@ mod tests {
         // Energy each day, descending sunny > cloudy > rainy.
         let energy_of_day = |d: u64| -> f64 {
             t.trace()
-                .iter()
                 .filter(|s| s.time.day() == d)
                 .map(|s| s.value * t.dt().as_hours().value())
                 .sum()

@@ -120,11 +120,11 @@ impl core::fmt::Display for DayWeather {
 /// # Examples
 ///
 /// ```
-/// use ins_solar::weather::{CloudField, DayWeather};
+/// use ins_solar::weather::{CloudField, CloudStep, DayWeather};
 /// use ins_sim::rng::SimRng;
 ///
 /// let mut clouds = CloudField::new(DayWeather::Cloudy, SimRng::seed(1));
-/// let t = clouds.step(10.0); // advance ten seconds
+/// let t = clouds.step(CloudStep::new(10.0)); // advance ten seconds
 /// assert!((0.0..=1.0).contains(&t));
 /// ```
 #[derive(Debug, Clone)]
@@ -141,6 +141,28 @@ pub struct CloudField {
 
 /// Smoothing time constant in seconds: how fast a cloud edge ramps.
 const RAMP_TAU_S: f64 = 20.0;
+
+/// A time step of a [`CloudField`], with its per-minute scale and ramp
+/// factor computed once, so a field stepped at a fixed interval does not
+/// recompute them on every step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CloudStep {
+    minutes: f64,
+    /// Share of the gap to the target closed in one step.
+    ramp: f64,
+}
+
+impl CloudStep {
+    /// A step of `dt_s` seconds.
+    #[must_use]
+    pub fn new(dt_s: f64) -> Self {
+        Self {
+            minutes: dt_s / 60.0,
+            // Exponential ramp toward the target: clouds have soft edges.
+            ramp: 1.0 - (-dt_s / RAMP_TAU_S).exp(),
+        }
+    }
+}
 
 impl CloudField {
     /// Creates a cloud field for the given day type.
@@ -162,29 +184,26 @@ impl CloudField {
         self.weather
     }
 
-    /// Advances the process by `dt_s` seconds and returns the current sky
+    /// Advances the process by one `step` and returns the current sky
     /// transmission in `[0, 1]`.
-    pub fn step(&mut self, dt_s: f64) -> f64 {
-        let minutes = dt_s / 60.0;
+    pub fn step(&mut self, step: CloudStep) -> f64 {
         if self.in_cloud {
             if self
                 .rng
-                .chance(self.weather.cloud_clear_per_minute() * minutes)
+                .chance(self.weather.cloud_clear_per_minute() * step.minutes)
             {
                 self.in_cloud = false;
                 self.target = self.weather.base_transmission();
             }
         } else if self
             .rng
-            .chance(self.weather.cloud_onset_per_minute() * minutes)
+            .chance(self.weather.cloud_onset_per_minute() * step.minutes)
         {
             self.in_cloud = true;
             let (lo, hi) = self.weather.cloud_transmission_range();
             self.target = self.rng.uniform(lo, hi);
         }
-        // Exponential ramp toward the target: clouds have soft edges.
-        let alpha = 1.0 - (-dt_s / RAMP_TAU_S).exp();
-        self.current += (self.target - self.current) * alpha;
+        self.current += (self.target - self.current) * step.ramp;
         self.current.clamp(0.0, 1.0)
     }
 }
@@ -196,7 +215,7 @@ mod tests {
     fn mean_transmission(weather: DayWeather, seed: u64) -> f64 {
         let mut field = CloudField::new(weather, SimRng::seed(seed));
         let n = 6 * 3600; // a six-hour afternoon at 1 s resolution
-        (0..n).map(|_| field.step(1.0)).sum::<f64>() / n as f64
+        (0..n).map(|_| field.step(CloudStep::new(1.0))).sum::<f64>() / n as f64
     }
 
     #[test]
@@ -204,7 +223,7 @@ mod tests {
         for w in DayWeather::ALL {
             let mut field = CloudField::new(w, SimRng::seed(3));
             for _ in 0..10_000 {
-                let t = field.step(1.0);
+                let t = field.step(CloudStep::new(1.0));
                 assert!((0.0..=1.0).contains(&t));
             }
         }
@@ -225,7 +244,9 @@ mod tests {
     fn cloudy_days_fluctuate_more_than_sunny() {
         let variance = |w: DayWeather| {
             let mut field = CloudField::new(w, SimRng::seed(7));
-            let xs: Vec<f64> = (0..20_000).map(|_| field.step(1.0)).collect();
+            let xs: Vec<f64> = (0..20_000)
+                .map(|_| field.step(CloudStep::new(1.0)))
+                .collect();
             let m = xs.iter().sum::<f64>() / xs.len() as f64;
             xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64
         };
@@ -237,7 +258,7 @@ mod tests {
         let mut a = CloudField::new(DayWeather::Cloudy, SimRng::seed(42));
         let mut b = CloudField::new(DayWeather::Cloudy, SimRng::seed(42));
         for _ in 0..1000 {
-            assert_eq!(a.step(5.0), b.step(5.0));
+            assert_eq!(a.step(CloudStep::new(5.0)), b.step(CloudStep::new(5.0)));
         }
     }
 
